@@ -34,7 +34,7 @@ from .interleaving import (
     simulate_session,
     team_draft,
 )
-from .losses import LossBreakdown, batch_loss, combined_loss, domain_loss, listwise_loss
+from .losses import LossBreakdown, batch_loss, domain_loss, listwise_loss
 from .models import (
     ConfigError,
     Model,
@@ -92,7 +92,6 @@ __all__ = [
     "team_draft",
     "LossBreakdown",
     "batch_loss",
-    "combined_loss",
     "domain_loss",
     "listwise_loss",
     "ConfigError",

@@ -36,8 +36,6 @@ __all__ = [
     "layer_norm",
     "concat_cols",
     "slice_cols",
-    "slice_rows",
-    "pad_rows",
     "transpose",
     "reshape",
     "reduce_sum",
@@ -86,12 +84,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def assert_finite(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("tensor values contain NaN or Inf")
-        if self.grad is not None and not np.all(np.isfinite(self.grad)):
-            raise FloatingPointError("tensor gradient contains NaN or Inf")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -362,37 +354,6 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
             _accumulate(x, full)
 
     _record("slice_cols", out, bwd)
-    return out
-
-
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.values.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows: invalid range [{start}:{stop}] for shape {x.shape}")
-    out = Tensor(x.values[start:stop].copy(), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        if x.requires_grad:
-            full = np.zeros_like(x.values)
-            full[start:stop] = g
-            _accumulate(x, full)
-
-    _record("slice_rows", out, bwd)
-    return out
-
-
-def pad_rows(x: Tensor, total_rows: int) -> Tensor:
-    """Append zero rows until the tensor has ``total_rows`` rows."""
-    if x.values.ndim != 2 or total_rows < x.shape[0]:
-        raise ShapeError(f"pad_rows: cannot pad shape {x.shape} to {total_rows} rows")
-    n = x.shape[0]
-    padded = np.zeros((total_rows, x.shape[1]), dtype=np.float64)
-    padded[:n] = x.values
-    out = Tensor(padded, x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g[:n])
-
-    _record("pad_rows", out, bwd)
     return out
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -28,12 +27,14 @@ from .data import (
 )
 from .evaluation import evaluate
 from .interleaving import UserModel, run_interleaving
-from .models import ConfigError, ModelConfig, ModelLoadError, Variant, build, load, save
+from .models import ConfigError, ModelConfig, ModelLoadError, build, load, save
 from .training import (
     DataSplits,
     TrainConfig,
     TrainingDiverged,
     VariantSpec,
+    baseline_names,
+    gain_pct,
     run_protocol,
     train,
 )
@@ -44,8 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
-
-WORKERS_ENV = "MDRANK_WORKERS"
 
 
 class DataError(RuntimeError):
@@ -169,14 +168,19 @@ def load_experiment_config(path) -> ExperimentConfig:
     models = {name: _parse_model(name, obj) for name, obj in models_obj.items()}
 
     train_obj = _expect(doc, "train", dict, str(path), default={})
+    train_kinds = {"epochs": int, "batch_size": int, "learning_rate": float,
+                   "eval_every": int, "seed": int}
+    train_fields = {key: _expect(train_obj, key, train_kinds.get(key), f"{path}: train")
+                    for key in train_obj}
     try:
-        train_config = TrainConfig(k=k, **train_obj)
+        train_config = TrainConfig(k=k, **train_fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: train: {exc}") from exc
 
     inter_obj = _expect(doc, "interleave", dict, str(path), default={})
+    inter_where = f"{path}: interleave"
     pairs = []
-    for idx, raw in enumerate(inter_obj.get("pairs", [])):
+    for idx, raw in enumerate(_expect(inter_obj, "pairs", list, inter_where, default=[])):
         where = f"{path}: interleave.pairs[{idx}]"
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             raise ConfigError(f"{where}: needs keys 'a' and 'b'")
@@ -187,16 +191,14 @@ def load_experiment_config(path) -> ExperimentConfig:
         if domain is not None and (isinstance(domain, bool) or not isinstance(domain, int)):
             raise ConfigError(f"{where}: domain must be an integer or null")
         pairs.append(InterleavePair(a=raw["a"], b=raw["b"], domain=domain))
-    try:
-        interleave = InterleaveSettings(
-            pairs=tuple(pairs),
-            n_impressions=inter_obj.get("n_impressions", 10_000),
-            seed=inter_obj.get("seed", 0),
-            examination_eta=float(inter_obj.get("examination_eta", 1.0)),
-            page_size=inter_obj.get("page_size"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: interleave: {exc}") from exc
+    page_size = inter_obj.get("page_size")
+    interleave = InterleaveSettings(
+        pairs=tuple(pairs),
+        n_impressions=_expect(inter_obj, "n_impressions", int, inter_where, default=10_000),
+        seed=_expect(inter_obj, "seed", int, inter_where, default=0),
+        examination_eta=_expect(inter_obj, "examination_eta", float, inter_where, default=1.0),
+        page_size=None if page_size is None else _expect(inter_obj, "page_size", int, inter_where),
+    )
 
     return ExperimentConfig(
         out_dir=out_dir,
@@ -345,13 +347,11 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
             for d in summary.per_domain
         }
 
-    baseline_value: dict[int, float] = {}
-    for name in names:
-        spec = config.models[name]
-        if spec.config.variant is Variant.BASELINE and spec.train_domain is not None:
-            cell = results[name].get(spec.train_domain)
-            if cell is not None and spec.train_domain not in baseline_value:
-                baseline_value[spec.train_domain] = cell[0]
+    baseline_value = {
+        domain: results[name][domain][0]
+        for domain, name in baseline_names({n: config.models[n] for n in names}).items()
+        if domain in results[name]
+    }
 
     header = f"{'model':<24}{'domain':<8}{'sessions':>10}{'NDCG@' + str(k):>12}{'gain':>10}"
     lines = [header]
@@ -359,12 +359,11 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
     for name in names:
         for domain in sorted(results[name]):
             value, count = results[name][domain]
-            base = baseline_value.get(domain)
-            if base:
-                gain = 100.0 * (value - base) / base
-                gain_text, gain_csv = f"{gain:+.2f}%", f"{gain:.6f}"
-            else:
+            gain = gain_pct(value, baseline_value.get(domain))
+            if gain is None:
                 gain_text, gain_csv = "-", ""
+            else:
+                gain_text, gain_csv = f"{gain:+.2f}%", f"{gain:.6f}"
             lines.append(f"{name:<24}{domain:<8}{count:>10}{value:>12.4f}{gain_text:>10}")
             csv_rows.append(f"{name},{domain},{count},{value:.10f},{gain_csv}")
     text = "\n".join(lines) + "\n"
@@ -425,10 +424,7 @@ def cmd_protocol(config: ExperimentConfig, args) -> int:
     seeds = tuple(args.seed) if args.seed else config.seeds
     k = args.k or config.k
     variants = {name: config.models[name] for name in names}
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
-    report = run_protocol(
-        variants, splits, seeds, replace(config.train, k=k), k=k, workers=workers
-    )
+    report = run_protocol(variants, splits, seeds, replace(config.train, k=k), k=k)
     _write_text(config.out_dir / "reports" / "protocol.txt", report.table_text())
     _write_text(
         config.out_dir / "reports" / "protocol.csv", "\n".join(report.csv_rows()) + "\n"

@@ -4,7 +4,7 @@ weighted combination.
 The ranking loss is softmax cross-entropy between the score distribution
 and the normalized label distribution.  Sessions whose labels are all zero
 carry no ranking signal; the loss functions report that with ``None`` (a
-skip signal, not a value) and the combiners leave such sessions out of the
+skip signal, not a value) and ``batch_loss`` leaves such sessions out of the
 ranking average while still counting their domain term.
 """
 
@@ -19,7 +19,7 @@ from .autodiff import Tensor, add, log_softmax, mul_const, reduce_sum, reshape, 
 from .data import QuerySession
 from .models import Model, ScoredSession, forward
 
-__all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "combined_loss", "batch_loss"]
+__all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
 def _as_score_vector(scores) -> Tensor:
@@ -139,10 +139,3 @@ def batch_loss(
         ),
         loss,
     )
-
-
-def combined_loss(
-    model: Model, session: QuerySession
-) -> tuple[LossBreakdown, Tensor | None]:
-    """Single-session convenience wrapper around ``batch_loss``."""
-    return batch_loss(model, [session])

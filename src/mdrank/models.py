@@ -3,7 +3,7 @@ skeleton.
 
 * ``baseline``: single scoring head, meant for single-domain training.
 * ``multihead``: one scoring head per domain; the session's domain picks
-  the head through a differentiable one-hot multiply-and-sum.
+  which head runs, so off-domain heads get no gradient from that session.
 * ``domain_adversarial``: baseline plus a per-item domain classifier fed
   through a gradient-reversal node, pushing the trunk toward
   domain-agnostic representations.
@@ -34,10 +34,7 @@ from .autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
-    pad_rows,
     relu,
-    scale,
-    slice_rows,
 )
 from .data import QuerySession
 
@@ -290,16 +287,13 @@ def _mlp(x: Tensor, model: Model, prefix: str, n_layers: int) -> Tensor:
     return out
 
 
-def forward(model: Model, session: QuerySession, pad_to: int | None = None) -> ScoredSession:
+def forward(model: Model, session: QuerySession) -> ScoredSession:
     """Score every item of one session.
 
-    ``pad_to`` runs the transformer on a zero-padded, masked token matrix of
-    that length; scores for the real items are unchanged by the padding.
     Call inside an active Tape to make the returned tensors differentiable.
     """
     cfg = model.config
-    n = len(session.items)
-    if n < 1:
+    if not session.items:
         raise ValueError("forward: session has no items")
     if not (0 <= session.domain < cfg.n_domains):
         raise ValueError(
@@ -318,16 +312,7 @@ def forward(model: Model, session: QuerySession, pad_to: int | None = None) -> S
         h = relu(linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"]))
     s = linear(h, p["score.0.w"], p["score.0.b"])
 
-    tokens = linear(concat_cols(h, s), p["token.0.w"], p["token.0.b"])
-    mask = None
-    if pad_to is not None:
-        if pad_to < n:
-            raise ValueError(f"forward: pad_to {pad_to} below session length {n}")
-        if pad_to > n:
-            tokens = pad_rows(tokens, pad_to)
-            mask = np.array([False] * n + [True] * (pad_to - n))
-
-    t = tokens
+    t = linear(concat_cols(h, s), p["token.0.w"], p["token.0.b"])
     for l in range(cfg.transformer_layers):
         pre = f"transformer.{l}"
         attended = attention(
@@ -335,7 +320,6 @@ def forward(model: Model, session: QuerySession, pad_to: int | None = None) -> S
             p[f"{pre}.wq"],
             p[f"{pre}.wk"],
             p[f"{pre}.wv"],
-            mask=mask,
             heads=cfg.heads,
         )
         t = add(t, linear(attended, p[f"{pre}.attn_out.0.w"], p[f"{pre}.attn_out.0.b"]))
@@ -343,22 +327,10 @@ def forward(model: Model, session: QuerySession, pad_to: int | None = None) -> S
         ff = linear(relu(linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"])),
                     p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"])
         t = add(t, ff)
-    if mask is not None:
-        t = slice_rows(t, 0, n)
 
     final_in = concat_cols(s, t)
-    n_final_layers = len(cfg.final_hidden) + 1
-    if cfg.variant is Variant.MULTI_HEAD:
-        # One-hot gating as an explicit multiply-and-sum keeps every head on
-        # the tape; off-domain heads receive an exactly-zero gradient.
-        total: Tensor | None = None
-        for dom in range(cfg.n_domains):
-            head_out = _mlp(final_in, model, f"head.{dom}", n_final_layers)
-            term = scale(head_out, 1.0 if dom == session.domain else 0.0)
-            total = term if total is None else add(total, term)
-        y = total
-    else:
-        y = _mlp(final_in, model, "final", n_final_layers)
+    head = f"head.{session.domain}" if cfg.variant is Variant.MULTI_HEAD else "final"
+    y = _mlp(final_in, model, head, len(cfg.final_hidden) + 1)
 
     logits_t: Tensor | None = None
     if cfg.variant.has_classifier:
@@ -392,7 +364,8 @@ def save(model: Model) -> bytes:
     """Serialize to a self-describing, versioned JSON payload.
 
     Floats round-trip exactly through their shortest decimal repr, so
-    save -> load -> save is byte-identical.
+    save -> load -> save is byte-identical.  Non-finite weights raise
+    ValueError instead of being written as bare NaN/Infinity tokens.
     """
     doc = {
         "format": _FORMAT_NAME,
@@ -404,7 +377,7 @@ def save(model: Model) -> bytes:
             for name, t in model.parameters.items()
         },
     }
-    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def load(raw: bytes) -> Model:
@@ -443,8 +416,13 @@ def load(raw: bytes) -> Model:
         if not isinstance(values, list) or len(values) != expected:
             raise ModelLoadError(f"parameter {name!r} holds {0 if values is None else len(values)} "
                                  f"values, expected {expected}")
-        params[name] = Tensor(np.asarray(values, dtype=np.float64).reshape(shape),
-                              requires_grad=True)
+        try:
+            arr = np.asarray(values, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise ModelLoadError(f"parameter {name!r} holds non-numeric values") from exc
+        if not np.isfinite(arr).all():
+            raise ModelLoadError(f"parameter {name!r} holds non-finite values")
+        params[name] = Tensor(arr, requires_grad=True)
     extra = set(raw_params) - set(params)
     if extra:
         raise ModelLoadError(f"model payload has unexpected parameters: {sorted(extra)}")

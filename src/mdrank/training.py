@@ -15,7 +15,7 @@ from .autodiff import Tape, backward
 from .data import QuerySession
 from .evaluation import EvalSummary, evaluate
 from .losses import batch_loss
-from .models import Model, ModelConfig, Variant, build
+from .models import ConfigError, Model, ModelConfig, Variant, build
 
 __all__ = [
     "TrainConfig",
@@ -28,6 +28,8 @@ __all__ = [
     "RunRecord",
     "VariantDomainStats",
     "EvalReport",
+    "baseline_names",
+    "gain_pct",
     "run_protocol",
 ]
 
@@ -209,6 +211,24 @@ class DataSplits:
         )
 
 
+def baseline_names(variants: Mapping[str, VariantSpec]) -> dict[int, str]:
+    """Per domain, the name of the first ``baseline`` spec trained on it;
+    that model anchors the gains of every model in the domain."""
+    names: dict[int, str] = {}
+    for name, spec in variants.items():
+        if spec.config.variant is Variant.BASELINE and spec.train_domain is not None:
+            names.setdefault(spec.train_domain, name)
+    return names
+
+
+def gain_pct(value: float, base: float | None) -> float | None:
+    """Percentage gain of ``value`` over ``base``; None when ``base`` is
+    missing or zero."""
+    if not base:
+        return None
+    return 100.0 * (value - base) / base
+
+
 @dataclass
 class RunRecord:
     variant: str
@@ -243,19 +263,6 @@ class EvalReport:
     stats: list[VariantDomainStats]
     baseline_of_domain: dict[int, str] = field(default_factory=dict)
 
-    def _seed_gain(self, run: RunRecord, domain: int) -> float | None:
-        base_name = self.baseline_of_domain.get(domain)
-        if base_name is None:
-            return None
-        base_value = None
-        for other in self.runs:
-            if other.variant == base_name and other.seed == run.seed:
-                base_value = other.per_domain.get(domain)
-                break
-        if base_value in (None, 0.0):
-            return None
-        return 100.0 * (run.per_domain[domain] - base_value) / base_value
-
     def table_text(self) -> str:
         lines = [
             f"test NDCG@{self.k}, median over seeds {list(self.seeds)}",
@@ -271,9 +278,11 @@ class EvalReport:
 
     def csv_rows(self) -> list[str]:
         rows = ["variant,domain,seed,ndcg,gain_pct"]
+        by_run = {(run.variant, run.seed): run.per_domain for run in self.runs}
         for run in self.runs:
             for domain in sorted(run.per_domain):
-                gain = self._seed_gain(run, domain)
+                base_key = (self.baseline_of_domain.get(domain), run.seed)
+                gain = gain_pct(run.per_domain[domain], by_run.get(base_key, {}).get(domain))
                 gain_cell = "" if gain is None else f"{gain:.6f}"
                 rows.append(
                     f"{run.variant},{domain},{run.seed},{run.per_domain[domain]:.10f},{gain_cell}"
@@ -313,8 +322,9 @@ def run_protocol(
 
     Per-domain baselines (variant=baseline with a train_domain) anchor the
     percentage gains of the consolidated models in the same domain.  Runs
-    are independent, so they may fan out across processes; results are
-    assembled in a fixed order either way.
+    are independent, so they may fan out across ``workers`` processes
+    (default: the ``MDRANK_WORKERS`` environment variable, else 1); results
+    are assembled in a fixed order either way.
     """
     if not variants:
         raise ValueError("run_protocol: no variants")
@@ -323,7 +333,11 @@ def run_protocol(
     if len(set(seeds)) != len(seeds):
         raise ValueError("run_protocol: duplicate seeds")
     if workers is None:
-        workers = int(os.environ.get("MDRANK_WORKERS", "1"))
+        raw_workers = os.environ.get("MDRANK_WORKERS", "1")
+        try:
+            workers = int(raw_workers)
+        except ValueError:
+            raise ConfigError(f"MDRANK_WORKERS must be an integer, got {raw_workers!r}") from None
 
     jobs = [
         (name, spec, splits, train_config, seed, k)
@@ -343,50 +357,31 @@ def run_protocol(
             per_domain, overall = by_key[(name, seed)]
             runs.append(RunRecord(variant=name, seed=seed, per_domain=per_domain, overall=overall))
 
-    baseline_of_domain: dict[int, str] = {}
-    for name, spec in variants.items():
-        if spec.config.variant is Variant.BASELINE and spec.train_domain is not None:
-            baseline_of_domain.setdefault(spec.train_domain, name)
-
-    def _median(name: str, domain: int) -> float | None:
-        vals = [
-            run.per_domain[domain]
-            for run in runs
-            if run.variant == name and domain in run.per_domain
-        ]
-        return float(np.median(vals)) if vals else None
+    cells: dict[tuple[str, int], list[float]] = {}
+    for run in runs:
+        for domain, value in run.per_domain.items():
+            cells.setdefault((run.variant, domain), []).append(value)
+    medians = {key: float(np.median(values)) for key, values in cells.items()}
+    baseline_of_domain = baseline_names(variants)
+    order = {name: i for i, name in enumerate(variants)}
 
     stats: list[VariantDomainStats] = []
-    for name in variants:
-        domains = sorted(
-            {d for run in runs if run.variant == name for d in run.per_domain}
+    for name, domain in sorted(cells, key=lambda key: (order[key[0]], key[1])):
+        arr = np.asarray(cells[name, domain])
+        median = medians[name, domain]
+        stats.append(
+            VariantDomainStats(
+                variant=name,
+                domain=domain,
+                values=tuple(cells[name, domain]),
+                median=median,
+                q1=float(np.percentile(arr, 25)),
+                q3=float(np.percentile(arr, 75)),
+                minimum=float(arr.min()),
+                maximum=float(arr.max()),
+                gain_pct=gain_pct(median, medians.get((baseline_of_domain.get(domain), domain))),
+            )
         )
-        for domain in domains:
-            values = tuple(
-                run.per_domain[domain]
-                for run in runs
-                if run.variant == name and domain in run.per_domain
-            )
-            arr = np.asarray(values)
-            gain = None
-            base_name = baseline_of_domain.get(domain)
-            if base_name is not None:
-                base_median = _median(base_name, domain)
-                if base_median:
-                    gain = 100.0 * (float(np.median(arr)) - base_median) / base_median
-            stats.append(
-                VariantDomainStats(
-                    variant=name,
-                    domain=domain,
-                    values=values,
-                    median=float(np.median(arr)),
-                    q1=float(np.percentile(arr, 25)),
-                    q3=float(np.percentile(arr, 75)),
-                    minimum=float(arr.min()),
-                    maximum=float(arr.max()),
-                    gain_pct=gain,
-                )
-            )
     return EvalReport(
         k=k,
         seeds=tuple(seeds),

@@ -28,14 +28,12 @@ from mdrank.autodiff import (
     matmul,
     mul,
     mul_const,
-    pad_rows,
     reduce_mean,
     reduce_sum,
     relu,
     reshape,
     scale,
     slice_cols,
-    slice_rows,
     softmax,
     transpose,
 )
@@ -130,10 +128,8 @@ def test_shape_op_gradients():
         def fn():
             y = concat_cols(a, b)            # 3x6
             y = slice_cols(y, 1, 5)          # 3x4
-            y = slice_rows(y, 0, 2)          # 2x4
-            y = pad_rows(y, 4)               # 4x4
-            y = transpose(y)                 # 4x4
-            y = reshape(y, (2, 8))
+            y = transpose(y)                 # 4x3
+            y = reshape(y, (2, 6))
             return reduce_sum(mul(y, y))
 
         assert grad_check(fn, [a, b]) < FD_TOL
@@ -181,8 +177,7 @@ def test_attention_gradients_with_mask():
 
         def fn():
             out = attention(t, wq, wk, wv, mask=mask)
-            real = slice_rows(out, 0, 2)
-            return reduce_sum(mul(real, real))
+            return reduce_sum(mul(out, out))
 
         assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
 

@@ -151,6 +151,28 @@ def test_evaluate_without_models_exits_data_error(tmp_path, capsys):
     assert "baseline_d0" in err
 
 
+def test_non_finite_model_weight_exits_data_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config), "--variant", "baseline_d0"]) == 0
+    path = tmp_path / "out" / "models" / "baseline_d0.model.json"
+    doc = json.loads(path.read_bytes())
+    doc["parameters"]["trunk.0.w"]["values"][0] = float("nan")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = cli.main(["evaluate", "--config", str(config), "--variant", "baseline_d0"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA
+    assert "non-finite" in err and "trunk.0.w" in err
+    assert "Traceback" not in err
+
+
+def test_non_integer_workers_env_exits_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MDRANK_WORKERS", "abc")
+    config = _write_config(tmp_path)
+    assert cli.main(["protocol", "--config", str(config)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MDRANK_WORKERS" in err
+
+
 def test_interleave_end_to_end(tmp_path, capsys):
     config = _write_config(tmp_path)
     cli.main(["train", "--config", str(config)])
@@ -240,6 +262,8 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc.update(dataset={}), "either"),
         (lambda doc: doc.update(seeds=[]), "seeds"),
         (lambda doc: doc["models"]["baseline_d0"].update(variant="nope"), "variant"),
+        (lambda doc: doc["interleave"].update(n_impressions="20"), "n_impressions"),
+        (lambda doc: doc["train"].update(epochs=2.5), "epochs"),
     ],
 )
 def test_bad_configs_exit_config_error(tmp_path, capsys, mutate, fragment):

@@ -7,7 +7,7 @@ import pytest
 
 from mdrank.autodiff import Tape, Tensor, backward, grad_check
 from mdrank.data import Item, QuerySession
-from mdrank.losses import batch_loss, combined_loss, domain_loss, listwise_loss
+from mdrank.losses import batch_loss, domain_loss, listwise_loss
 from mdrank.models import build, forward
 from tests.conftest import make_session, tiny_config
 
@@ -120,7 +120,7 @@ def test_domain_loss_rejects_out_of_range_domain():
 def test_baseline_breakdown_has_no_domain_loss(rng):
     model = build(tiny_config(), seed=1)
     session = make_session(rng, 6, feature_dim=5)
-    breakdown, total = combined_loss(model, session)
+    breakdown, total = batch_loss(model, [session])
     assert breakdown.domain_loss is None
     assert breakdown.total == breakdown.ranking_loss
     assert breakdown.sessions_used == 1
@@ -129,7 +129,7 @@ def test_baseline_breakdown_has_no_domain_loss(rng):
 def test_classifier_breakdown_combines_both_terms(rng):
     model = build(tiny_config("domain_specialist", domain_loss_weight=0.7), seed=1)
     session = make_session(rng, 6, feature_dim=5, domain=1)
-    breakdown, total = combined_loss(model, session)
+    breakdown, total = batch_loss(model, [session])
     assert breakdown.domain_loss is not None
     assert abs(breakdown.total - (breakdown.ranking_loss + 0.7 * breakdown.domain_loss)) < 1e-12
 
@@ -139,8 +139,8 @@ def test_adversarial_and_specialist_loss_values_match(rng):
     adv = build(tiny_config("domain_adversarial"), seed=6)
     dds = build(tiny_config("domain_specialist"), seed=6)
     session = make_session(rng, 5, feature_dim=5, domain=1)
-    ba, _ = combined_loss(adv, session)
-    bs, _ = combined_loss(dds, session)
+    ba, _ = batch_loss(adv, [session])
+    bs, _ = batch_loss(dds, [session])
     assert ba.ranking_loss == bs.ranking_loss
     assert ba.domain_loss == bs.domain_loss
     assert ba.total == bs.total
@@ -156,7 +156,7 @@ def _grads(model, session, which):
         elif which == "domain":
             loss = domain_loss(scored.domain_logits_tensor, session.domain)
         else:
-            _, loss = combined_loss(model, session)
+            _, loss = batch_loss(model, [session])
         backward(tape, loss)
     return {
         name: (None if t.grad is None else t.grad.copy())
@@ -259,7 +259,7 @@ def test_multihead_off_domain_heads_get_exactly_zero_gradient(rng):
 def test_batch_loss_averages_over_contributing_sessions(rng):
     model = build(tiny_config(), seed=15)
     sessions = [make_session(rng, 4, feature_dim=5, query_id=f"q{i}") for i in range(4)]
-    singles = [combined_loss(model, s)[0].ranking_loss for s in sessions]
+    singles = [batch_loss(model, [s])[0].ranking_loss for s in sessions]
     breakdown, total = batch_loss(model, sessions)
     assert abs(breakdown.ranking_loss - np.mean(singles)) < 1e-12
     assert breakdown.sessions_used == 4
@@ -276,7 +276,7 @@ def test_batch_loss_skips_unlabeled_sessions_for_ranking_only(rng):
     assert abs(breakdown.ranking_loss - solo.ranking_loss) < 1e-12
     assert breakdown.domain_loss is not None
     two_dom = 0.5 * (
-        combined_loss(model, good)[0].domain_loss + combined_loss(model, blank)[0].domain_loss
+        batch_loss(model, [good])[0].domain_loss + batch_loss(model, [blank])[0].domain_loss
     )
     assert abs(breakdown.domain_loss - two_dom) < 1e-12
 

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from mdrank.autodiff import ShapeError
+from mdrank.autodiff import ShapeError, Tape
 from mdrank.data import Item, QuerySession
+from mdrank.losses import batch_loss
 from mdrank.models import (
     ConfigError,
     ModelConfig,
@@ -185,6 +186,38 @@ def test_multihead_ignores_other_heads_exactly(rng):
     assert not np.array_equal(before, forward(model, session).final_scores)
 
 
+@pytest.mark.parametrize("domain", [0, 1, 2])
+def test_multihead_scores_equal_baseline_with_copied_head(rng, domain):
+    """The session's head is the whole scoring head: copied into a baseline's
+    ``final`` layers, it gives bit-identical scores, whatever the other heads
+    hold (here NaN, which any arithmetic on an off-domain head would spread)."""
+    multi = build(tiny_config("multihead", n_domains=3), seed=6)
+    base = build(tiny_config("baseline", n_domains=3), seed=7)
+    for name, tensor in multi.parameters.items():
+        if name.startswith(f"head.{domain}."):
+            base.parameters["final." + name.split(".", 2)[2]].values = tensor.values.copy()
+        elif name.startswith("head."):
+            tensor.values[:] = np.nan
+        else:
+            base.parameters[name].values = tensor.values.copy()
+    session = make_session(rng, 6, feature_dim=5, domain=domain)
+    assert np.array_equal(forward(multi, session).final_scores,
+                          forward(base, session).final_scores)
+
+
+def test_multihead_batch_records_as_many_tape_nodes_as_baseline(rng):
+    """Only the selected head runs, so multihead tapes no gating ops."""
+    batch = [make_session(rng, 5, feature_dim=5, domain=i % 3, query_id=f"q{i}")
+             for i in range(6)]
+    ops = {}
+    for variant in ("baseline", "multihead"):
+        model = build(tiny_config(variant, n_domains=3), seed=3)
+        with Tape() as tape:
+            batch_loss(model, batch)
+        ops[variant] = [node.op for node in tape.nodes]
+    assert ops["multihead"] == ops["baseline"]
+
+
 def test_adversarial_and_specialist_forward_identically(rng):
     """The reversal node is a forward no-op, so same weights => same outputs."""
     adv = build(tiny_config("domain_adversarial"), seed=9)
@@ -206,15 +239,6 @@ def test_forward_is_permutation_equivariant(rng):
     base = forward(model, session).final_scores
     moved = forward(model, shuffled).final_scores
     assert np.allclose(moved, base[perm], atol=1e-9)
-
-
-def test_forward_scores_unchanged_by_padding(rng):
-    model = build(tiny_config(), seed=2)
-    session = make_session(rng, 5, feature_dim=5)
-    alone = forward(model, session).final_scores
-    padded = forward(model, session, pad_to=12).final_scores
-    assert padded.shape == (5,)
-    assert np.allclose(alone, padded, atol=1e-9)
 
 
 def test_forward_is_deterministic(rng):
@@ -280,3 +304,16 @@ def test_load_rejects_tampered_parameters():
     obj["parameters"]["not.a.real.param"] = {"shape": [1], "values": [0.0]}
     with pytest.raises(ModelLoadError):
         load(json.dumps(obj).encode())
+
+    for bad, message in ((float("inf"), "non-finite"), ("abc", "non-numeric")):
+        obj = json.loads(raw)
+        obj["parameters"][name]["values"][0] = bad
+        with pytest.raises(ModelLoadError, match=message):
+            load(json.dumps(obj).encode())
+
+
+def test_save_rejects_non_finite_weights():
+    model = build(tiny_config(), seed=1)
+    model.parameters["trunk.0.w"].values[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        save(model)
