@@ -27,19 +27,16 @@ __all__ = [
     "matmul",
     "add",
     "add_const",
-    "mul",
     "mul_const",
     "scale",
     "relu",
     "softmax",
-    "log_softmax",
+    "cross_entropy",
     "layer_norm",
     "concat_cols",
     "slice_cols",
     "transpose",
-    "reshape",
     "reduce_sum",
-    "reduce_mean",
     "gradient_reversal",
     "linear",
     "attention",
@@ -72,10 +69,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    @property
-    def size(self) -> int:
-        return self.values.size
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -126,9 +119,6 @@ class Tape:
         _active_tape = None
         return False
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def _record(op: str, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
     if _active_tape is not None and out.requires_grad:
@@ -178,20 +168,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a (n,) bias broadcast over rows of (m, n)."""
-    if a.shape == b.shape:
-        bias = False
-    elif a.values.ndim == 2 and b.values.ndim == 1 and a.shape[1] == b.shape[0]:
-        bias = True
-    else:
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out = Tensor(a.values + b.values, a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
-        _accumulate(b, g.sum(axis=0) if bias else g)
+        _accumulate(b, g)
 
     _record("add", out, bwd)
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer ``x @ w + b`` with a (n,) bias broadcast over the rows."""
+    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    xv, wv = x.values, w.values
+    out = Tensor(xv @ wv + b.values, x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(b, g.sum(axis=0))
+        _accumulate(x, g @ wv.T)
+        _accumulate(w, xv.T @ g)
+
+    _record("linear", out, bwd)
     return out
 
 
@@ -206,20 +208,6 @@ def add_const(x: Tensor, c) -> Tensor:
         _accumulate(x, g)
 
     _record("add_const", out, bwd)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    av, bv = a.values, b.values
-    out = Tensor(av * bv, a.requires_grad or b.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, bv * g)
-        _accumulate(b, av * g)
-
-    _record("mul", out, bwd)
     return out
 
 
@@ -282,18 +270,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+def cross_entropy(x: Tensor, target, axis: int) -> Tensor:
+    """``-sum(target * log_softmax(x, axis))`` as one node; ``target`` is a
+    constant of ``x``'s shape.  The gradient is ``softmax(x) * sum(t) - t``
+    along ``axis`` (for ListNet's normalized targets, ``softmax(s) - y/sum(y)``).
+    """
     axis = _check_axis(x, axis)
+    tv = np.asarray(target, dtype=np.float64)
+    if tv.shape != x.shape:
+        raise ShapeError(f"cross_entropy: target shape {tv.shape} != tensor shape {x.shape}")
     shifted = x.values - x.values.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
     p = np.exp(y)
-    out = Tensor(y, x.requires_grad)
+    out = Tensor((y * tv).sum() * -1.0, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g - p * g.sum(axis=axis, keepdims=True))
+        gy = tv * (-1.0 * g)
+        _accumulate(x, gy - p * gy.sum(axis=axis, keepdims=True))
 
-    _record("log_softmax", out, bwd)
+    _record("cross_entropy", out, bwd)
     return out
 
 
@@ -369,19 +365,6 @@ def transpose(x: Tensor) -> Tensor:
     return out
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != x.values.size:
-        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}")
-    old = x.shape
-    out = Tensor(x.values.reshape(shape).copy(), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(old))
-
-    _record("reshape", out, bwd)
-    return out
-
-
 def reduce_sum(x: Tensor) -> Tensor:
     out = Tensor(x.values.sum(), x.requires_grad)
 
@@ -389,17 +372,6 @@ def reduce_sum(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.values, float(g)))
 
     _record("reduce_sum", out, bwd)
-    return out
-
-
-def reduce_mean(x: Tensor) -> Tensor:
-    n = x.values.size
-    out = Tensor(x.values.mean(), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.values, float(g) / n))
-
-    _record("reduce_mean", out, bwd)
     return out
 
 
@@ -425,10 +397,6 @@ def gradient_reversal(x: Tensor, lam: float = 1.0) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # composites
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
 
 
 def attention(

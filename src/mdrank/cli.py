@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +26,7 @@ from .data import (
     normalize_features,
     write_dataset,
 )
-from .evaluation import evaluate
+from .evaluation import NonFiniteScoreError, evaluate
 from .interleaving import UserModel, run_interleaving
 from .models import ConfigError, ModelConfig, ModelLoadError, build, load, save
 from .training import (
@@ -199,6 +200,14 @@ def load_experiment_config(path) -> ExperimentConfig:
         examination_eta=_expect(inter_obj, "examination_eta", float, inter_where, default=1.0),
         page_size=None if page_size is None else _expect(inter_obj, "page_size", int, inter_where),
     )
+    if interleave.n_impressions < 1:
+        raise ConfigError(f"{inter_where}: n_impressions must be >= 1")
+    if interleave.seed < 0:
+        raise ConfigError(f"{inter_where}: seed must be >= 0")
+    if not (math.isfinite(interleave.examination_eta) and interleave.examination_eta >= 0.0):
+        raise ConfigError(f"{inter_where}: examination_eta must be finite and >= 0")
+    if interleave.page_size is not None and interleave.page_size < 1:
+        raise ConfigError(f"{inter_where}: page_size must be >= 1")
 
     return ExperimentConfig(
         out_dir=out_dir,
@@ -217,7 +226,10 @@ def load_experiment_config(path) -> ExperimentConfig:
 # shared plumbing
 
 
-def _resolve_splits(config: ExperimentConfig) -> DataSplits:
+def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
+    """Generate or load the splits and check that every session fits every
+    model in ``names`` before normalizing: a domain below its ``n_domains``
+    and one feature width, equal to its ``feature_dim``."""
     if config.dataset_synthetic is not None:
         ds = generate_synthetic(config.dataset_synthetic)
         train_s, valid_s, test_s = ds.train, ds.valid, ds.test
@@ -231,19 +243,29 @@ def _resolve_splits(config: ExperimentConfig) -> DataSplits:
         train_s, valid_s, test_s = loaded["train"], loaded["valid"], loaded["test"]
     if not train_s:
         raise DataError("training split is empty")
-    if config.normalize:
-        (train_s, valid_s, test_s), _ = normalize_features(train_s, valid_s, test_s)
-    return DataSplits(train_s, valid_s, test_s)
-
-
-def _check_feature_dims(config: ExperimentConfig, splits: DataSplits, names) -> None:
-    width = splits.train[0].items[0].features.size
+    narrowest = min(names, key=lambda name: config.models[name].config.n_domains)
+    n_domains = config.models[narrowest].config.n_domains
+    widths: dict[int, str] = {}
+    for split, sessions in (("train", train_s), ("valid", valid_s), ("test", test_s)):
+        for session in sessions:
+            where = f"{split} session {session.query_id!r}"
+            if session.domain >= n_domains:
+                raise DataError(f"{where}: domain {session.domain} out of range for "
+                                f"models.{narrowest} (n_domains {n_domains})")
+            widths.setdefault(session.items[0].features.size, where)
+    if len(widths) > 1:
+        raise DataError("feature widths differ across sessions: "
+                        + ", ".join(f"{w} in {where}" for w, where in widths.items()))
+    (width,) = widths
     for name in names:
         expected = config.models[name].config.feature_dim
         if expected != width:
             raise ConfigError(
                 f"models.{name}: feature_dim {expected} does not match dataset width {width}"
             )
+    if config.normalize:
+        (train_s, valid_s, test_s), _ = normalize_features(train_s, valid_s, test_s)
+    return DataSplits(train_s, valid_s, test_s)
 
 
 def _selected_models(config: ExperimentConfig, variant_filter) -> list[str]:
@@ -293,9 +315,8 @@ def cmd_generate(config: ExperimentConfig, args) -> int:
 
 
 def cmd_train(config: ExperimentConfig, args) -> int:
-    splits = _resolve_splits(config)
     names = _selected_models(config, args.variant)
-    _check_feature_dims(config, splits, names)
+    splits = _resolve_splits(config, names)
     seed = args.seed[0] if args.seed else config.train.seed
     train_config = replace(config.train, seed=seed, k=args.k or config.k)
     for name in names:
@@ -333,8 +354,8 @@ def _load_model_file(config: ExperimentConfig, name: str):
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
-    splits = _resolve_splits(config)
     names = _selected_models(config, args.variant)
+    splits = _resolve_splits(config, names)
     k = args.k or config.k
     results: dict[str, dict[int, tuple[float, int]]] = {}
     for name in names:
@@ -377,10 +398,14 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
 def cmd_interleave(config: ExperimentConfig, args) -> int:
     if not config.interleave.pairs:
         raise ConfigError("interleave: config has no interleave.pairs")
-    splits = _resolve_splits(config)
     settings = config.interleave
+    names = list(dict.fromkeys(name for pair in settings.pairs for name in (pair.a, pair.b)))
+    splits = _resolve_splits(config, names)
     k = settings.page_size or args.k or config.k
-    user = UserModel.position_decay(k, settings.examination_eta)
+    try:
+        user = UserModel.position_decay(k, settings.examination_eta)
+    except OverflowError as exc:  # rank ** eta leaves the float range
+        raise ConfigError(f"interleave: examination_eta over {k} positions: {exc}") from exc
     lines = [
         f"{'A':<24}{'B':<24}{'domain':<8}{'credit A':>10}{'credit B':>10}"
         f"{'gain':>10}{'p':>12}"
@@ -418,9 +443,8 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
 
 
 def cmd_protocol(config: ExperimentConfig, args) -> int:
-    splits = _resolve_splits(config)
     names = _selected_models(config, args.variant)
-    _check_feature_dims(config, splits, names)
+    splits = _resolve_splits(config, names)
     seeds = tuple(args.seed) if args.seed else config.seeds
     k = args.k or config.k
     variants = {name: config.models[name] for name in names}
@@ -487,7 +511,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DatasetFormatError) as exc:
+    except (DataError, DatasetFormatError, NonFiniteScoreError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

@@ -11,9 +11,13 @@ import numpy as np
 from .data import QuerySession
 from .models import Model, forward
 
-__all__ = ["ndcg_at_k", "EvalSummary", "evaluate", "as_scorer"]
+__all__ = ["NonFiniteScoreError", "ndcg_at_k", "EvalSummary", "evaluate", "as_scorer"]
 
 Scorer = Callable[[QuerySession], np.ndarray]
+
+
+class NonFiniteScoreError(ValueError):
+    """A ranker produced a NaN or infinite score, which has no rank."""
 
 
 def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float | None:
@@ -21,7 +25,8 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
 
     Items sort by score descending, ties broken by original index ascending.
     Returns None for sessions whose labels are all zero (the metric is
-    undefined there and such sessions are excluded from averages).
+    undefined there and such sessions are excluded from averages).  Raises
+    ``NonFiniteScoreError`` on a NaN or infinite score.
     """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels, dtype=np.float64)
@@ -31,6 +36,8 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
         raise ValueError("ndcg_at_k: empty session")
     if k < 1:
         raise ValueError(f"ndcg_at_k: k must be >= 1, got {k}")
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteScoreError("ndcg_at_k: scores must be finite")
     if not lab.any():
         return None
     n = s.size

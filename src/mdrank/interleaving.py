@@ -75,23 +75,20 @@ def team_draft(
     rank_a: Sequence,
     rank_b: Sequence,
     k: int,
-    coin_seed: int | np.random.SeedSequence = 0,
-    coins: Sequence[bool] | None = None,
+    coins: Sequence[bool],
 ) -> InterleavedList:
     """Blend two rankings of the same items by team drafting.
 
-    The team with fewer picks drafts next; on equal counts a fair seeded
-    coin decides (so teams alternate within each coin-decided round).  The
-    drafting team contributes its highest-ranked item not yet placed.
-    ``coins`` overrides the seeded coin with an explicit outcome sequence,
-    True meaning team A drafts first.
+    The team with fewer picks drafts next; on equal counts the next entry of
+    ``coins`` decides, True meaning team A drafts first (so teams alternate
+    within each coin-decided round).  The drafting team contributes its
+    highest-ranked item not yet placed.
     """
     if k < 1:
         raise ValueError(f"team_draft: k must be >= 1, got {k}")
     if len(rank_a) != len(rank_b) or set(rank_a) != set(rank_b):
         raise ValueError("team_draft: rankings must cover the same item set")
-    rng = None if coins is not None else np.random.default_rng(coin_seed)
-    coin_iter = iter(coins) if coins is not None else None
+    coin_iter = iter(coins)
 
     placed: set = set()
     items: list = []
@@ -104,13 +101,10 @@ def team_draft(
         elif count_b < count_a:
             turn = "B"
         else:
-            if coin_iter is not None:
-                try:
-                    first_a = bool(next(coin_iter))
-                except StopIteration:
-                    raise ValueError("team_draft: ran out of explicit coin outcomes") from None
-            else:
-                first_a = bool(rng.integers(0, 2))
+            try:
+                first_a = bool(next(coin_iter))
+            except StopIteration:
+                raise ValueError("team_draft: ran out of coin outcomes") from None
             turn = "A" if first_a else "B"
         if turn == "A":
             while rank_a[ia] in placed:
@@ -226,7 +220,7 @@ def run_interleaving(
         coin_bits = coin_rng.integers(0, 2, size=k).astype(bool)
         if mirror_coins:
             coin_bits = ~coin_bits
-        page = team_draft(ranks_a[si], ranks_b[si], k, coins=coin_bits)
+        page = team_draft(ranks_a[si], ranks_b[si], k, coin_bits)
         purchases = simulate_session(
             page, user, rels[si], seed=np.random.SeedSequence([seed, i, 1])
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, log_softmax, mul_const, reduce_sum, reshape, scale
+from .autodiff import Tensor, add, cross_entropy, scale
 from .data import QuerySession
 from .models import Model, ScoredSession, forward
 
@@ -23,10 +23,9 @@ __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
 def _as_score_vector(scores) -> Tensor:
+    """``scores`` as a tensor of shape (n,) or (n, 1)."""
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
-    if t.values.ndim == 2 and t.shape[1] == 1:
-        t = reshape(t, (t.shape[0],))
-    if t.values.ndim != 1:
+    if not (t.values.ndim == 1 or t.values.ndim == 2 and t.shape[1] == 1):
         raise ValueError(f"listwise_loss: scores must be a vector, got shape {t.shape}")
     return t
 
@@ -48,8 +47,7 @@ def listwise_loss(scores, labels: Sequence[float]) -> Tensor | None:
     total = lab.sum()
     if total == 0.0:
         return None
-    target = lab / total
-    return scale(reduce_sum(mul_const(log_softmax(t, axis=0), target)), -1.0)
+    return cross_entropy(t, (lab / total).reshape(t.shape), axis=0)
 
 
 def domain_loss(domain_logits: Tensor, domain: int) -> Tensor:
@@ -63,9 +61,9 @@ def domain_loss(domain_logits: Tensor, domain: int) -> Tensor:
     n, k = domain_logits.shape
     if not (0 <= domain < k):
         raise ValueError(f"domain_loss: domain {domain} out of range [0, {k})")
-    picks = np.zeros((n, k))
-    picks[:, domain] = -1.0 / n
-    return reduce_sum(mul_const(log_softmax(domain_logits, axis=1), picks))
+    onehot = np.zeros((n, k))
+    onehot[:, domain] = 1.0
+    return cross_entropy(domain_logits, onehot / n, axis=1)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .data import QuerySession
-from .evaluation import EvalSummary, evaluate
+from .evaluation import EvalSummary, NonFiniteScoreError, evaluate
 from .losses import batch_loss
 from .models import ConfigError, Model, ModelConfig, Variant, build
 
@@ -116,7 +116,7 @@ def train(
     Validation NDCG@k runs every ``eval_every`` steps and once after the
     final step; the returned model carries the parameters of the best
     checkpoint (earliest wins on ties).  Raises TrainingDiverged when the
-    loss stops being finite.
+    loss or a validation score stops being finite.
     """
     if not train_sessions:
         raise ValueError("train: no training sessions")
@@ -128,7 +128,10 @@ def train(
     step = 0
 
     def validate() -> float | None:
-        summary: EvalSummary = evaluate(model, valid_sessions, config.k)
+        try:
+            summary: EvalSummary = evaluate(model, valid_sessions, config.k)
+        except NonFiniteScoreError as exc:
+            raise TrainingDiverged(f"step {step}: non-finite validation score ({exc})") from exc
         return summary.overall
 
     for _ in range(config.epochs):

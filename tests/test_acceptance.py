@@ -19,14 +19,13 @@ from mdrank.autodiff import (
     attention,
     backward,
     concat_cols,
+    cross_entropy,
     grad_check,
     gradient_reversal,
     layer_norm,
     linear,
     matmul,
-    mul,
     mul_const,
-    reduce_mean,
     reduce_sum,
     relu,
     softmax,
@@ -75,12 +74,13 @@ def _primitive_instances(rng):
         out.append((lambda a=a, b=b: reduce_sum(matmul(a, b)), [a, b]))
 
         x = Tensor(rng.normal(size=(3, 5)), True)
-        bias = Tensor(rng.normal(size=(5,)), True)
-        out.append((lambda x=x, bias=bias: reduce_sum(add(x, bias)), [x, bias]))
+        y = Tensor(rng.normal(size=(3, 5)), True)
+        wa = rng.normal(size=(3, 5))
+        out.append((lambda x=x, y=y, wa=wa: reduce_sum(mul_const(add(x, y), wa)), [x, y]))
 
         u = Tensor(rng.normal(size=(4, 3)), True)
-        v = Tensor(rng.normal(size=(4, 3)), True)
-        out.append((lambda u=u, v=v: reduce_sum(mul(u, v)), [u, v]))
+        target = rng.uniform(size=(4, 3))
+        out.append((lambda u=u, target=target: cross_entropy(u, target, axis=1), [u]))
 
         r = _away_from_kink(rng, 4, 4)
         out.append((lambda r=r: reduce_sum(relu(r)), [r]))
@@ -117,7 +117,11 @@ def _primitive_instances(rng):
 
         c1 = Tensor(rng.normal(size=(3, 2)), True)
         c2 = Tensor(rng.normal(size=(3, 3)), True)
-        out.append((lambda c1=c1, c2=c2: reduce_mean(concat_cols(c1, c2)), [c1, c2]))
+        wc = rng.normal(size=(3, 5))
+        out.append((
+            lambda c1=c1, c2=c2, wc=wc: reduce_sum(mul_const(concat_cols(c1, c2), wc)),
+            [c1, c2],
+        ))
     return out
 
 

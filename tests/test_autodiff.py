@@ -20,18 +20,15 @@ from mdrank.autodiff import (
     attention,
     backward,
     concat_cols,
+    cross_entropy,
     grad_check,
     gradient_reversal,
     layer_norm,
     linear,
-    log_softmax,
     matmul,
-    mul,
     mul_const,
-    reduce_mean,
     reduce_sum,
     relu,
-    reshape,
     scale,
     slice_cols,
     softmax,
@@ -50,6 +47,11 @@ def _param(rng, *shape, away_from_zero=False):
     return Tensor(vals, requires_grad=True)
 
 
+def _weighted_sum(y, w):
+    """Scalar ``sum(w * y)`` for a fixed ``w``: a non-uniform upstream gradient."""
+    return reduce_sum(mul_const(y, w))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle, one primitive at a time
 
@@ -59,7 +61,8 @@ def test_matmul_gradients_match_finite_differences():
         rng = np.random.default_rng(100 + i)
         a = _param(rng, 3, 4)
         b = _param(rng, 4, 2)
-        assert grad_check(lambda: reduce_sum(mul(matmul(a, b), matmul(a, b))), [a, b]) < FD_TOL
+        w = rng.normal(size=(3, 2))
+        assert grad_check(lambda: _weighted_sum(matmul(a, b), w), [a, b]) < FD_TOL
 
 
 def test_add_and_constant_op_gradients():
@@ -67,42 +70,49 @@ def test_add_and_constant_op_gradients():
         rng = np.random.default_rng(200 + i)
         a = _param(rng, 3, 4)
         b = _param(rng, 3, 4)
-        row = _param(rng, 4)
 
         shift = rng.normal(size=(3, 4))
         gate = rng.normal(size=(3, 4))
+        w = rng.normal(size=(3, 4))
 
         def fn():
-            y = add(mul(a, b), row)  # row broadcast across rows
+            y = add(a, b)
             y = add_const(y, shift)
             y = mul_const(y, gate)
             y = scale(y, 0.5)
-            return reduce_sum(mul(y, y))
+            return _weighted_sum(y, w)
 
-        assert grad_check(fn, [a, b, row]) < FD_TOL
+        assert grad_check(fn, [a, b]) < FD_TOL
+
+
+def test_add_rejects_broadcast():
+    with pytest.raises(ShapeError):
+        add(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
 
 
 def test_relu_gradients_away_from_kink():
     for i in range(N_INSTANCES):
         rng = np.random.default_rng(300 + i)
         x = _param(rng, 4, 3, away_from_zero=True)
-        assert grad_check(lambda: reduce_sum(mul(relu(x), relu(x))), [x]) < FD_TOL
+        w = rng.normal(size=(4, 3))
+        assert grad_check(lambda: _weighted_sum(relu(x), w), [x]) < FD_TOL
 
 
-def test_softmax_and_log_softmax_gradients():
+def test_softmax_and_cross_entropy_gradients():
     for i in range(N_INSTANCES):
         rng = np.random.default_rng(400 + i)
         x = _param(rng, 3, 5)
-        w = _param(rng, 3, 5)
-        assert grad_check(lambda: reduce_sum(mul(softmax(x, axis=-1), w)), [x, w]) < FD_TOL
-        assert grad_check(lambda: reduce_sum(mul(log_softmax(x, axis=-1), w)), [x, w]) < FD_TOL
+        w = rng.normal(size=(3, 5))
+        assert grad_check(lambda: _weighted_sum(softmax(x, axis=-1), w), [x]) < FD_TOL
+        for axis in (0, 1):
+            assert grad_check(lambda: cross_entropy(x, w, axis=axis), [x]) < FD_TOL
 
 
 def test_softmax_axis_zero_gradients():
     rng = np.random.default_rng(55)
     x = _param(rng, 4, 3)
-    w = _param(rng, 4, 3)
-    assert grad_check(lambda: reduce_sum(mul(softmax(x, axis=0), w)), [x, w]) < FD_TOL
+    w = rng.normal(size=(4, 3))
+    assert grad_check(lambda: _weighted_sum(softmax(x, axis=0), w), [x]) < FD_TOL
 
 
 def test_layer_norm_gradients():
@@ -111,10 +121,10 @@ def test_layer_norm_gradients():
         x = _param(rng, 3, 6)
         gain = _param(rng, 6)
         bias = _param(rng, 6)
-        weight = _param(rng, 3, 6)
+        weight = rng.normal(size=(3, 6))
 
         def fn():
-            return reduce_sum(mul(layer_norm(x, gain, bias), weight))
+            return _weighted_sum(layer_norm(x, gain, bias), weight)
 
         assert grad_check(fn, [x, gain, bias]) < FD_TOL
 
@@ -124,21 +134,15 @@ def test_shape_op_gradients():
         rng = np.random.default_rng(600 + i)
         a = _param(rng, 3, 4)
         b = _param(rng, 3, 2)
+        w = rng.normal(size=(4, 3))
 
         def fn():
             y = concat_cols(a, b)            # 3x6
             y = slice_cols(y, 1, 5)          # 3x4
             y = transpose(y)                 # 4x3
-            y = reshape(y, (2, 6))
-            return reduce_sum(mul(y, y))
+            return _weighted_sum(y, w)
 
         assert grad_check(fn, [a, b]) < FD_TOL
-
-
-def test_reduce_mean_gradients():
-    rng = np.random.default_rng(61)
-    x = _param(rng, 5, 2)
-    assert grad_check(lambda: reduce_mean(mul(x, x)), [x]) < FD_TOL
 
 
 def test_linear_layer_gradients():
@@ -147,7 +151,8 @@ def test_linear_layer_gradients():
         x = _param(rng, 4, 3)
         w = _param(rng, 3, 2)
         b = _param(rng, 2)
-        assert grad_check(lambda: reduce_sum(mul(linear(x, w, b), linear(x, w, b))), [x, w, b]) < FD_TOL
+        c = rng.normal(size=(4, 2))
+        assert grad_check(lambda: _weighted_sum(linear(x, w, b), c), [x, w, b]) < FD_TOL
 
 
 def test_attention_gradients_single_and_multi_head():
@@ -158,10 +163,10 @@ def test_attention_gradients_single_and_multi_head():
         wk = _param(rng, 4, 4)
         wv = _param(rng, 4, 4)
         heads = 1 if i % 2 == 0 else 2
+        c = rng.normal(size=(3, 4))
 
         def fn():
-            out = attention(t, wq, wk, wv, heads=heads)
-            return reduce_sum(mul(out, out))
+            return _weighted_sum(attention(t, wq, wk, wv, heads=heads), c)
 
         assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
 
@@ -174,10 +179,10 @@ def test_attention_gradients_with_mask():
         wk = _param(rng, 4, 4)
         wv = _param(rng, 4, 4)
         mask = [False, False, True, True]  # last two positions are padding
+        c = rng.normal(size=(4, 4))
 
         def fn():
-            out = attention(t, wq, wk, wv, mask=mask)
-            return reduce_sum(mul(out, out))
+            return _weighted_sum(attention(t, wq, wk, wv, mask=mask), c)
 
         assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
 
@@ -239,13 +244,25 @@ def test_sum_gradient_is_all_ones():
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
-def test_square_gradient_hand_value():
-    # loss = sum(x * x) at x = [3] gives d/dx = 2x = 6, reusing x twice
-    x = Tensor([[3.0]], requires_grad=True)
+def test_linear_hand_values_and_bias_gradient():
+    x = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], requires_grad=True)
+    w = Tensor([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], requires_grad=True)
+    b = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    g = np.array([[1.0, 2.0, 3.0], [-1.0, 0.5, 4.0], [2.0, -3.0, 0.25]])
     with Tape() as tape:
-        loss = reduce_sum(mul(x, x))
+        y = linear(x, w, b)
+        loss = _weighted_sum(y, g)
         backward(tape, loss)
-    assert x.grad.tolist() == [[6.0]]
+    assert [node.op for node in tape.nodes] == ["linear", "mul_const", "reduce_sum"]
+    assert y.values.tolist() == [[1.5, 1.0, 2.0], [3.5, 3.0, 4.0], [5.5, 5.0, 6.0]]
+    assert np.array_equal(b.grad, g.sum(axis=0))
+    assert np.array_equal(x.grad, g @ w.values.T)
+    assert np.array_equal(w.grad, x.values.T @ g)
+
+
+def test_linear_rejects_mismatched_bias():
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros(3)))
 
 
 def test_gradient_accumulates_across_reuse():
@@ -359,7 +376,7 @@ def test_gradient_reversal_scales_gradient_by_minus_lambda(lam):
     w = np.array([[2.0, 3.0, 5.0]])
     with Tape() as tape:
         y = gradient_reversal(x, lam=lam)
-        loss = reduce_sum(mul(y, Tensor(w)))
+        loss = _weighted_sum(y, w)
         backward(tape, loss)
     assert np.array_equal(x.grad, -lam * w)
 
@@ -375,6 +392,7 @@ def test_reversed_network_gradient_is_negated_twin():
     rng = np.random.default_rng(11)
     x_vals = rng.normal(size=(3, 4))
     w_vals = rng.normal(size=(4, 2))
+    c = rng.normal(size=(3, 2))
 
     def run(with_reversal, lam=1.0):
         x = Tensor(x_vals)
@@ -383,7 +401,7 @@ def test_reversed_network_gradient_is_negated_twin():
             h = matmul(x, w)
             if with_reversal:
                 h = gradient_reversal(h, lam=lam)
-            loss = reduce_sum(mul(h, h))
+            loss = _weighted_sum(h, c)
             backward(tape, loss)
         return loss.values.copy(), w.grad.copy()
 
@@ -409,7 +427,7 @@ def test_grad_check_refuses_reversal_nodes():
 def test_backward_requires_scalar_loss():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:
-        y = mul(x, x)
+        y = scale(x, 2.0)
         with pytest.raises(ShapeError):
             backward(tape, y)
 
@@ -417,7 +435,7 @@ def test_backward_requires_scalar_loss():
 def test_backward_requires_loss_on_tape():
     x = Tensor(np.ones((1, 1)), requires_grad=True)
     with Tape() as tape:
-        mul(x, x)
+        scale(x, 2.0)
         stray = Tensor([[1.0]])
         with pytest.raises(ValueError):
             backward(tape, stray)
@@ -432,7 +450,7 @@ def test_tapes_do_not_nest():
 
 def test_ops_outside_tape_compute_values_only():
     x = Tensor([[2.0]], requires_grad=True)
-    y = mul(x, x)
+    y = mul_const(x, [[2.0]])
     assert y.values.tolist() == [[4.0]]
     assert x.grad is None
 
@@ -442,9 +460,10 @@ def test_backward_is_deterministic():
         rng = np.random.default_rng(21)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        c = rng.normal(size=(4, 3))
         with Tape() as tape:
             h = softmax(matmul(relu(x), w), axis=-1)
-            loss = reduce_mean(mul(h, h))
+            loss = _weighted_sum(h, c)
             backward(tape, loss)
         return x.grad.copy(), w.grad.copy()
 

@@ -264,6 +264,12 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["models"]["baseline_d0"].update(variant="nope"), "variant"),
         (lambda doc: doc["interleave"].update(n_impressions="20"), "n_impressions"),
         (lambda doc: doc["train"].update(epochs=2.5), "epochs"),
+        (lambda doc: doc["interleave"].update(n_impressions=0), "n_impressions must be >= 1"),
+        (lambda doc: doc["interleave"].update(page_size=-1), "page_size"),
+        (lambda doc: doc["interleave"].update(page_size=0), "page_size"),
+        (lambda doc: doc["interleave"].update(examination_eta=-1.0), "examination_eta"),
+        (lambda doc: doc["interleave"].update(examination_eta=float("nan")), "examination_eta"),
+        (lambda doc: doc["interleave"].update(seed=-1), "seed"),
     ],
 )
 def test_bad_configs_exit_config_error(tmp_path, capsys, mutate, fragment):
@@ -299,6 +305,73 @@ def test_feature_width_mismatch_exits_config_error(tmp_path, capsys):
     )
     assert cli.main(["train", "--config", str(config)]) == cli.EXIT_CONFIG
     assert "does not match dataset width" in capsys.readouterr().err
+
+
+def test_examination_curve_overflow_exits_config_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["interleave"]["examination_eta"] = 1000.0
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "examination_eta" in err
+
+
+def _edited_dataset_config(tmp_path, edit):
+    """Generate the tiny dataset, pass each split's parsed sessions to
+    ``edit(split, sessions)``, and return a config that reads the files."""
+    cli.main(["generate", "--config", str(_write_config(tmp_path, name="generate.json"))])
+    data = tmp_path / "out" / "data"
+    for split in ("train", "valid", "test"):
+        path = data / f"{split}.jsonl"
+        sessions = [json.loads(line) for line in path.read_text().splitlines()]
+        edit(split, sessions)
+        path.write_text("".join(json.dumps(s) + "\n" for s in sessions), encoding="utf-8")
+    return _write_config(
+        tmp_path,
+        dataset={"paths": {s: str(data / f"{s}.jsonl") for s in ("train", "valid", "test")}},
+    )
+
+
+SPLIT_COMMANDS = ("train", "evaluate", "interleave", "protocol")
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
+def test_session_domain_beyond_models_exits_data_error(tmp_path, capsys, command):
+    def edit(split, sessions):
+        if split == "test":
+            sessions[0]["domain"] = 5
+
+    config = _edited_dataset_config(tmp_path, edit)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "domain 5" in err and "n_domains 2" in err
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
+def test_mixed_feature_widths_exit_data_error(tmp_path, capsys, command):
+    def edit(split, sessions):
+        if split == "valid":
+            for session in sessions:
+                for item in session["items"]:
+                    item["features"] = item["features"][:4]
+
+    config = _edited_dataset_config(tmp_path, edit)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "feature widths differ" in err and "4 in valid" in err
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
+def test_uniform_width_mismatch_exits_config_error(tmp_path, capsys, command):
+    def edit(split, sessions):
+        for session in sessions:
+            for item in session["items"]:
+                item["features"] = item["features"] + [0.5, -0.5]
+
+    config = _edited_dataset_config(tmp_path, edit)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_CONFIG
+    assert "does not match dataset width 7" in capsys.readouterr().err
 
 
 def test_k_flag_must_be_positive(tmp_path, capsys):

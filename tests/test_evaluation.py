@@ -186,3 +186,11 @@ def test_antioracle_scorer_closed_form(rng):
     assert abs(within.per_domain[0] - 1.0 / math.log2(n + 1)) < 1e-15
     outside = evaluate(anti, [session], k=n - 1)
     assert outside.per_domain[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_scores_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ndcg_at_k([1.0, bad, 0.5], [0.0, 1.0, 0.0], k=3)
+    with pytest.raises(ValueError, match="finite"):
+        ndcg_at_k([bad, 0.5], [0.0, 0.0], k=2)

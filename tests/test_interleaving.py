@@ -29,6 +29,11 @@ def _sessions(rng, n, n_items=6, feature_dim=3):
 # drafting
 
 
+def _coins(seed, k):
+    """``k`` fair coin outcomes from ``seed``, enough for a draft of ``k`` picks."""
+    return np.random.default_rng(seed).integers(0, 2, size=k).astype(bool)
+
+
 def test_team_draft_hand_trace():
     # coin says A first: A drafts 1, then B (fewer picks) drafts its best
     # remaining, which is 2
@@ -43,8 +48,8 @@ def test_team_draft_hand_trace():
 
 def test_team_draft_identical_rankings_echo_the_ranking():
     rank = [4, 2, 7, 1]
-    for coin_seed in range(5):
-        page = team_draft(rank, rank, k=4, coin_seed=coin_seed)
+    for seed in range(5):
+        page = team_draft(rank, rank, k=4, coins=_coins(seed, 4))
         assert page.items == rank
         counts = {t: page.team_of.count(t) for t in "AB"}
         assert counts["A"] == counts["B"] == 2
@@ -52,9 +57,9 @@ def test_team_draft_identical_rankings_echo_the_ranking():
 
 def test_team_draft_requires_matching_item_sets():
     with pytest.raises(ValueError):
-        team_draft([1, 2], [1, 3], k=2)
+        team_draft([1, 2], [1, 3], k=2, coins=_coins(0, 2))
     with pytest.raises(ValueError):
-        team_draft([1, 2], [1], k=2)
+        team_draft([1, 2], [1], k=2, coins=_coins(0, 2))
 
 
 def test_team_draft_never_duplicates_and_stays_balanced():
@@ -64,7 +69,7 @@ def test_team_draft_never_duplicates_and_stays_balanced():
         items = list(rng.permutation(n))
         other = list(rng.permutation(n))
         k = int(rng.integers(1, n + 1))
-        page = team_draft(items, other, k, coin_seed=int(rng.integers(1 << 30)))
+        page = team_draft(items, other, k, coins=_coins(int(rng.integers(1 << 30)), k))
         assert len(page.items) == k
         assert len(set(page.items)) == k
         # the draft alternates in pairs, so pick counts never drift apart
@@ -72,13 +77,13 @@ def test_team_draft_never_duplicates_and_stays_balanced():
 
 
 def test_team_draft_truncates_to_available_items():
-    page = team_draft([1, 2], [2, 1], k=10)
+    page = team_draft([1, 2], [2, 1], k=10, coins=_coins(0, 10))
     assert len(page.items) == 2
 
 
 def test_team_draft_deterministic_given_seed():
-    a = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coin_seed=5)
-    b = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coin_seed=5)
+    a = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coins=_coins(5, 8))
+    b = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coins=_coins(5, 8))
     assert a.items == b.items and a.team_of == b.team_of
 
 

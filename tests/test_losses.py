@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdrank.autodiff import Tape, Tensor, backward, grad_check
+from mdrank.autodiff import Tape, Tensor, backward, grad_check, scale
 from mdrank.data import Item, QuerySession
 from mdrank.losses import batch_loss, domain_loss, listwise_loss
 from mdrank.models import build, forward
@@ -76,6 +76,25 @@ def test_listwise_loss_is_differentiable():
     scores = Tensor(rng.normal(size=(5, 1)), requires_grad=True)
     labels = [1.0, 0.0, 1.0, 0.0, 0.0]
     assert grad_check(lambda: listwise_loss(scores, labels), [scores]) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(6,), (6, 1)])
+def test_listwise_loss_gradient_is_softmax_minus_target(shape):
+    """ListNet's closed form: d/ds of g * CE(softmax(s), y/sum(y)) is
+    g * (softmax(s) - y/sum(y))."""
+    rng = np.random.default_rng(5)
+    s = rng.normal(size=shape)
+    labels = np.array([2.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    g = -1.7
+    scores = Tensor(s, requires_grad=True)
+    with Tape() as tape:
+        loss = scale(listwise_loss(scores, labels), g)
+        backward(tape, loss)
+    flat = s.reshape(-1)
+    softmax = np.exp(flat - flat.max()) / np.exp(flat - flat.max()).sum()
+    want = g * (softmax - labels / labels.sum())
+    assert scores.grad.shape == shape
+    assert np.max(np.abs(scores.grad.reshape(-1) - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +273,21 @@ def test_multihead_off_domain_heads_get_exactly_zero_gradient(rng):
 
 # ---------------------------------------------------------------------------
 # batch reduction
+
+
+@pytest.mark.parametrize(
+    "variant", ["baseline", "multihead", "domain_adversarial", "domain_specialist"]
+)
+def test_batch_tape_records_one_node_per_loss_term(rng, variant):
+    model = build(tiny_config(variant), seed=3)
+    batch = [make_session(rng, 5, feature_dim=5, domain=i % 2, query_id=f"q{i}")
+             for i in range(4)]
+    with Tape() as tape:
+        batch_loss(model, batch)
+    ops = [node.op for node in tape.nodes]
+    assert not {"reshape", "log_softmax", "mul_const"} & set(ops)
+    terms = len(batch) * (2 if model.config.variant.has_classifier else 1)
+    assert ops.count("cross_entropy") == terms
 
 
 def test_batch_loss_averages_over_contributing_sessions(rng):

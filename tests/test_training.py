@@ -92,6 +92,16 @@ def test_divergence_aborts_with_diagnostic():
         train(model, list(splits.train), list(splits.valid), cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_validation_scores_abort_as_divergence():
+    splits = _splits()
+    model = build(tiny_config(), seed=2)
+    # one step from finite weights; its update overflows the validation scores
+    cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=1e200, eval_every=1, k=4, seed=2)
+    with pytest.raises(TrainingDiverged, match="validation"):
+        train(model, list(splits.train)[:8], list(splits.valid), cfg)
+
+
 def test_empty_train_split_rejected():
     splits = _splits()
     model = build(tiny_config(), seed=2)
