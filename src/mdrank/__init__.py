@@ -40,7 +40,7 @@ from .models import (
     Model,
     ModelConfig,
     ModelLoadError,
-    ScoredSession,
+    ScoredBatch,
     Variant,
     build,
     count_parameters,
@@ -98,7 +98,7 @@ __all__ = [
     "Model",
     "ModelConfig",
     "ModelLoadError",
-    "ScoredSession",
+    "ScoredBatch",
     "Variant",
     "build",
     "count_parameters",

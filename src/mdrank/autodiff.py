@@ -7,13 +7,16 @@ from scratch on every training step, so control flow in the forward pass
 needs no special handling.
 
 Operations called while no tape is active still compute values (useful for
-inference and finite differences) but record nothing.
+inference and finite differences) but record nothing.  The active tape is
+per thread (a ``contextvars`` variable), so a thread scoring without a tape
+never records onto another thread's tape.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -24,25 +27,23 @@ __all__ = [
     "ShapeError",
     "backward",
     "grad_check",
-    "matmul",
     "add",
-    "add_const",
     "mul_const",
     "scale",
     "relu",
-    "softmax",
     "cross_entropy",
+    "segment_cross_entropy",
     "layer_norm",
     "concat_cols",
-    "slice_cols",
-    "transpose",
+    "take_rows",
+    "put_rows",
     "reduce_sum",
     "gradient_reversal",
     "linear",
     "attention",
 ]
 
-# Additive logit penalty for masked attention positions.  Large enough that
+# Additive logit penalty for padded attention keys.  Large enough that
 # exp() underflows to exactly 0.0, small enough to stay finite in float64.
 _MASK_FILL = -1e30
 
@@ -93,7 +94,7 @@ class Node:
         self.backward_fn = backward_fn
 
 
-_active_tape: "Tape | None" = None
+_active_tape: ContextVar["Tape | None"] = ContextVar("mdrank_active_tape", default=None)
 
 
 class Tape:
@@ -101,28 +102,30 @@ class Tape:
 
     Nodes are appended in execution order, so every node's inputs are
     produced by earlier nodes (or are leaves).  Only one tape may be active
-    at a time; nesting raises.
+    at a time in a thread; nesting raises.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._token = None
 
     def __enter__(self) -> "Tape":
-        global _active_tape
-        if _active_tape is not None:
+        if _active_tape.get() is not None:
             raise RuntimeError("a tape is already active; tapes do not nest")
-        _active_tape = self
+        self._token = _active_tape.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        global _active_tape
-        _active_tape = None
+        _active_tape.reset(self._token)
+        self._token = None
         return False
 
 
 def _record(op: str, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-    if _active_tape is not None and out.requires_grad:
-        _active_tape.nodes.append(Node(op, out, backward_fn))
+    if out.requires_grad:
+        tape = _active_tape.get()
+        if tape is not None:
+            tape.nodes.append(Node(op, out, backward_fn))
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -153,20 +156,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    av, bv = a.values, b.values
-    out = Tensor(av @ bv, a.requires_grad or b.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(a, g @ bv.T)
-        _accumulate(b, av.T @ g)
-
-    _record("matmul", out, bwd)
-    return out
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
@@ -194,20 +183,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(w, xv.T @ g)
 
     _record("linear", out, bwd)
-    return out
-
-
-def add_const(x: Tensor, c) -> Tensor:
-    """Add a constant array (no gradient flows into the constant)."""
-    cv = np.asarray(c, dtype=np.float64)
-    if cv.shape != x.shape:
-        raise ShapeError(f"add_const: constant shape {cv.shape} != tensor shape {x.shape}")
-    out = Tensor(x.values + cv, x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g)
-
-    _record("add_const", out, bwd)
     return out
 
 
@@ -255,21 +230,6 @@ def _check_axis(x: Tensor, axis: int) -> int:
     return axis % nd if nd else 0
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    axis = _check_axis(x, axis)
-    shifted = x.values - x.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        _accumulate(x, p * (g - dot))
-
-    _record("softmax", out, bwd)
-    return out
-
-
 def cross_entropy(x: Tensor, target, axis: int) -> Tensor:
     """``-sum(target * log_softmax(x, axis))`` as one node; ``target`` is a
     constant of ``x``'s shape.  The gradient is ``softmax(x) * sum(t) - t``
@@ -290,6 +250,44 @@ def cross_entropy(x: Tensor, target, axis: int) -> Tensor:
         _accumulate(x, gy - p * gy.sum(axis=axis, keepdims=True))
 
     _record("cross_entropy", out, bwd)
+    return out
+
+
+def _segments(lengths, total: int, where: str) -> np.ndarray:
+    """``lengths`` as an int array of positive counts that add up to ``total``."""
+    lens = np.asarray(lengths, dtype=np.int64)
+    if lens.ndim != 1 or lens.size == 0 or np.any(lens < 1) or int(lens.sum()) != total:
+        raise ShapeError(f"{where}: segment lengths {lens.tolist()} do not split {total} rows")
+    return lens
+
+
+def segment_cross_entropy(x: Tensor, target, lengths) -> Tensor:
+    """``cross_entropy`` along a score vector cut into consecutive segments:
+    the softmax runs within each segment (``lengths[i]`` entries), and the
+    loss sums ``-target * log_softmax`` over every entry.  ``x`` is ``(n,)``
+    or ``(n, 1)``; ``target`` is a constant of its shape.
+    """
+    tv = np.asarray(target, dtype=np.float64)
+    if tv.shape != x.shape or not (x.values.ndim == 1 or x.values.ndim == 2 and x.shape[1] == 1):
+        raise ShapeError(
+            f"segment_cross_entropy: need an (n,) or (n, 1) tensor and a target of its "
+            f"shape, got {x.shape} and {tv.shape}"
+        )
+    lens = _segments(lengths, x.values.size, "segment_cross_entropy")
+    starts = np.cumsum(lens) - lens
+    xv = x.values.reshape(-1)
+    t = tv.reshape(-1)
+    shifted = xv - np.repeat(np.maximum.reduceat(xv, starts), lens)
+    y = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), lens)
+    p = np.exp(y)
+    out = Tensor((y * t).sum() * -1.0, x.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        gy = t * (-1.0 * g)
+        gx = gy - p * np.repeat(np.add.reduceat(gy, starts), lens)
+        _accumulate(x, gx.reshape(x.shape))
+
+    _record("segment_cross_entropy", out, bwd)
     return out
 
 
@@ -338,30 +336,48 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.values.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols: invalid range [{start}:{stop}] for shape {x.shape}")
-    out = Tensor(x.values[:, start:stop].copy(), x.requires_grad)
+def take_rows(x: Tensor, rows) -> Tensor:
+    """The rows of a 2-d tensor at the distinct indices ``rows``, in order."""
+    idx = np.asarray(rows, dtype=np.intp)
+    if (x.values.ndim != 2 or idx.ndim != 1 or idx.size == 0 or idx.min() < 0
+            or idx.max() >= x.shape[0] or np.unique(idx).size != idx.size):
+        raise ShapeError(f"take_rows: need distinct row indices into shape {x.shape}")
+    out = Tensor(x.values[idx], x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
             full = np.zeros_like(x.values)
-            full[:, start:stop] = g
+            full[idx] = g
             _accumulate(x, full)
 
-    _record("slice_cols", out, bwd)
+    _record("take_rows", out, bwd)
     return out
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.values.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d input, got shape {x.shape}")
-    out = Tensor(x.values.T.copy(), x.requires_grad)
+def put_rows(parts: Sequence[Tensor], rows: Sequence, n_rows: int) -> Tensor:
+    """The inverse of ``take_rows``: an ``(n_rows, cols)`` tensor whose rows
+    ``rows[i]`` hold ``parts[i]``.  The row sets must partition
+    ``range(n_rows)``."""
+    idxs = [np.asarray(r, dtype=np.intp) for r in rows]
+    if not parts or len(parts) != len(idxs):
+        raise ShapeError(f"put_rows: {len(parts)} parts for {len(idxs)} row sets")
+    cols = parts[0].shape[-1]
+    for part, idx in zip(parts, idxs):
+        if part.shape != (idx.size, cols):
+            raise ShapeError(f"put_rows: part shape {part.shape} does not match "
+                             f"{idx.size} rows of width {cols}")
+    if not np.array_equal(np.sort(np.concatenate(idxs)), np.arange(n_rows)):
+        raise ShapeError(f"put_rows: row sets do not partition {n_rows} rows")
+    values = np.empty((n_rows, cols))
+    for part, idx in zip(parts, idxs):
+        values[idx] = part.values
+    out = Tensor(values, any(part.requires_grad for part in parts))
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, g.T)
+        for part, idx in zip(parts, idxs):
+            _accumulate(part, g[idx])
 
-    _record("transpose", out, bwd)
+    _record("put_rows", out, bwd)
     return out
 
 
@@ -395,70 +411,89 @@ def gradient_reversal(x: Tensor, lam: float = 1.0) -> Tensor:
     return out
 
 
-# ---------------------------------------------------------------------------
-# composites
-
-
 def attention(
     tokens: Tensor,
     wq: Tensor,
     wk: Tensor,
     wv: Tensor,
-    mask: Sequence[bool] | np.ndarray | None = None,
+    lengths,
     heads: int = 1,
 ) -> Tensor:
-    """Scaled dot-product self-attention over the rows of ``tokens``.
+    """Scaled dot-product self-attention within each session of a stacked
+    batch, as one tape node.
 
-    Projects tokens to queries, keys and values, splits the width across
-    ``heads`` equal slices, and re-concatenates the per-head outputs.
-    ``mask[i]`` True marks row i as padding: it receives exactly zero
-    attention weight as a key.  Masking every position is an error.
+    ``tokens`` holds the rows of consecutive sessions, ``lengths[b]`` rows
+    for session b; a row attends only to the rows of its own session.
+    Queries, keys and values are projected in one product and split across
+    ``heads`` equal slices.  Internally the sessions are padded to a
+    ``(B, heads, L, dh)`` layout in which padded keys get the logit
+    ``_MASK_FILL``, hence exactly zero weight; when every session has the
+    same length the padding is a reshape and no mask is built.  No matrix
+    spans two sessions.
 
-    With a single row and no mask the output equals the value projection
-    of that row (its attention weight is 1).
+    A single-row session's output equals the value projection of that row
+    (its attention weight is 1).
     """
     if tokens.values.ndim != 2:
         raise ShapeError(f"attention: expected 2-d tokens, got shape {tokens.shape}")
     n, d = tokens.shape
-    if n < 1:
-        raise ShapeError("attention: need at least one token")
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
         if w.shape != (d, d):
             raise ShapeError(f"attention: {name} shape {w.shape} does not match width {d}")
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} is not divisible by {heads} heads")
+    lens = _segments(lengths, n, "attention")
+    b, span, dh = lens.size, int(lens.max()), d // heads
+    ragged = b * span != n
+    c = 1.0 / math.sqrt(dh)
+    xv = tokens.values
+    w_all = np.hstack([wq.values, wk.values, wv.values])
+    qkv = xv @ w_all
+    if ragged:
+        seg = np.repeat(np.arange(b), lens)
+        pos = np.arange(n) - np.repeat(np.cumsum(lens) - lens, lens)
+        padded = np.zeros((b, span, 3 * d))
+        padded[seg, pos] = qkv
+    else:
+        padded = qkv.reshape(b, span, 3 * d)
+    # (3, B, heads, L, dh): queries, keys, values
+    q, k, v = padded.reshape(b, span, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    # (B, heads, L, L) is the largest array here: logits become weights in place
+    weights = q @ k.swapaxes(-1, -2)
+    weights *= c
+    if ragged:
+        weights += np.where(np.arange(span) < lens[:, None], 0.0, _MASK_FILL)[:, None, None, :]
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    o = (weights @ v).transpose(0, 2, 1, 3).reshape(b, span, d)
+    out = Tensor(
+        o[seg, pos] if ragged else o.reshape(n, d),
+        tokens.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad,
+    )
 
-    bias = None
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (n,):
-            raise ShapeError(f"attention: mask length {m.shape} does not match {n} tokens")
-        if m.all():
-            raise ValueError("attention: every position is masked")
-        if m.any():
-            bias = np.where(m[None, :], _MASK_FILL, 0.0) * np.ones((n, 1))
-
-    q = matmul(tokens, wq)
-    k = matmul(tokens, wk)
-    v = matmul(tokens, wv)
-    dh = d // heads
-    outs = []
-    for h in range(heads):
-        if heads == 1:
-            qh, kh, vh = q, k, v
+    def bwd(g: np.ndarray) -> None:
+        if ragged:
+            gp = np.zeros((b, span, d))
+            gp[seg, pos] = g
         else:
-            qh = slice_cols(q, h * dh, (h + 1) * dh)
-            kh = slice_cols(k, h * dh, (h + 1) * dh)
-            vh = slice_cols(v, h * dh, (h + 1) * dh)
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        if bias is not None:
-            scores = add_const(scores, bias)
-        weights = softmax(scores, axis=1)
-        outs.append(matmul(weights, vh))
-    result = outs[0]
-    for part in outs[1:]:
-        result = concat_cols(result, part)
-    return result
+            gp = g.reshape(b, span, d)
+        go = gp.reshape(b, span, heads, dh).transpose(0, 2, 1, 3)
+        ds = go @ v.swapaxes(-1, -2)  # d(weights), then d(logits) in place
+        ds -= (ds * weights).sum(axis=-1, keepdims=True)
+        ds *= weights
+        ds *= c
+        grads = np.stack([ds @ k, ds.swapaxes(-1, -2) @ q, weights.swapaxes(-1, -2) @ go])
+        grads = grads.transpose(1, 3, 0, 2, 4).reshape(b, span, 3 * d)
+        dqkv = grads[seg, pos] if ragged else grads.reshape(n, 3 * d)
+        _accumulate(tokens, dqkv @ w_all.T)
+        dw_all = xv.T @ dqkv
+        _accumulate(wq, dw_all[:, :d])
+        _accumulate(wk, dw_all[:, d : 2 * d])
+        _accumulate(wv, dw_all[:, 2 * d :])
+
+    _record("attention", out, bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -344,13 +344,22 @@ def cmd_train(config: ExperimentConfig, args) -> int:
 
 
 def _load_model_file(config: ExperimentConfig, name: str):
+    """The saved model of ``models.<name>``, which must have the
+    ``n_domains`` and ``feature_dim`` of its config entry."""
     path = _model_path(config, name)
     if not path.exists():
         raise DataError(f"model file not found: {path} (run the train command first)")
     try:
-        return load(path.read_bytes())
+        model = load(path.read_bytes())
     except ModelLoadError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    expected = config.models[name].config
+    for key in ("n_domains", "feature_dim"):
+        saved, wanted = getattr(model.config, key), getattr(expected, key)
+        if saved != wanted:
+            raise DataError(f"{path}: {key} {saved} does not match models.{name} "
+                            f"({key} {wanted}); retrain it")
+    return model
 
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:

@@ -1,4 +1,5 @@
-"""Offline ranking quality: NDCG@k per session, aggregated per domain."""
+"""Offline ranking quality: NDCG@k per session, aggregated per domain, and
+the batched scoring path that evaluation and interleaving share."""
 
 from __future__ import annotations
 
@@ -11,9 +12,20 @@ import numpy as np
 from .data import QuerySession
 from .models import Model, forward
 
-__all__ = ["NonFiniteScoreError", "ndcg_at_k", "EvalSummary", "evaluate", "as_scorer"]
+__all__ = [
+    "NonFiniteScoreError",
+    "ndcg_at_k",
+    "EvalSummary",
+    "evaluate",
+    "as_scorer",
+    "score_sessions",
+]
 
 Scorer = Callable[[QuerySession], np.ndarray]
+
+# Most attention cells (sessions x longest list squared) one scoring pass
+# holds: 3 sessions of the longest lists, hundreds of short ones.
+_ATTENTION_CELLS = 65_536
 
 
 class NonFiniteScoreError(ValueError):
@@ -59,13 +71,51 @@ def as_scorer(model_or_fn: Model | Scorer) -> Scorer:
         model = model_or_fn
 
         def score(session: QuerySession) -> np.ndarray:
-            return forward(model, session).final_scores
+            return forward(model, [session], domain_logits=False).session_scores()[0]
 
         return score
     if callable(model_or_fn):
         fn = model_or_fn
         return lambda session: np.asarray(fn(session), dtype=np.float64)
     raise TypeError(f"cannot score with {type(model_or_fn).__name__}")
+
+
+def _length_chunks(sessions: Sequence[QuerySession]):
+    """Session indices in chunks of similar length, each within
+    ``_ATTENTION_CELLS``; a chunk pads its sessions to its longest one."""
+    chunk: list[int] = []
+    for i in sorted(range(len(sessions)), key=lambda i: len(sessions[i].items)):
+        longest = len(sessions[i].items)
+        if chunk and (len(chunk) + 1) * longest * longest > _ATTENTION_CELLS:
+            yield chunk
+            chunk = []
+        chunk.append(i)
+    if chunk:
+        yield chunk
+
+
+def score_sessions(
+    model_or_fn: Model | Scorer, sessions: Sequence[QuerySession]
+) -> list[np.ndarray]:
+    """Scores of every session, in session order.
+
+    A Model scores chunks of sessions in one forward pass each, without
+    its domain classifier; a callable is called per session.  Raises
+    ``NonFiniteScoreError`` on a NaN or infinite score.
+    """
+    if isinstance(model_or_fn, Model):
+        scores: list[np.ndarray] = [None] * len(sessions)
+        for chunk in _length_chunks(sessions):
+            batch = forward(model_or_fn, [sessions[i] for i in chunk], domain_logits=False)
+            for i, values in zip(chunk, batch.session_scores()):
+                scores[i] = values
+    else:
+        scorer = as_scorer(model_or_fn)
+        scores = [scorer(session) for session in sessions]
+    for session, values in zip(sessions, scores):
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteScoreError(f"session {session.query_id!r}: scores must be finite")
+    return scores
 
 
 @dataclass
@@ -89,11 +139,10 @@ def evaluate(
     model_or_fn: Model | Scorer, sessions: Sequence[QuerySession], k: int
 ) -> EvalSummary:
     """Score every session and average NDCG@k per domain."""
-    scorer = as_scorer(model_or_fn)
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
-    for session in sessions:
-        value = ndcg_at_k(scorer(session), session.labels(), k)
+    for session, scores in zip(sessions, score_sessions(model_or_fn, sessions)):
+        value = ndcg_at_k(scores, session.labels(), k)
         if value is None:
             continue
         sums[session.domain] = sums.get(session.domain, 0.0) + float(value)

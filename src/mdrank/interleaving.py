@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .data import QuerySession
-from .evaluation import Scorer, as_scorer
+from .evaluation import Scorer, score_sessions
 from .models import Model
 
 __all__ = [
@@ -181,6 +181,8 @@ def run_interleaving(
     purchases from the user model, and credits each purchase to the team
     that drafted the purchased item.  The per-query winner is the side with
     more credit on that impression (ties excluded), feeding the sign test.
+    A NaN or infinite score from either ranker raises
+    ``NonFiniteScoreError``.
 
     ``relevance`` defaults to the items' labels clipped to [0, 1].
     ``mirror_coins`` inverts every coin outcome; running (B, A) with the
@@ -198,10 +200,8 @@ def run_interleaving(
             f"run_interleaving: page size {k} exceeds the examination curve "
             f"({len(user.examination)} positions)"
         )
-    score_a = as_scorer(model_a)
-    score_b = as_scorer(model_b)
-    ranks_a = [_ranked_indices(score_a(s)) for s in sessions]
-    ranks_b = [_ranked_indices(score_b(s)) for s in sessions]
+    ranks_a = [_ranked_indices(scores) for scores in score_sessions(model_a, sessions)]
+    ranks_b = [_ranked_indices(scores) for scores in score_sessions(model_b, sessions)]
     if relevance is not None:
         if len(relevance) != len(sessions):
             raise ValueError("run_interleaving: one relevance vector per session required")

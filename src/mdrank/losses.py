@@ -1,11 +1,12 @@
 """Listwise ranking loss, per-item domain-classification loss, and their
-weighted combination.
+weighted combination over a batch.
 
 The ranking loss is softmax cross-entropy between the score distribution
-and the normalized label distribution.  Sessions whose labels are all zero
-carry no ranking signal; the loss functions report that with ``None`` (a
-skip signal, not a value) and ``batch_loss`` leaves such sessions out of the
-ranking average while still counting their domain term.
+and the normalized label distribution, per session.  Sessions whose labels
+are all zero carry no ranking signal: the ranking term leaves them out of
+its average (and is None, a skip signal, when no session is left) while the
+domain term still counts them.  Both losses take stacked scores cut into
+sessions by ``lengths`` and record one tape node each.
 """
 
 from __future__ import annotations
@@ -15,28 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, cross_entropy, scale
+from .autodiff import Tensor, _segments, add, cross_entropy, scale, segment_cross_entropy
 from .data import QuerySession
-from .models import Model, ScoredSession, forward
+from .models import Model, forward
 
 __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
-def _as_score_vector(scores) -> Tensor:
-    """``scores`` as a tensor of shape (n,) or (n, 1)."""
+def listwise_loss(scores, labels: Sequence[float], lengths=None) -> Tensor | None:
+    """Cross-entropy between softmax(scores) and labels/sum(labels) within
+    each session, averaged over the sessions with a positive label.
+
+    ``scores`` is an (n,) or (n, 1) vector; ``lengths`` cuts it into
+    consecutive sessions (default: one session).  Returns a scalar tensor,
+    or None when every label is zero (nothing can be ranked).
+    """
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
     if not (t.values.ndim == 1 or t.values.ndim == 2 and t.shape[1] == 1):
         raise ValueError(f"listwise_loss: scores must be a vector, got shape {t.shape}")
-    return t
-
-
-def listwise_loss(scores, labels: Sequence[float]) -> Tensor | None:
-    """Cross-entropy between softmax(scores) and labels/sum(labels).
-
-    Returns a scalar tensor, or None when every label is zero (the session
-    cannot be ranked and should be skipped).
-    """
-    t = _as_score_vector(scores)
     lab = np.asarray(labels, dtype=np.float64)
     if lab.ndim != 1 or lab.size != t.values.size:
         raise ValueError(
@@ -44,14 +41,22 @@ def listwise_loss(scores, labels: Sequence[float]) -> Tensor | None:
         )
     if np.any(lab < 0) or not np.all(np.isfinite(lab)):
         raise ValueError("listwise_loss: labels must be finite and non-negative")
-    total = lab.sum()
-    if total == 0.0:
+    lens = _segments([lab.size] if lengths is None else lengths, lab.size, "listwise_loss")
+    totals = np.add.reduceat(lab, np.cumsum(lens) - lens)
+    used = totals > 0.0
+    if not used.any():
         return None
-    return cross_entropy(t, (lab / total).reshape(t.shape), axis=0)
+    norm = np.repeat(np.where(used, totals, 1.0) * used.sum(), lens)
+    return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens)
 
 
-def domain_loss(domain_logits: Tensor, domain: int) -> Tensor:
-    """Mean over items of cross-entropy against the session's domain id."""
+def domain_loss(domain_logits: Tensor, domain, lengths=None) -> Tensor:
+    """Cross-entropy of each item's logits against its session's domain id,
+    averaged over each session's items, then over sessions.
+
+    ``domain`` is one id, or one per session of ``lengths`` (default: all
+    rows form one session).
+    """
     if not isinstance(domain_logits, Tensor):
         domain_logits = Tensor(domain_logits)
     if domain_logits.values.ndim != 2:
@@ -59,11 +64,13 @@ def domain_loss(domain_logits: Tensor, domain: int) -> Tensor:
             f"domain_loss: logits must be (items, n_domains), got {domain_logits.shape}"
         )
     n, k = domain_logits.shape
-    if not (0 <= domain < k):
-        raise ValueError(f"domain_loss: domain {domain} out of range [0, {k})")
-    onehot = np.zeros((n, k))
-    onehot[:, domain] = 1.0
-    return cross_entropy(domain_logits, onehot / n, axis=1)
+    lens = _segments([n] if lengths is None else lengths, n, "domain_loss")
+    doms = np.broadcast_to(np.asarray(domain, dtype=np.int64), lens.shape)
+    if np.any(doms < 0) or np.any(doms >= k):
+        raise ValueError(f"domain_loss: domain {doms.tolist()} out of range [0, {k})")
+    target = np.zeros((n, k))
+    target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(lens * lens.size, lens)
+    return cross_entropy(domain_logits, target, axis=1)
 
 
 @dataclass
@@ -84,7 +91,7 @@ class LossBreakdown:
 def batch_loss(
     model: Model, sessions: Sequence[QuerySession]
 ) -> tuple[LossBreakdown, Tensor | None]:
-    """Combined loss over a batch of sessions.
+    """Combined loss over a batch of sessions, scored in one forward pass.
 
     The ranking term averages over sessions with at least one positive
     label; the domain term (classifier variants only) averages over every
@@ -94,46 +101,32 @@ def batch_loss(
     if not sessions:
         raise ValueError("batch_loss: empty batch")
     cfg = model.config
-    weighted = cfg.variant.has_classifier
-    rank_terms: list[Tensor] = []
-    dom_terms: list[Tensor] = []
-    for session in sessions:
-        scored: ScoredSession = forward(model, session)
-        rl = listwise_loss(scored.final_scores_tensor, session.labels())
-        if rl is not None:
-            rank_terms.append(rl)
-        if weighted:
-            dom_terms.append(domain_loss(scored.domain_logits_tensor, session.domain))
-
+    scored = forward(model, sessions)
+    lens = scored.lengths
+    labels = np.array([it.label for s in sessions for it in s.items], dtype=np.float64)
+    rank = listwise_loss(scored.scores, labels, lens)
     pieces: list[Tensor] = []
     rank_value = 0.0
-    if rank_terms:
-        total = rank_terms[0]
-        for term in rank_terms[1:]:
-            total = add(total, term)
-        rank_mean = scale(total, 1.0 / len(rank_terms))
-        rank_value = rank_mean.item()
-        pieces.append(rank_mean)
+    sessions_used = 0
+    if rank is not None:
+        rank_value = rank.item()
+        sessions_used = int(np.count_nonzero(np.add.reduceat(labels, np.cumsum(lens) - lens)))
+        pieces.append(rank)
     dom_value: float | None = None
-    if dom_terms:
-        total = dom_terms[0]
-        for term in dom_terms[1:]:
-            total = add(total, term)
-        dom_mean = scale(total, 1.0 / len(dom_terms))
-        dom_value = dom_mean.item()
-        pieces.append(scale(dom_mean, cfg.domain_loss_weight))
+    if cfg.variant.has_classifier:
+        dom = domain_loss(scored.domain_logits, [s.domain for s in sessions], lens)
+        dom_value = dom.item()
+        pieces.append(scale(dom, cfg.domain_loss_weight))
 
     if not pieces:
         return LossBreakdown(0.0, dom_value, 0.0, 0), None
-    loss = pieces[0]
-    for piece in pieces[1:]:
-        loss = add(loss, piece)
+    loss = pieces[0] if len(pieces) == 1 else add(*pieces)
     return (
         LossBreakdown(
             ranking_loss=rank_value,
             domain_loss=dom_value,
             total=loss.item(),
-            sessions_used=len(rank_terms),
+            sessions_used=sessions_used,
         ),
         loss,
     )

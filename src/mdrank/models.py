@@ -2,8 +2,9 @@
 skeleton.
 
 * ``baseline``: single scoring head, meant for single-domain training.
-* ``multihead``: one scoring head per domain; the session's domain picks
-  which head runs, so off-domain heads get no gradient from that session.
+* ``multihead``: one scoring head per domain; each session's rows run
+  through its domain's head only, so off-domain heads get no gradient from
+  that session.
 * ``domain_adversarial``: baseline plus a per-item domain classifier fed
   through a gradient-reversal node, pushing the trunk toward
   domain-agnostic representations.
@@ -14,13 +15,18 @@ Every item is scored in the context of its whole session: the trunk scores
 items pointwise, a small transformer attends across the session's items
 (no positional encoding, so scoring is permutation-equivariant), and a
 final head combines both views.
+
+``forward`` scores a whole batch of sessions at once: their rows are
+stacked into one matrix, every row-wise layer runs once over it, and only
+attention looks at session boundaries.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,7 +40,9 @@ from .autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
+    put_rows,
     relu,
+    take_rows,
 )
 from .data import QuerySession
 
@@ -44,7 +52,7 @@ __all__ = [
     "ModelLoadError",
     "ModelConfig",
     "Model",
-    "ScoredSession",
+    "ScoredBatch",
     "build",
     "forward",
     "count_parameters",
@@ -168,20 +176,22 @@ class ModelConfig:
 
 
 @dataclass
-class ScoredSession:
-    """Model outputs for one session.
+class ScoredBatch:
+    """Model outputs for a batch of sessions, rows stacked in session order.
 
-    The plain arrays are detached copies for metrics and reports; the
-    ``*_tensor`` handles stay attached to the active tape so losses can
-    backpropagate through them.
+    ``scores`` is ``(N, 1)`` and ``domain_logits`` ``(N, n_domains)`` (None
+    without a classifier, or when not asked for); ``lengths[b]`` rows belong
+    to session b.  The tensors stay attached to the active tape so losses
+    can backpropagate through them.
     """
 
-    pointwise_scores: np.ndarray
-    final_scores: np.ndarray
-    domain_logits: np.ndarray | None
-    final_scores_tensor: Tensor = field(repr=False)
-    pointwise_tensor: Tensor = field(repr=False)
-    domain_logits_tensor: Tensor | None = field(repr=False)
+    scores: Tensor
+    domain_logits: Tensor | None
+    lengths: np.ndarray
+
+    def session_scores(self) -> list[np.ndarray]:
+        """Final scores per session, as detached 1-d arrays."""
+        return np.split(self.scores.values[:, 0].copy(), np.cumsum(self.lengths)[:-1])
 
 
 class Model:
@@ -287,19 +297,29 @@ def _mlp(x: Tensor, model: Model, prefix: str, n_layers: int) -> Tensor:
     return out
 
 
-def forward(model: Model, session: QuerySession) -> ScoredSession:
-    """Score every item of one session.
+def forward(
+    model: Model, sessions: Sequence[QuerySession], domain_logits: bool = True
+) -> ScoredBatch:
+    """Score every item of a batch of sessions in one pass.
 
     Call inside an active Tape to make the returned tensors differentiable.
+    ``domain_logits=False`` skips the domain classifier, whose logits only
+    feed the training loss.
     """
     cfg = model.config
-    if not session.items:
+    if not sessions:
+        raise ValueError("forward: no sessions")
+    lengths = np.array([len(s.items) for s in sessions], dtype=np.int64)
+    if not lengths.all():
         raise ValueError("forward: session has no items")
-    if not (0 <= session.domain < cfg.n_domains):
-        raise ValueError(
-            f"forward: session domain {session.domain} out of range [0, {cfg.n_domains})"
-        )
-    feats = session.feature_matrix()
+    domains = np.array([s.domain for s in sessions], dtype=np.int64)
+    bad = domains[(domains < 0) | (domains >= cfg.n_domains)]
+    if bad.size:
+        raise ValueError(f"forward: session domain {bad[0]} out of range [0, {cfg.n_domains})")
+    try:
+        feats = np.array([it.features for s in sessions for it in s.items], dtype=np.float64)
+    except ValueError:
+        raise ShapeError("forward: feature widths differ across items") from None
     if feats.shape[1] != cfg.feature_dim:
         raise ShapeError(
             f"forward: feature width {feats.shape[1]} does not match config "
@@ -320,6 +340,7 @@ def forward(model: Model, session: QuerySession) -> ScoredSession:
             p[f"{pre}.wq"],
             p[f"{pre}.wk"],
             p[f"{pre}.wv"],
+            lengths,
             heads=cfg.heads,
         )
         t = add(t, linear(attended, p[f"{pre}.attn_out.0.w"], p[f"{pre}.attn_out.0.b"]))
@@ -329,24 +350,27 @@ def forward(model: Model, session: QuerySession) -> ScoredSession:
         t = add(t, ff)
 
     final_in = concat_cols(s, t)
-    head = f"head.{session.domain}" if cfg.variant is Variant.MULTI_HEAD else "final"
-    y = _mlp(final_in, model, head, len(cfg.final_hidden) + 1)
+    n_final = len(cfg.final_hidden) + 1
+    if cfg.variant is not Variant.MULTI_HEAD:
+        y = _mlp(final_in, model, "final", n_final)
+    elif (domains == domains[0]).all():
+        y = _mlp(final_in, model, f"head.{domains[0]}", n_final)
+    else:
+        row_domain = np.repeat(domains, lengths)
+        present = np.unique(domains)
+        rows = [np.flatnonzero(row_domain == d) for d in present]
+        parts = [_mlp(take_rows(final_in, r), model, f"head.{d}", n_final)
+                 for d, r in zip(present, rows)]
+        y = put_rows(parts, rows, row_domain.size)
 
     logits_t: Tensor | None = None
-    if cfg.variant.has_classifier:
+    if domain_logits and cfg.variant.has_classifier:
         clf_in = h
         if cfg.variant is Variant.DOMAIN_ADVERSARIAL:
             clf_in = gradient_reversal(h, cfg.grl_lambda)
         logits_t = _mlp(clf_in, model, "classifier", len(cfg.classifier_hidden) + 1)
 
-    return ScoredSession(
-        pointwise_scores=s.values[:, 0].copy(),
-        final_scores=y.values[:, 0].copy(),
-        domain_logits=None if logits_t is None else logits_t.values.copy(),
-        final_scores_tensor=y,
-        pointwise_tensor=s,
-        domain_logits_tensor=logits_t,
-    )
+    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths)
 
 
 def count_parameters(model: Model, deployed: bool = False) -> int:

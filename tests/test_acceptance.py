@@ -24,11 +24,12 @@ from mdrank.autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
-    matmul,
     mul_const,
+    put_rows,
     reduce_sum,
     relu,
-    softmax,
+    segment_cross_entropy,
+    take_rows,
 )
 from mdrank.data import (
     Item,
@@ -69,10 +70,6 @@ def _primitive_instances(rng):
     """One (fn, params) pair per entry; fn rebuilds a scalar loss."""
     out = []
     for _ in range(2):
-        a = Tensor(rng.normal(size=(3, 4)), True)
-        b = Tensor(rng.normal(size=(4, 2)), True)
-        out.append((lambda a=a, b=b: reduce_sum(matmul(a, b)), [a, b]))
-
         x = Tensor(rng.normal(size=(3, 5)), True)
         y = Tensor(rng.normal(size=(3, 5)), True)
         wa = rng.normal(size=(3, 5))
@@ -85,9 +82,9 @@ def _primitive_instances(rng):
         r = _away_from_kink(rng, 4, 4)
         out.append((lambda r=r: reduce_sum(relu(r)), [r]))
 
-        s = Tensor(rng.normal(size=(3, 6)), True)
-        w = rng.normal(size=(3, 6))
-        out.append((lambda s=s, w=w: reduce_sum(mul_const(softmax(s), w)), [s]))
+        s = Tensor(rng.normal(size=(7, 1)), True)
+        st = rng.uniform(size=(7, 1))
+        out.append((lambda s=s, st=st: segment_cross_entropy(s, st, [3, 1, 3]), [s]))
 
         ln = Tensor(rng.normal(size=(4, 6)), True)
         gain = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), True)
@@ -104,15 +101,24 @@ def _primitive_instances(rng):
         lb = Tensor(rng.normal(size=(2,)), True)
         out.append((lambda lx=lx, lw=lw, lb=lb: reduce_sum(linear(lx, lw, lb)), [lx, lw, lb]))
 
-        tok = Tensor(rng.normal(size=(5, 4)), True)
-        wq = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
-        wk = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
-        wv = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
-        mask = [False, False, True, False, True]
+        for lengths, heads in (([2, 3], 2), ([3, 3], 1)):
+            tok = Tensor(rng.normal(size=(sum(lengths), 4)), True)
+            wq = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
+            wk = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
+            wv = Tensor(rng.normal(size=(4, 4)) * 0.5, True)
+            wt = rng.normal(size=(sum(lengths), 4))
+            out.append((
+                lambda tok=tok, wq=wq, wk=wk, wv=wv, wt=wt, lengths=lengths, heads=heads:
+                    reduce_sum(mul_const(attention(tok, wq, wk, wv, lengths, heads), wt)),
+                [tok, wq, wk, wv],
+            ))
+
+        r1 = Tensor(rng.normal(size=(5, 3)), True)
+        wr = rng.normal(size=(5, 3))
         out.append((
-            lambda tok=tok, wq=wq, wk=wk, wv=wv, mask=mask:
-                reduce_sum(attention(tok, wq, wk, wv, mask=mask, heads=2)),
-            [tok, wq, wk, wv],
+            lambda r1=r1, wr=wr: reduce_sum(mul_const(put_rows(
+                [take_rows(r1, [4, 0]), take_rows(r1, [1, 3, 2])], [[1, 3], [0, 2, 4]], 5), wr)),
+            [r1],
         ))
 
         c1 = Tensor(rng.normal(size=(3, 2)), True)
@@ -130,13 +136,14 @@ def test_criterion_1_gradient_correctness():
     rng = np.random.default_rng(1001)
     instances = _primitive_instances(rng)
 
-    models = []
-    for seed in (3, 4, 5):
-        model = build(tiny_config(), seed)
-        session = make_session(rng, n_items=5, feature_dim=model.config.feature_dim)
-        models.append((model, session))
+    # one session, then ragged two-domain batches through the batched path
+    for seed, variant, lengths in ((3, "baseline", (5,)), (4, "multihead", (5, 3)),
+                                   (5, "domain_specialist", (2, 4))):
+        model = build(tiny_config(variant), seed)
+        batch = [make_session(rng, n_items=n, feature_dim=model.config.feature_dim, domain=i)
+                 for i, n in enumerate(lengths)]
         instances.append((
-            lambda model=model, session=session: batch_loss(model, [session])[1],
+            lambda model=model, batch=batch: batch_loss(model, batch)[1],
             list(model.parameters.values()),
         ))
 
@@ -159,11 +166,11 @@ def _single_term_grads(model, session, term):
     for p in model.parameters.values():
         p.zero_grad()
     with Tape() as tape:
-        scored = forward(model, session)
+        scored = forward(model, [session])
         if term == "ranking":
-            loss = listwise_loss(scored.final_scores_tensor, session.labels())
+            loss = listwise_loss(scored.scores, session.labels())
         else:
-            loss = domain_loss(scored.domain_logits_tensor, session.domain)
+            loss = domain_loss(scored.domain_logits, session.domain)
         backward(tape, loss)
     return {name: (None if p.grad is None else p.grad.copy())
             for name, p in model.parameters.items()}
@@ -179,10 +186,10 @@ def test_criterion_2_reversal_semantics():
     specialist = build(tiny_config("domain_specialist"), seed=11)
     session = make_session(rng, n_items=6, feature_dim=5, domain=1)
 
-    scored_a = forward(adversarial, session)
-    scored_s = forward(specialist, session)
-    assert np.array_equal(scored_a.final_scores, scored_s.final_scores)
-    assert np.array_equal(scored_a.domain_logits, scored_s.domain_logits)
+    scored_a = forward(adversarial, [session])
+    scored_s = forward(specialist, [session])
+    assert np.array_equal(scored_a.scores.values, scored_s.scores.values)
+    assert np.array_equal(scored_a.domain_logits.values, scored_s.domain_logits.values)
 
     dom_a = _single_term_grads(adversarial, session, "domain")
     dom_s = _single_term_grads(specialist, session, "domain")
@@ -257,11 +264,11 @@ def test_criterion_4_gating_isolation():
     model = build(tiny_config("multihead"), seed=13)
     session = make_session(rng, n_items=6, feature_dim=5, domain=0)
 
-    before = forward(model, session).final_scores.copy()
+    before = forward(model, [session]).session_scores()[0]
     for name, p in model.parameters.items():
         if name.startswith("head.1."):
             p.values += rng.normal(size=p.values.shape) * 10.0
-    after = forward(model, session).final_scores
+    after = forward(model, [session]).session_scores()[0]
     assert np.array_equal(before, after)
 
     batch = [make_session(rng, 5, 5, domain=0) for _ in range(3)]

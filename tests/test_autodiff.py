@@ -7,6 +7,7 @@ small cases and exactness properties that finite differences cannot see
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from mdrank.autodiff import (
     Tape,
     Tensor,
     add,
-    add_const,
     attention,
     backward,
     concat_cols,
@@ -25,18 +25,20 @@ from mdrank.autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
-    matmul,
     mul_const,
+    put_rows,
     reduce_sum,
     relu,
     scale,
-    slice_cols,
-    softmax,
-    transpose,
+    segment_cross_entropy,
+    take_rows,
 )
+from mdrank.models import build, forward
+from tests.conftest import make_session, tiny_config
 
 N_INSTANCES = 25  # random instances per primitive for the FD oracle
 FD_TOL = 1e-4
+EXACT = 1e-12
 
 
 def _param(rng, *shape, away_from_zero=False):
@@ -56,28 +58,17 @@ def _weighted_sum(y, w):
 # finite-difference oracle, one primitive at a time
 
 
-def test_matmul_gradients_match_finite_differences():
-    for i in range(N_INSTANCES):
-        rng = np.random.default_rng(100 + i)
-        a = _param(rng, 3, 4)
-        b = _param(rng, 4, 2)
-        w = rng.normal(size=(3, 2))
-        assert grad_check(lambda: _weighted_sum(matmul(a, b), w), [a, b]) < FD_TOL
-
-
 def test_add_and_constant_op_gradients():
     for i in range(N_INSTANCES):
         rng = np.random.default_rng(200 + i)
         a = _param(rng, 3, 4)
         b = _param(rng, 3, 4)
 
-        shift = rng.normal(size=(3, 4))
         gate = rng.normal(size=(3, 4))
         w = rng.normal(size=(3, 4))
 
         def fn():
             y = add(a, b)
-            y = add_const(y, shift)
             y = mul_const(y, gate)
             y = scale(y, 0.5)
             return _weighted_sum(y, w)
@@ -103,16 +94,21 @@ def test_softmax_and_cross_entropy_gradients():
         rng = np.random.default_rng(400 + i)
         x = _param(rng, 3, 5)
         w = rng.normal(size=(3, 5))
-        assert grad_check(lambda: _weighted_sum(softmax(x, axis=-1), w), [x]) < FD_TOL
         for axis in (0, 1):
             assert grad_check(lambda: cross_entropy(x, w, axis=axis), [x]) < FD_TOL
+        s = _param(rng, 7, 1)
+        t = rng.normal(size=(7, 1))
+        assert grad_check(lambda: segment_cross_entropy(s, t, [2, 1, 4]), [s]) < FD_TOL
 
 
 def test_softmax_axis_zero_gradients():
+    """The softmax over items (axis 0, and a segment of a stacked vector)."""
     rng = np.random.default_rng(55)
     x = _param(rng, 4, 3)
     w = rng.normal(size=(4, 3))
-    assert grad_check(lambda: _weighted_sum(softmax(x, axis=0), w), [x]) < FD_TOL
+    assert grad_check(lambda: cross_entropy(x, w, axis=0), [x]) < FD_TOL
+    v = _param(rng, 4)
+    assert grad_check(lambda: segment_cross_entropy(v, w[:, 0], [4]), [v]) < FD_TOL
 
 
 def test_layer_norm_gradients():
@@ -134,13 +130,13 @@ def test_shape_op_gradients():
         rng = np.random.default_rng(600 + i)
         a = _param(rng, 3, 4)
         b = _param(rng, 3, 2)
-        w = rng.normal(size=(4, 3))
+        w = rng.normal(size=(2, 6))
 
         def fn():
-            y = concat_cols(a, b)            # 3x6
-            y = slice_cols(y, 1, 5)          # 3x4
-            y = transpose(y)                 # 4x3
-            return _weighted_sum(y, w)
+            y = concat_cols(a, b)                                   # 3x6
+            top, rest = take_rows(y, [2]), take_rows(y, [0, 1])
+            y = put_rows([rest, top], [[2, 0], [1]], 3)             # rows permuted
+            return _weighted_sum(take_rows(y, [1, 2]), w[:2])
 
         assert grad_check(fn, [a, b]) < FD_TOL
 
@@ -166,23 +162,24 @@ def test_attention_gradients_single_and_multi_head():
         c = rng.normal(size=(3, 4))
 
         def fn():
-            return _weighted_sum(attention(t, wq, wk, wv, heads=heads), c)
+            return _weighted_sum(attention(t, wq, wk, wv, [3], heads=heads), c)
 
         assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
 
 
 def test_attention_gradients_with_mask():
+    """Ragged sessions: the shorter ones are padded and their padding masked."""
     for i in range(10):
         rng = np.random.default_rng(900 + i)
-        t = _param(rng, 4, 4)
+        t = _param(rng, 6, 4)
         wq = _param(rng, 4, 4)
         wk = _param(rng, 4, 4)
         wv = _param(rng, 4, 4)
-        mask = [False, False, True, True]  # last two positions are padding
-        c = rng.normal(size=(4, 4))
+        lengths = [1, 3, 2] if i % 2 == 0 else [4, 2]
+        c = rng.normal(size=(6, 4))
 
         def fn():
-            return _weighted_sum(attention(t, wq, wk, wv, mask=mask), c)
+            return _weighted_sum(attention(t, wq, wk, wv, lengths, heads=1 + i % 2), c)
 
         assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
 
@@ -191,49 +188,93 @@ def test_attention_gradients_with_mask():
 # hand-computed values
 
 
-def test_matmul_hand_values():
-    ident = Tensor(np.eye(2))
-    b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul(ident, b).values, b.values)
-
-    a = Tensor([[1.0, 2.0]])
-    c = Tensor([[3.0], [4.0]])
-    assert matmul(a, c).values.tolist() == [[11.0]]
-
-
-def test_matmul_shape_error_names_both_shapes():
-    a = Tensor(np.zeros((2, 3)))
-    b = Tensor(np.zeros((2, 3)))
-    with pytest.raises(ShapeError) as exc:
-        matmul(a, b)
-    assert "(2, 3)" in str(exc.value)
-
-
 def test_relu_hand_values():
     out = relu(Tensor([[-1.0, 0.0, 2.0]]))
     assert out.values.tolist() == [[0.0, 0.0, 2.0]]
 
 
-def test_softmax_hand_values():
-    out = softmax(Tensor([[0.0, 0.0]]))
-    assert np.allclose(out.values, [[0.5, 0.5]], atol=1e-15)
+def _softmax_via_cross_entropy(x: np.ndarray) -> np.ndarray:
+    """Row softmax read off the cross-entropy gradient: with a one-hot
+    target t per row, d/dx CE = softmax(x) - t."""
+    t = np.zeros_like(x)
+    t[:, 0] = 1.0
+    xt = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        backward(tape, cross_entropy(xt, t, axis=1))
+    return xt.grad + t
 
-    out = softmax(Tensor([[math.log(1.0), math.log(3.0)]]))
-    assert np.allclose(out.values, [[0.25, 0.75]], atol=1e-12)
+
+def test_softmax_hand_values():
+    assert abs(cross_entropy(Tensor([[0.0, 0.0]]), [[1.0, 0.0]], axis=1).item()
+               - math.log(2.0)) < 1e-15
+    assert np.allclose(_softmax_via_cross_entropy(np.array([[0.0, 0.0]])), [[0.5, 0.5]],
+                       atol=1e-15)
+    logits = np.array([[math.log(1.0), math.log(3.0)]])
+    assert np.allclose(_softmax_via_cross_entropy(logits), [[0.25, 0.75]], atol=1e-12)
+    assert abs(cross_entropy(Tensor(logits), [[0.0, 1.0]], axis=1).item()
+               + math.log(0.75)) < 1e-12
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        x = Tensor(rng.normal(scale=5.0, size=(4, 6)))
-        out = softmax(x, axis=-1)
-        assert np.all(out.values >= 0)
-        assert np.allclose(out.values.sum(axis=-1), 1.0, atol=1e-12)
+        out = _softmax_via_cross_entropy(rng.normal(scale=5.0, size=(4, 6)))
+        assert np.all(out >= 0)
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_softmax_invalid_axis_raises():
     with pytest.raises(ShapeError):
-        softmax(Tensor(np.zeros((2, 2))), axis=5)
+        cross_entropy(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), axis=5)
+
+
+def test_segment_cross_entropy_matches_per_segment_cross_entropy():
+    rng = np.random.default_rng(12)
+    lengths = [3, 1, 5, 2]
+    x = rng.normal(size=(11, 1))
+    t = rng.uniform(size=(11, 1))
+    g = rng.normal()
+    whole = Tensor(x, requires_grad=True)
+    with Tape() as tape:
+        backward(tape, scale(segment_cross_entropy(whole, t, lengths), g))
+    total = 0.0
+    grad = np.zeros_like(x)
+    for lo, hi in zip(np.cumsum([0, *lengths[:-1]]), np.cumsum(lengths)):
+        part = Tensor(x[lo:hi], requires_grad=True)
+        with Tape() as tape:
+            loss = scale(cross_entropy(part, t[lo:hi], axis=0), g)
+            backward(tape, loss)
+        total += loss.item()
+        grad[lo:hi] = part.grad
+    assert abs(scale(segment_cross_entropy(Tensor(x), t, lengths), g).item() - total) < EXACT
+    assert np.max(np.abs(whole.grad - grad)) < EXACT
+
+
+@pytest.mark.parametrize("lengths", [[5], [3], [0, 4], [4, -1, 1]])
+def test_segment_cross_entropy_rejects_bad_lengths(lengths):
+    with pytest.raises(ShapeError):
+        segment_cross_entropy(Tensor(np.zeros(4)), np.zeros(4), lengths)
+
+
+def test_segment_cross_entropy_rejects_matrix_scores():
+    with pytest.raises(ShapeError):
+        segment_cross_entropy(Tensor(np.zeros((4, 2))), np.zeros((4, 2)), [2, 2])
+
+
+def test_take_and_put_rows_round_trip():
+    x = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    rows = [[3, 1], [0, 2]]
+    with Tape() as tape:
+        parts = [take_rows(x, r) for r in rows]
+        y = put_rows(parts, rows, 4)
+        backward(tape, _weighted_sum(y, np.arange(12.0).reshape(4, 3)))
+    assert np.array_equal(parts[0].values, x.values[[3, 1]])
+    assert np.array_equal(y.values, x.values)
+    assert np.array_equal(x.grad, np.arange(12.0).reshape(4, 3))
+    with pytest.raises(ShapeError):
+        take_rows(x, [1, 1])
+    with pytest.raises(ShapeError):
+        put_rows(parts, [[3, 1], [0, 0]], 4)
 
 
 def test_sum_gradient_is_all_ones():
@@ -277,20 +318,22 @@ def test_gradient_accumulates_across_reuse():
 # attention semantics
 
 
-def _attention_loop_oracle(tokens, wq, wk, wv, mask, heads):
-    """Brute-force attention with explicit python loops."""
+def _attention_loop_oracle(tokens, wq, wk, wv, lengths, heads):
+    """Brute-force attention with explicit python loops: row i attends to
+    the rows of its own session only."""
     n, d = tokens.shape
     dh = d // heads
     q = tokens @ wq
     k = tokens @ wk
     v = tokens @ wv
+    session = np.repeat(np.arange(len(lengths)), lengths)
     out = np.zeros((n, d))
     for h in range(heads):
         sl = slice(h * dh, (h + 1) * dh)
         for i in range(n):
             weights = np.zeros(n)
             for j in range(n):
-                if mask is not None and mask[j]:
+                if session[j] != session[i]:
                     weights[j] = -np.inf
                 else:
                     weights[j] = float(q[i, sl] @ k[j, sl]) / math.sqrt(dh)
@@ -306,20 +349,64 @@ def _attention_loop_oracle(tokens, wq, wk, wv, mask, heads):
 def test_attention_matches_loop_oracle(heads):
     rng = np.random.default_rng(17)
     for trial in range(10):
-        tokens = rng.normal(size=(3, 4))
+        lengths = [3] if trial % 2 == 0 else [1, 3, 2]
+        tokens = rng.normal(size=(sum(lengths), 4))
         wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-        mask = None if trial % 2 == 0 else [False, True, False]
         got = attention(Tensor(tokens), Tensor(wq), Tensor(wk), Tensor(wv),
-                        mask=mask, heads=heads).values
-        want = _attention_loop_oracle(tokens, wq, wk, wv, mask, heads)
+                        lengths, heads=heads).values
+        want = _attention_loop_oracle(tokens, wq, wk, wv, lengths, heads)
         assert np.allclose(got, want, atol=1e-12)
+
+
+def _attention_reference(tokens, wq, wk, wv, heads):
+    """One session's attention in plain vectorized numpy."""
+    dh = tokens.shape[1] // heads
+    q, k, v = tokens @ wq, tokens @ wk, tokens @ wv
+    out = []
+    for h in range(heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        logits = q[:, sl] @ k[:, sl].T / math.sqrt(dh)
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        out.append((e / e.sum(axis=1, keepdims=True)) @ v[:, sl])
+    return np.hstack(out)
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+def test_fused_attention_matches_per_session_reference_and_finite_differences(heads):
+    rng = np.random.default_rng(31 + heads)
+    for lengths in ([4], [3, 3], [1, 5, 2], [6, 1]):
+        n = sum(lengths)
+        t = _param(rng, n, 4)
+        wq, wk, wv = (_param(rng, 4, 4) for _ in range(3))
+        got = attention(t, wq, wk, wv, lengths, heads).values
+        start = 0
+        for length in lengths:
+            want = _attention_reference(t.values[start:start + length], wq.values,
+                                        wk.values, wv.values, heads)
+            assert np.max(np.abs(got[start:start + length] - want)) <= EXACT
+            start += length
+        c = rng.normal(size=(n, 4))
+        fn = lambda: _weighted_sum(attention(t, wq, wk, wv, lengths, heads), c)
+        assert grad_check(fn, [t, wq, wk, wv]) < FD_TOL
+
+
+def test_attention_records_one_node():
+    rng = np.random.default_rng(4)
+    t = _param(rng, 5, 4)
+    w = _param(rng, 4, 4)
+    with Tape() as tape:
+        attention(t, w, w, w, [2, 3], heads=2)
+    assert [node.op for node in tape.nodes] == ["attention"]
 
 
 def test_attention_single_token_equals_value_projection():
     rng = np.random.default_rng(5)
-    tokens = rng.normal(size=(1, 4))
+    tokens = rng.normal(size=(3, 4))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-    out = attention(Tensor(tokens), wq, wk, wv)
+    assert np.allclose(attention(Tensor(tokens[:1]), wq, wk, wv, [1]).values,
+                       tokens[:1] @ wv.values, atol=1e-12)
+    # three one-token sessions in one batch
+    out = attention(Tensor(tokens), wq, wk, wv, [1, 1, 1])
     assert np.allclose(out.values, tokens @ wv.values, atol=1e-12)
 
 
@@ -328,36 +415,42 @@ def test_attention_identical_tokens_get_identical_outputs():
     row = rng.normal(size=4)
     tokens = Tensor(np.stack([row, row]))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
-    out = attention(tokens, wq, wk, wv).values
+    out = attention(tokens, wq, wk, wv, [2]).values
     assert np.allclose(out[0], out[1], atol=1e-12)
 
 
 def test_attention_masked_positions_match_sublist():
-    """Masked-out rows must not influence the attention of real rows."""
+    """Padding and the rows of other sessions must not influence a
+    session's attention: each session of a ragged batch gets what it gets
+    alone."""
     rng = np.random.default_rng(8)
-    tokens = rng.normal(size=(5, 4))
-    wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
-    keep = [0, 2, 3]
-    mask = [i not in keep for i in range(5)]
-
-    full = attention(Tensor(tokens), Tensor(wq), Tensor(wk), Tensor(wv), mask=mask).values
-    sub = attention(Tensor(tokens[keep]), Tensor(wq), Tensor(wk), Tensor(wv)).values
-    assert np.allclose(full[keep], sub, atol=1e-12)
+    tokens = rng.normal(size=(9, 4))
+    wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
+    lengths = [2, 5, 1, 1]
+    full = attention(Tensor(tokens), wq, wk, wv, lengths, heads=2).values
+    start = 0
+    for length in lengths:
+        sub = attention(Tensor(tokens[start:start + length]), wq, wk, wv, [length], heads=2)
+        assert np.allclose(full[start:start + length], sub.values, atol=1e-12)
+        start += length
 
 
 def test_attention_all_masked_raises():
+    """A session without rows (every position padding) is an error."""
     rng = np.random.default_rng(9)
     tokens = Tensor(rng.normal(size=(2, 4)))
     wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
     with pytest.raises(ValueError):
-        attention(tokens, wq, wk, wv, mask=[True, True])
+        attention(tokens, wq, wk, wv, [2, 0])
+    with pytest.raises(ValueError):
+        attention(tokens, wq, wk, wv, [3])
 
 
 def test_attention_head_mismatch_raises():
     tokens = Tensor(np.zeros((2, 4)))
     w = Tensor(np.zeros((4, 4)))
     with pytest.raises(ShapeError):
-        attention(tokens, w, w, w, heads=3)
+        attention(tokens, w, w, w, [2], heads=3)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +491,7 @@ def test_reversed_network_gradient_is_negated_twin():
         x = Tensor(x_vals)
         w = Tensor(w_vals, requires_grad=True)
         with Tape() as tape:
-            h = matmul(x, w)
+            h = linear(x, w, Tensor(np.zeros(2)))
             if with_reversal:
                 h = gradient_reversal(h, lam=lam)
             loss = _weighted_sum(h, c)
@@ -448,6 +541,38 @@ def test_tapes_do_not_nest():
                 pass
 
 
+def test_tape_is_per_thread():
+    """A thread scoring while another thread's tape is active records
+    nothing onto that tape, and finds no tape of its own."""
+    model = build(tiny_config(), seed=1)
+    session = make_session(np.random.default_rng(2), 4, feature_dim=5)
+    entered, scored = threading.Event(), threading.Event()
+    seen = {}
+
+    def hold_tape():
+        with Tape() as tape:
+            entered.set()
+            scored.wait(timeout=30)
+            seen["nodes"] = list(tape.nodes)
+
+    def score():
+        entered.wait(timeout=30)
+        forward(model, [session])
+        with Tape() as own:  # no tape active in this thread
+            forward(model, [session])
+        seen["own"] = len(own.nodes)
+        scored.set()
+
+    threads = [threading.Thread(target=hold_tape), threading.Thread(target=score)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+        assert not th.is_alive()
+    assert seen["nodes"] == []
+    assert seen["own"] > 0
+
+
 def test_ops_outside_tape_compute_values_only():
     x = Tensor([[2.0]], requires_grad=True)
     y = mul_const(x, [[2.0]])
@@ -462,7 +587,7 @@ def test_backward_is_deterministic():
         w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         c = rng.normal(size=(4, 3))
         with Tape() as tape:
-            h = softmax(matmul(relu(x), w), axis=-1)
+            h = attention(relu(x), w, w, w, [3, 1])
             loss = _weighted_sum(h, c)
             backward(tape, loss)
         return x.grad.copy(), w.grad.copy()

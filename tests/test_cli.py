@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mdrank
@@ -163,6 +164,43 @@ def test_non_finite_model_weight_exits_data_error(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert "non-finite" in err and "trunk.0.w" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "interleave"])
+@pytest.mark.parametrize("key, value", [("n_domains", 3), ("feature_dim", 6)])
+def test_model_file_not_matching_its_config_exits_data_error(tmp_path, capsys, command,
+                                                             key, value):
+    """Models trained under one config, then read under a config whose
+    models (and data) have another n_domains or feature_dim."""
+    config = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    doc = json.loads(config.read_text())
+    saved = doc["models"]["multihead"][key]
+    doc["dataset"]["synthetic"][key] = value
+    for entry in doc["models"].values():
+        entry[key] = value
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert f"{key} {saved}" in err and f"{key} {value}" in err
+
+
+def test_non_finite_scores_exit_data_error(tmp_path, capsys):
+    """Finite weights whose scores overflow to inf or NaN."""
+    config = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    path = tmp_path / "out" / "models" / "multihead.model.json"
+    doc = json.loads(path.read_text())
+    for name, entry in doc["parameters"].items():
+        if name.startswith(("trunk.", "score.")):
+            entry["values"] = [1e300] * len(entry["values"])
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_DATA
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_non_integer_workers_env_exits_config_error(tmp_path, capsys, monkeypatch):

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mdrank.data import Item, QuerySession
-from mdrank.evaluation import evaluate, ndcg_at_k
-from tests.conftest import make_session
+from mdrank import evaluation
+from mdrank.data import MAX_LIST_LENGTH, Item, QuerySession
+from mdrank.evaluation import NonFiniteScoreError, evaluate, ndcg_at_k, score_sessions
+from mdrank.models import build, forward
+from tests.conftest import make_session, tiny_config
 
 
 def _ndcg_oracle(scores, labels, k):
@@ -194,3 +196,49 @@ def test_non_finite_scores_rejected(bad):
         ndcg_at_k([1.0, bad, 0.5], [0.0, 1.0, 0.0], k=3)
     with pytest.raises(ValueError, match="finite"):
         ndcg_at_k([bad, 0.5], [0.0, 0.0], k=2)
+
+
+# ---------------------------------------------------------------------------
+# batched scoring
+
+
+def test_long_sessions_are_scored_in_chunks_within_the_cell_cap(rng, monkeypatch):
+    model = build(tiny_config("multihead"), seed=2)
+    lengths = [*rng.integers(100, MAX_LIST_LENGTH + 1, size=8), MAX_LIST_LENGTH, 5, 3, 5, 1]
+    sessions = [make_session(rng, int(n), 5, domain=i % 2, query_id=f"q{i}")
+                for i, n in enumerate(lengths)]
+    chunks = []
+    real = evaluation.forward
+
+    def spy(model, batch, **kwargs):
+        chunks.append([len(s.items) for s in batch])
+        return real(model, batch, **kwargs)
+
+    monkeypatch.setattr(evaluation, "forward", spy)
+    scores = score_sessions(model, sessions)
+    monkeypatch.undo()
+    assert sorted(n for chunk in chunks for n in chunk) == sorted(lengths)
+    assert all(len(c) * max(c) ** 2 <= evaluation._ATTENTION_CELLS for c in chunks)
+    assert [1, 3, 5, 5] in [c[:4] for c in chunks]  # short sessions share one pass
+    assert len(chunks) < len(sessions)
+    for session, got in zip(sessions, scores):
+        want = forward(model, [session]).session_scores()[0]
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_model_and_scorer_give_the_same_summary(rng):
+    model = build(tiny_config("domain_specialist"), seed=3)
+    sessions = [make_session(rng, int(rng.integers(1, 12)), 5, domain=i % 2, query_id=f"q{i}")
+                for i in range(30)]
+    batched = evaluate(model, sessions, k=5)
+    single = evaluate(lambda s: forward(model, [s]).session_scores()[0], sessions, k=5)
+    assert batched.per_domain_sessions == single.per_domain_sessions
+    for d, value in single.per_domain.items():
+        assert abs(batched.per_domain[d] - value) <= 1e-12
+
+
+def test_model_with_nan_weights_raises_non_finite(rng):
+    model = build(tiny_config(), seed=3)
+    model.parameters["final.1.b"].values[:] = np.nan
+    with pytest.raises(NonFiniteScoreError):
+        evaluate(model, [make_session(rng, 4, 5)], k=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mdrank.data import Item, QuerySession
+from mdrank.evaluation import NonFiniteScoreError
 from mdrank.interleaving import (
     InterleavedList,
     UserModel,
@@ -12,6 +13,8 @@ from mdrank.interleaving import (
     simulate_session,
     team_draft,
 )
+from mdrank.models import build
+from tests.conftest import tiny_config
 
 
 def _sessions(rng, n, n_items=6, feature_dim=3):
@@ -280,3 +283,25 @@ def test_run_interleaving_validates_arguments():
     with pytest.raises(ValueError):
         run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10, k=4,
                          relevance=[np.ones(3)])
+
+
+@pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_raise(bad_value):
+    """A ranker with NaN or infinite scores has no ranking to draft from."""
+    sessions = _sessions(np.random.default_rng(3), 5)
+    good = lambda s: s.feature_matrix().sum(axis=1)
+    bad = lambda s: np.full(len(s.items), bad_value)
+    for a, b in ((bad, good), (good, bad)):
+        with pytest.raises(NonFiniteScoreError):
+            run_interleaving(a, b, sessions, UserModel.position_decay(6),
+                             n_impressions=50, seed=0, k=6)
+
+
+def test_model_with_nan_scores_raises():
+    sessions = _sessions(np.random.default_rng(4), 3, feature_dim=5)
+    good = build(tiny_config(), seed=1)
+    broken = build(tiny_config(), seed=1)
+    broken.parameters["score.0.w"].values[:] = np.nan
+    with pytest.raises(NonFiniteScoreError):
+        run_interleaving(good, broken, sessions, UserModel.position_decay(6),
+                         n_impressions=10, seed=0, k=6)

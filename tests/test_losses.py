@@ -169,11 +169,11 @@ def _grads(model, session, which):
     """Gradient of one loss term w.r.t. every parameter, as a dict."""
     model.zero_grad()
     with Tape() as tape:
-        scored = forward(model, session)
+        scored = forward(model, [session])
         if which == "ranking":
-            loss = listwise_loss(scored.final_scores_tensor, session.labels())
+            loss = listwise_loss(scored.scores, session.labels())
         elif which == "domain":
-            loss = domain_loss(scored.domain_logits_tensor, session.domain)
+            loss = domain_loss(scored.domain_logits, session.domain)
         else:
             _, loss = batch_loss(model, [session])
         backward(tape, loss)
@@ -286,8 +286,8 @@ def test_batch_tape_records_one_node_per_loss_term(rng, variant):
         batch_loss(model, batch)
     ops = [node.op for node in tape.nodes]
     assert not {"reshape", "log_softmax", "mul_const"} & set(ops)
-    terms = len(batch) * (2 if model.config.variant.has_classifier else 1)
-    assert ops.count("cross_entropy") == terms
+    assert ops.count("segment_cross_entropy") == 1
+    assert ops.count("cross_entropy") == (1 if model.config.variant.has_classifier else 0)
 
 
 def test_batch_loss_averages_over_contributing_sessions(rng):

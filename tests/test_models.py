@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mdrank.autodiff import ShapeError, Tape
+from mdrank.autodiff import ShapeError, Tape, backward
 from mdrank.data import Item, QuerySession
 from mdrank.losses import batch_loss
 from mdrank.models import (
@@ -135,16 +135,23 @@ def test_config_validation():
 # forward semantics
 
 
+def _scores(model, session):
+    return forward(model, [session]).session_scores()[0]
+
+
 def test_forward_shapes_and_finiteness(rng):
     for variant in ("baseline", "multihead", "domain_adversarial", "domain_specialist"):
         model = build(tiny_config(variant), seed=1)
-        session = make_session(rng, 7, feature_dim=5, domain=1)
-        scored = forward(model, session)
-        assert scored.final_scores.shape == (7,)
-        assert scored.pointwise_scores.shape == (7,)
-        assert np.all(np.isfinite(scored.final_scores))
+        batch = [make_session(rng, 7, feature_dim=5, domain=1),
+                 make_session(rng, 3, feature_dim=5, domain=0)]
+        scored = forward(model, batch)
+        assert scored.scores.shape == (10, 1)
+        assert scored.lengths.tolist() == [7, 3]
+        assert [s.shape for s in scored.session_scores()] == [(7,), (3,)]
+        assert np.all(np.isfinite(scored.scores.values))
         if variant in ("domain_adversarial", "domain_specialist"):
-            assert scored.domain_logits.shape == (7, 2)
+            assert scored.domain_logits.shape == (10, 2)
+            assert forward(model, batch, domain_logits=False).domain_logits is None
         else:
             assert scored.domain_logits is None
 
@@ -152,38 +159,43 @@ def test_forward_shapes_and_finiteness(rng):
 def test_forward_single_item_session(rng):
     model = build(tiny_config(), seed=1)
     session = make_session(rng, 1, feature_dim=5)
-    scored = forward(model, session)
-    assert scored.final_scores.shape == (1,)
-    assert np.isfinite(scored.final_scores[0])
+    scores = _scores(model, session)
+    assert scores.shape == (1,)
+    assert np.isfinite(scores[0])
 
 
 def test_forward_rejects_bad_sessions(rng):
     model = build(tiny_config(), seed=1)
+    good = make_session(rng, 3, feature_dim=5)
     with pytest.raises(ValueError):
-        forward(model, QuerySession("q", 0, 0, []))
+        forward(model, [])
+    with pytest.raises(ValueError):
+        forward(model, [good, QuerySession("q", 0, 0, [])])
     with pytest.raises(ShapeError):
-        forward(model, make_session(rng, 3, feature_dim=4))  # wrong width
+        forward(model, [make_session(rng, 3, feature_dim=4)])  # wrong width
+    with pytest.raises(ShapeError):
+        forward(model, [good, make_session(rng, 3, feature_dim=4)])  # mixed widths
     with pytest.raises(ValueError):
-        forward(model, make_session(rng, 3, feature_dim=5, domain=9))
+        forward(model, [good, make_session(rng, 3, feature_dim=5, domain=9)])
 
 
 def test_multihead_ignores_other_heads_exactly(rng):
     """Scores for a domain-0 session must not move when head 1 is mangled."""
     model = build(tiny_config("multihead"), seed=5)
     session = make_session(rng, 6, feature_dim=5, domain=0)
-    before = forward(model, session).final_scores.copy()
+    before = _scores(model, session)
 
     for name, tensor in model.parameters.items():
         if name.startswith("head.1."):
             tensor.values[:] = rng.normal(scale=100.0, size=tensor.shape)
-    after = forward(model, session).final_scores
+    after = _scores(model, session)
     assert np.array_equal(before, after)
 
     # and the selected head does matter
     for name, tensor in model.parameters.items():
         if name.startswith("head.0."):
             tensor.values[:] += 1.0
-    assert not np.array_equal(before, forward(model, session).final_scores)
+    assert not np.array_equal(before, _scores(model, session))
 
 
 @pytest.mark.parametrize("domain", [0, 1, 2])
@@ -201,21 +213,40 @@ def test_multihead_scores_equal_baseline_with_copied_head(rng, domain):
         else:
             base.parameters[name].values = tensor.values.copy()
     session = make_session(rng, 6, feature_dim=5, domain=domain)
-    assert np.array_equal(forward(multi, session).final_scores,
-                          forward(base, session).final_scores)
+    assert np.array_equal(_scores(multi, session), _scores(base, session))
 
 
 def test_multihead_batch_records_as_many_tape_nodes_as_baseline(rng):
-    """Only the selected head runs, so multihead tapes no gating ops."""
-    batch = [make_session(rng, 5, feature_dim=5, domain=i % 3, query_id=f"q{i}")
-             for i in range(6)]
-    ops = {}
-    for variant in ("baseline", "multihead"):
-        model = build(tiny_config(variant, n_domains=3), seed=3)
-        with Tape() as tape:
-            batch_loss(model, batch)
-        ops[variant] = [node.op for node in tape.nodes]
-    assert ops["multihead"] == ops["baseline"]
+    """A single-domain batch runs only its head, so multihead tapes no
+    gating or routing ops."""
+    for domain in range(3):
+        batch = [make_session(rng, 3 + i, feature_dim=5, domain=domain, query_id=f"q{i}")
+                 for i in range(4)]
+        ops = {}
+        for variant in ("baseline", "multihead"):
+            model = build(tiny_config(variant, n_domains=3), seed=3)
+            with Tape() as tape:
+                batch_loss(model, batch)
+            ops[variant] = [node.op for node in tape.nodes]
+        assert ops["multihead"] == ops["baseline"]
+
+
+def test_multihead_routes_each_domain_through_its_own_head(rng):
+    """A mixed batch runs each present domain's rows through its head once
+    (take_rows -> head -> put_rows); an absent domain's head records nothing
+    and keeps grad None."""
+    model = build(tiny_config("multihead", n_domains=3), seed=3)
+    batch = [make_session(rng, 4, feature_dim=5, domain=d, query_id=f"q{i}")
+             for i, d in enumerate((2, 0, 2))]
+    model.zero_grad()
+    with Tape() as tape:
+        _, loss = batch_loss(model, batch)
+        backward(tape, loss)
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("take_rows") == 2 and ops.count("put_rows") == 1
+    assert all(model.parameters[n].grad is None for n in model.parameters if n.startswith("head.1."))
+    assert all(model.parameters[n].grad is not None for n in model.parameters
+               if n.startswith(("head.0.", "head.2.")))
 
 
 def test_adversarial_and_specialist_forward_identically(rng):
@@ -223,10 +254,10 @@ def test_adversarial_and_specialist_forward_identically(rng):
     adv = build(tiny_config("domain_adversarial"), seed=9)
     dds = build(tiny_config("domain_specialist"), seed=9)
     session = make_session(rng, 5, feature_dim=5, domain=1)
-    out_a = forward(adv, session)
-    out_s = forward(dds, session)
-    assert np.array_equal(out_a.final_scores, out_s.final_scores)
-    assert np.array_equal(out_a.domain_logits, out_s.domain_logits)
+    out_a = forward(adv, [session])
+    out_s = forward(dds, [session])
+    assert np.array_equal(out_a.scores.values, out_s.scores.values)
+    assert np.array_equal(out_a.domain_logits.values, out_s.domain_logits.values)
 
 
 def test_forward_is_permutation_equivariant(rng):
@@ -236,16 +267,16 @@ def test_forward_is_permutation_equivariant(rng):
     perm = rng.permutation(8)
     shuffled = QuerySession(session.query_id, session.domain, session.timestamp,
                             [session.items[i] for i in perm])
-    base = forward(model, session).final_scores
-    moved = forward(model, shuffled).final_scores
+    base = _scores(model, session)
+    moved = _scores(model, shuffled)
     assert np.allclose(moved, base[perm], atol=1e-9)
 
 
 def test_forward_is_deterministic(rng):
     model = build(tiny_config("domain_specialist"), seed=4)
     session = make_session(rng, 6, feature_dim=5)
-    a = forward(model, session).final_scores
-    b = forward(model, session).final_scores
+    a = _scores(model, session)
+    b = _scores(model, session)
     assert np.array_equal(a, b)
 
 
@@ -264,8 +295,7 @@ def test_save_load_round_trip_is_lossless(rng):
     assert save(clone) == raw
 
     session = make_session(rng, 6, feature_dim=5)
-    assert np.array_equal(forward(model, session).final_scores,
-                          forward(clone, session).final_scores)
+    assert np.array_equal(_scores(model, session), _scores(clone, session))
 
 
 def test_save_is_deterministic():
