@@ -12,7 +12,6 @@ from .autodiff import Tape, Tensor, backward, grad_check, gradient_reversal
 from .data import (
     DatasetFormatError,
     FeatureStats,
-    Item,
     QuerySession,
     SyntheticDataset,
     SyntheticSpec,
@@ -68,7 +67,6 @@ __all__ = [
     "gradient_reversal",
     "DatasetFormatError",
     "FeatureStats",
-    "Item",
     "QuerySession",
     "SyntheticDataset",
     "SyntheticSpec",

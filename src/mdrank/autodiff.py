@@ -28,7 +28,6 @@ __all__ = [
     "backward",
     "grad_check",
     "add",
-    "mul_const",
     "scale",
     "relu",
     "cross_entropy",
@@ -37,7 +36,6 @@ __all__ = [
     "concat_cols",
     "take_rows",
     "put_rows",
-    "reduce_sum",
     "gradient_reversal",
     "linear",
     "attention",
@@ -183,20 +181,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(w, xv.T @ g)
 
     _record("linear", out, bwd)
-    return out
-
-
-def mul_const(x: Tensor, c) -> Tensor:
-    """Elementwise product with a constant array."""
-    cv = np.asarray(c, dtype=np.float64)
-    if cv.shape != x.shape:
-        raise ShapeError(f"mul_const: constant shape {cv.shape} != tensor shape {x.shape}")
-    out = Tensor(x.values * cv, x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, cv * g)
-
-    _record("mul_const", out, bwd)
     return out
 
 
@@ -378,16 +362,6 @@ def put_rows(parts: Sequence[Tensor], rows: Sequence, n_rows: int) -> Tensor:
             _accumulate(part, g[idx])
 
     _record("put_rows", out, bwd)
-    return out
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    out = Tensor(x.values.sum(), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.values, float(g)))
-
-    _record("reduce_sum", out, bwd)
     return out
 
 

@@ -114,7 +114,15 @@ def _parse_model(name: str, obj: dict) -> VariantSpec:
         config = ModelConfig(**fields)
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if train_domain is not None and not 0 <= train_domain < config.n_domains:
+        raise ConfigError(f"{where}: train_domain {train_domain} out of range "
+                          f"[0, {config.n_domains})")
     return VariantSpec(config=config, train_domain=train_domain)
+
+
+def _check_seeds(seeds, where: str) -> None:
+    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{where} must be distinct non-negative integers")
 
 
 def load_experiment_config(path) -> ExperimentConfig:
@@ -139,6 +147,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     seeds_raw = _expect(doc, "seeds", list, str(path), default=[1, 2, 3, 4, 5])
     if not seeds_raw or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds_raw):
         raise ConfigError(f"{path}: seeds must be a non-empty list of integers")
+    _check_seeds(seeds_raw, f"{path}: seeds")
     normalize = bool(_expect(doc, "normalize", bool, str(path), default=False))
 
     dataset = _expect(doc, "dataset", dict, str(path), required=True)
@@ -148,17 +157,16 @@ def load_experiment_config(path) -> ExperimentConfig:
         spec_obj = dataset["synthetic"]
         if not isinstance(spec_obj, dict):
             raise ConfigError(f"{path}: dataset.synthetic must be an object")
-        spec_fields = dict(spec_obj)
-        if "list_length" in spec_fields:
-            spec_fields["list_length"] = tuple(spec_fields["list_length"])
         try:
-            synthetic = SyntheticSpec(**spec_fields)
+            synthetic = SyntheticSpec(**spec_obj)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: dataset.synthetic: {exc}") from exc
     elif "paths" in dataset:
         raw = dataset["paths"]
         if not isinstance(raw, dict) or set(raw) != {"train", "valid", "test"}:
             raise ConfigError(f"{path}: dataset.paths needs exactly train/valid/test")
+        if not all(isinstance(p, str) for p in raw.values()):
+            raise ConfigError(f"{path}: dataset.paths values must be strings")
         paths = {split: Path(p) for split, p in raw.items()}
     else:
         raise ConfigError(f"{path}: dataset needs either 'synthetic' or 'paths'")
@@ -186,7 +194,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
             raise ConfigError(f"{where}: needs keys 'a' and 'b'")
         for side in ("a", "b"):
-            if raw[side] not in models:
+            if not isinstance(raw[side], str) or raw[side] not in models:
                 raise ConfigError(f"{where}: unknown model {raw[side]!r}")
         domain = raw.get("domain")
         if domain is not None and (isinstance(domain, bool) or not isinstance(domain, int)):
@@ -252,7 +260,7 @@ def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
             if session.domain >= n_domains:
                 raise DataError(f"{where}: domain {session.domain} out of range for "
                                 f"models.{narrowest} (n_domains {n_domains})")
-            widths.setdefault(session.items[0].features.size, where)
+            widths.setdefault(session.features.shape[1], where)
     if len(widths) > 1:
         raise DataError("feature widths differ across sessions: "
                         + ", ".join(f"{w} in {where}" for w, where in widths.items()))
@@ -266,6 +274,15 @@ def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
     if config.normalize:
         (train_s, valid_s, test_s), _ = normalize_features(train_s, valid_s, test_s)
     return DataSplits(train_s, valid_s, test_s)
+
+
+def _training_data(config: ExperimentConfig, splits: DataSplits, name: str) -> DataSplits:
+    """The splits ``models.<name>`` trains on, which must hold a training session."""
+    domain = config.models[name].train_domain
+    data = splits.restrict(domain)
+    if not data.train:
+        raise DataError(f"models.{name}: no training sessions in domain {domain}")
+    return data
 
 
 def _selected_models(config: ExperimentConfig, variant_filter) -> list[str]:
@@ -321,9 +338,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
     train_config = replace(config.train, seed=seed, k=args.k or config.k)
     for name in names:
         spec = config.models[name]
-        data = splits.restrict(spec.train_domain)
-        if not data.train:
-            raise DataError(f"models.{name}: no training sessions in domain {spec.train_domain}")
+        data = _training_data(config, splits, name)
         model = build(spec.config, seed)
         best, history = train(model, data.train, data.valid, train_config)
         model_path = _model_path(config, name)
@@ -456,6 +471,8 @@ def cmd_protocol(config: ExperimentConfig, args) -> int:
     splits = _resolve_splits(config, names)
     seeds = tuple(args.seed) if args.seed else config.seeds
     k = args.k or config.k
+    for name in names:
+        _training_data(config, splits, name)
     variants = {name: config.models[name] for name in names}
     report = run_protocol(variants, splits, seeds, replace(config.train, k=k), k=k)
     _write_text(config.out_dir / "reports" / "protocol.txt", report.table_text())
@@ -509,6 +526,8 @@ def main(argv=None) -> int:
             config = replace(config, out_dir=Path(args.out))
         if args.k is not None and args.k < 1:
             raise ConfigError("--k must be >= 1")
+        if args.seed is not None:
+            _check_seeds(args.seed, "--seed values")
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "Item",
     "QuerySession",
     "DatasetFormatError",
     "load_dataset",
@@ -39,35 +39,45 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the one-session-per-line JSON contract."""
 
 
-@dataclass
-class Item:
-    """One ranked candidate: feature vector, graded relevance label, and
-    optional raw query/title strings for text-similarity features."""
-
-    features: np.ndarray
-    label: float
-    query_text: str | None = None
-    title_text: str | None = None
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.label = float(self.label)
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuerySession:
-    """All candidates shown for one query, with its domain and timestamp."""
+    """All candidates shown for one query, with its domain and timestamp.
+
+    Row i of ``features`` (n, d) and ``grades`` (n,) is one candidate, and
+    ``texts[i]`` its raw (query, title) strings, either of which may be
+    None; ``texts`` is None when no row has text.  Both arrays are float64
+    read-only copies, which ``feature_matrix()`` and ``labels()`` return.
+    """
 
     query_id: str
     domain: int
     timestamp: int
-    items: list[Item]
+    features: np.ndarray
+    grades: np.ndarray
+    texts: tuple[tuple[str | None, str | None], ...] | None = None
+
+    def __post_init__(self):
+        for name in ("features", "grades"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        n = self.grades.size
+        if self.features.ndim != 2 or self.grades.shape != (n,) or len(self.features) != n:
+            raise ValueError(f"QuerySession: need features (n, d) and grades (n,), got "
+                             f"{self.features.shape} and {self.grades.shape}")
+        if self.texts is not None and len(self.texts) != n:
+            raise ValueError(f"QuerySession: {len(self.texts)} texts for {n} rows")
 
     def labels(self) -> np.ndarray:
-        return np.array([it.label for it in self.items], dtype=np.float64)
+        return self.grades
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([it.features for it in self.items])
+        return self.features
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +86,13 @@ class QuerySession:
 
 def _session_to_obj(session: QuerySession) -> dict:
     items = []
-    for it in session.items:
-        obj = {"features": [float(v) for v in it.features], "label": float(it.label)}
-        if it.query_text is not None:
-            obj["q"] = it.query_text
-        if it.title_text is not None:
-            obj["t"] = it.title_text
+    texts = session.texts or [(None, None)] * session.grades.size
+    for feats, label, (q, t) in zip(session.features.tolist(), session.grades.tolist(), texts):
+        obj = {"features": feats, "label": label}
+        if q is not None:
+            obj["q"] = q
+        if t is not None:
+            obj["t"] = t
         items.append(obj)
     return {
         "query_id": session.query_id,
@@ -127,7 +138,9 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
             f"{where}: {len(raw_items)} items exceeds the maximum list length {MAX_LIST_LENGTH}"
         )
 
-    items: list[Item] = []
+    rows: list[np.ndarray] = []
+    labels: list[float] = []
+    texts: list[tuple[str | None, str | None]] = []
     dim: int | None = None
     for j, raw in enumerate(raw_items):
         iw = f"{where}, item {j}"
@@ -157,8 +170,11 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
             raise DatasetFormatError(f"{iw}: q must be a string")
         if t is not None and not isinstance(t, str):
             raise DatasetFormatError(f"{iw}: t must be a string")
-        items.append(Item(features=vec, label=label, query_text=q, title_text=t))
-    return QuerySession(query_id=qid, domain=domain, timestamp=ts, items=items)
+        rows.append(vec)
+        labels.append(label)
+        texts.append((q, t))
+    has_text = any(pair != (None, None) for pair in texts)
+    return QuerySession(qid, domain, ts, rows, labels, tuple(texts) if has_text else None)
 
 
 def load_dataset(path, n_domains: int | None = None) -> list[QuerySession]:
@@ -240,29 +256,18 @@ def text_similarity(query: str, title: str, n_buckets: int = 64) -> np.ndarray:
 def add_text_similarity_features(
     sessions: Sequence[QuerySession], n_buckets: int = 64
 ) -> list[QuerySession]:
-    """Append the text-similarity vector to every item's features.
+    """Append the text-similarity vector to every row's features.
 
-    Items without both text fields get zeros, keeping feature width uniform.
+    Rows without both text fields get zeros, keeping feature width uniform.
     Input sessions are not mutated.
     """
     out: list[QuerySession] = []
-    zero = np.zeros(2, dtype=np.float64)
     for s in sessions:
-        items = []
-        for it in s.items:
-            if it.query_text is not None and it.title_text is not None:
-                extra = text_similarity(it.query_text, it.title_text, n_buckets)
-            else:
-                extra = zero
-            items.append(
-                Item(
-                    features=np.concatenate([it.features, extra]),
-                    label=it.label,
-                    query_text=it.query_text,
-                    title_text=it.title_text,
-                )
-            )
-        out.append(replace(s, items=items))
+        extra = np.zeros((s.features.shape[0], 2), dtype=np.float64)
+        for j, (q, t) in enumerate(s.texts or ()):
+            if q is not None and t is not None:
+                extra[j] = text_similarity(q, t, n_buckets)
+        out.append(replace(s, features=np.hstack([s.features, extra])))
     return out
 
 
@@ -283,21 +288,14 @@ class FeatureStats:
 
 
 def _apply_stats(sessions: Sequence[QuerySession], stats: FeatureStats) -> list[QuerySession]:
-    keep = stats.passthrough
     out = []
     for s in sessions:
-        items = []
-        for it in s.items:
-            if it.features.size != stats.mean.size:
-                raise ValueError(
-                    f"normalize_features: feature width {it.features.size} != {stats.mean.size}"
-                )
-            scaled = (it.features - stats.mean) / stats.std
-            feats = np.where(keep, it.features, scaled)
-            items.append(
-                Item(feats, it.label, query_text=it.query_text, title_text=it.title_text)
+        if s.features.shape[1] != stats.mean.size:
+            raise ValueError(
+                f"normalize_features: feature width {s.features.shape[1]} != {stats.mean.size}"
             )
-        out.append(replace(s, items=items))
+        scaled = (s.features - stats.mean) / stats.std
+        out.append(replace(s, features=np.where(stats.passthrough, s.features, scaled)))
     return out
 
 
@@ -311,7 +309,7 @@ def normalize_features(
     """
     if not train:
         raise ValueError("normalize_features: empty training split")
-    mat = np.vstack([s.feature_matrix() for s in train])
+    mat = np.vstack([s.features for s in train])
     mean = mat.mean(axis=0)
     std = mat.std(axis=0)
     passthrough = std < FeatureStats.EPS
@@ -331,7 +329,7 @@ def normalize_features(
 class SyntheticSpec:
     """Recipe for a seeded multi-domain ranking dataset.
 
-    Item relevance is ``sigmoid(x . (s1 * w_shared + s2 * w_domain))`` with
+    Row relevance is ``sigmoid(x . (s1 * w_shared + s2 * w_domain))`` with
     hidden weight vectors drawn once per seed; exactly one item per session
     gets label 1 (the top-relevance item, or a uniformly random one with
     probability ``label_noise``).  ``domain_shift_scale`` offsets each
@@ -356,42 +354,48 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_domains", "feature_dim", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"SyntheticSpec: {name} must be an integer")
         if self.n_domains < 1:
             raise ValueError("SyntheticSpec: n_domains must be >= 1")
         if self.feature_dim < 1:
             raise ValueError("SyntheticSpec: feature_dim must be >= 1")
+        if self.seed < 0:
+            raise ValueError("SyntheticSpec: seed must be >= 0")
         if set(self.sessions_per_domain) != set(_SPLIT_NAMES):
             raise ValueError(
                 f"SyntheticSpec: sessions_per_domain needs exactly the keys {_SPLIT_NAMES}"
             )
-        for split, counts in self.sessions_per_domain.items():
-            for c in self._counts(split):
-                if c < 0:
-                    raise ValueError(f"SyntheticSpec: negative session count in {split!r}")
-        lo, hi = self.list_length
-        if not (1 <= lo <= hi):
-            raise ValueError(f"SyntheticSpec: invalid list_length range {self.list_length}")
-        if hi > MAX_LIST_LENGTH:
+        for split in _SPLIT_NAMES:
+            self._counts(split)
+        lengths = self.list_length
+        if not (isinstance(lengths, (list, tuple)) and len(lengths) == 2
+                and all(map(_is_integer, lengths)) and 1 <= lengths[0] <= lengths[1]):
+            raise ValueError(f"SyntheticSpec: list_length must be integers 1 <= lo <= hi, "
+                             f"got {lengths!r}")
+        if lengths[1] > MAX_LIST_LENGTH:
             raise ValueError(f"SyntheticSpec: list_length above {MAX_LIST_LENGTH}")
+        object.__setattr__(self, "list_length", tuple(lengths))
         if not (0.0 <= self.label_noise < 1.0):
             raise ValueError("SyntheticSpec: label_noise must lie in [0, 1)")
-        if self.shared_weight_scale < 0 or self.domain_weight_scale < 0:
-            raise ValueError("SyntheticSpec: weight scales must be non-negative")
+        scales = (self.shared_weight_scale, self.domain_weight_scale, self.domain_shift_scale)
+        if not all(math.isfinite(s) and s >= 0 for s in scales):
+            raise ValueError("SyntheticSpec: weight and shift scales must be finite and >= 0")
         if self.shared_weight_scale == 0 and self.domain_weight_scale == 0:
             raise ValueError("SyntheticSpec: at least one weight scale must be positive")
-        if self.domain_shift_scale < 0:
-            raise ValueError("SyntheticSpec: domain_shift_scale must be non-negative")
 
     def _counts(self, split: str) -> list[int]:
         raw = self.sessions_per_domain[split]
-        if isinstance(raw, int):
-            return [raw] * self.n_domains
-        counts = list(raw)
-        if len(counts) != self.n_domains:
+        if _is_integer(raw):
+            raw = [raw] * self.n_domains
+        if not (isinstance(raw, (list, tuple)) and len(raw) == self.n_domains
+                and all(_is_integer(c) and c >= 0 for c in raw)):
             raise ValueError(
-                f"SyntheticSpec: {split!r} needs one count or {self.n_domains} per-domain counts"
+                f"SyntheticSpec: {split!r} needs one count or {self.n_domains} per-domain "
+                "counts, each a non-negative integer"
             )
-        return [int(c) for c in counts]
+        return [int(c) for c in raw]
 
 
 @dataclass
@@ -419,7 +423,7 @@ class SyntheticDataset:
 
     def relevance(self, session: QuerySession) -> np.ndarray:
         """True per-item relevance in (0, 1) under the generating model."""
-        logits = session.feature_matrix() @ self.ranking_weights(session.domain)
+        logits = session.features @ self.ranking_weights(session.domain)
         return 1.0 / (1.0 + np.exp(-logits))
 
 
@@ -457,15 +461,13 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticDataset:
                 pos = int(np.argmax(scores))
                 if rng.random() < spec.label_noise:
                     pos = int(rng.integers(n))
-                items = [
-                    Item(features=feats[j], label=1.0 if j == pos else 0.0) for j in range(n)
-                ]
                 out[split].append(
                     QuerySession(
                         query_id=f"{split}-d{d}-{i:05d}",
                         domain=d,
                         timestamp=base_ts + serial,
-                        items=items,
+                        features=feats,
+                        grades=np.arange(n) == pos,
                     )
                 )
                 serial += 1

@@ -14,6 +14,7 @@ from .models import Model, forward
 
 __all__ = [
     "NonFiniteScoreError",
+    "ranked_indices",
     "ndcg_at_k",
     "EvalSummary",
     "evaluate",
@@ -30,6 +31,11 @@ _ATTENTION_CELLS = 65_536
 
 class NonFiniteScoreError(ValueError):
     """A ranker produced a NaN or infinite score, which has no rank."""
+
+
+def ranked_indices(scores: np.ndarray) -> np.ndarray:
+    """Indices by score descending; equal scores (0.0 and -0.0 too) keep index order."""
+    return np.lexsort((np.arange(scores.size), -scores))
 
 
 def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float | None:
@@ -54,7 +60,7 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
         return None
     n = s.size
     depth = min(k, n)
-    order = sorted(range(n), key=lambda i: (-s[i], i))
+    order = ranked_indices(s)
     dcg = 0.0
     for rank in range(depth):
         dcg += lab[order[rank]] / math.log2(rank + 2)
@@ -84,8 +90,8 @@ def _length_chunks(sessions: Sequence[QuerySession]):
     """Session indices in chunks of similar length, each within
     ``_ATTENTION_CELLS``; a chunk pads its sessions to its longest one."""
     chunk: list[int] = []
-    for i in sorted(range(len(sessions)), key=lambda i: len(sessions[i].items)):
-        longest = len(sessions[i].items)
+    for i in sorted(range(len(sessions)), key=lambda i: sessions[i].features.shape[0]):
+        longest = sessions[i].features.shape[0]
         if chunk and (len(chunk) + 1) * longest * longest > _ATTENTION_CELLS:
             yield chunk
             chunk = []

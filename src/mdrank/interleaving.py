@@ -10,7 +10,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .data import QuerySession
-from .evaluation import Scorer, score_sessions
+from .evaluation import Scorer, ranked_indices, score_sessions
 from .models import Model
 
 __all__ = [
@@ -159,10 +159,6 @@ def sign_test_p(wins_a: int, wins_b: int) -> float:
     return float(min(1.0, 2.0 * binom.cdf(min(wins_a, wins_b), n, 0.5)))
 
 
-def _ranked_indices(scores: np.ndarray) -> list[int]:
-    return sorted(range(scores.size), key=lambda i: (-scores[i], i))
-
-
 def run_interleaving(
     model_a: Model | Scorer,
     model_b: Model | Scorer,
@@ -200,8 +196,8 @@ def run_interleaving(
             f"run_interleaving: page size {k} exceeds the examination curve "
             f"({len(user.examination)} positions)"
         )
-    ranks_a = [_ranked_indices(scores) for scores in score_sessions(model_a, sessions)]
-    ranks_b = [_ranked_indices(scores) for scores in score_sessions(model_b, sessions)]
+    ranks_a = [ranked_indices(scores).tolist() for scores in score_sessions(model_a, sessions)]
+    ranks_b = [ranked_indices(scores).tolist() for scores in score_sessions(model_b, sessions)]
     if relevance is not None:
         if len(relevance) != len(sessions):
             raise ValueError("run_interleaving: one relevance vector per session required")
@@ -209,7 +205,7 @@ def run_interleaving(
     else:
         rels = [np.clip(s.labels(), 0.0, 1.0) for s in sessions]
     for s, r in zip(sessions, rels):
-        if r.size != len(s.items):
+        if r.size != s.grades.size:
             raise ValueError("run_interleaving: relevance length mismatch")
 
     credit_a = credit_b = 0

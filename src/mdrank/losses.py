@@ -103,7 +103,7 @@ def batch_loss(
     cfg = model.config
     scored = forward(model, sessions)
     lens = scored.lengths
-    labels = np.array([it.label for s in sessions for it in s.items], dtype=np.float64)
+    labels = np.concatenate([s.labels() for s in sessions])
     rank = listwise_loss(scored.scores, labels, lens)
     pieces: list[Tensor] = []
     rank_value = 0.0

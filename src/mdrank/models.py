@@ -44,7 +44,7 @@ from .autodiff import (
     relu,
     take_rows,
 )
-from .data import QuerySession
+from .data import QuerySession, _is_integer
 
 __all__ = [
     "Variant",
@@ -111,11 +111,14 @@ class ModelConfig:
             raise ConfigError(
                 f"ModelConfig: unknown variant {self.variant!r}; expected one of {names}"
             ) from None
-        object.__setattr__(self, "trunk_hidden", tuple(int(w) for w in self.trunk_hidden))
-        object.__setattr__(self, "final_hidden", tuple(int(w) for w in self.final_hidden))
-        object.__setattr__(
-            self, "classifier_hidden", tuple(int(w) for w in self.classifier_hidden)
-        )
+        for name in ("feature_dim", "n_domains", "token_dim", "transformer_layers", "heads"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"ModelConfig: {name} must be an integer")
+        for name in ("trunk_hidden", "final_hidden", "classifier_hidden"):
+            widths = tuple(getattr(self, name))
+            if not all(map(_is_integer, widths)):
+                raise ConfigError(f"ModelConfig: {name} must list integer widths")
+            object.__setattr__(self, name, tuple(int(w) for w in widths))
         if self.feature_dim < 1:
             raise ConfigError("ModelConfig: feature_dim must be positive")
         if self.n_domains < 1:
@@ -135,10 +138,9 @@ class ModelConfig:
             raise ConfigError(
                 f"ModelConfig: token_dim {self.token_dim} not divisible by heads {self.heads}"
             )
-        if self.grl_lambda < 0:
-            raise ConfigError("ModelConfig: grl_lambda must be non-negative")
-        if self.domain_loss_weight < 0:
-            raise ConfigError("ModelConfig: domain_loss_weight must be non-negative")
+        for name in ("grl_lambda", "domain_loss_weight"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"ModelConfig: {name} must be finite and non-negative")
 
     def to_json_obj(self) -> dict:
         return {
@@ -309,25 +311,20 @@ def forward(
     cfg = model.config
     if not sessions:
         raise ValueError("forward: no sessions")
-    lengths = np.array([len(s.items) for s in sessions], dtype=np.int64)
+    lengths = np.array([s.features.shape[0] for s in sessions], dtype=np.int64)
     if not lengths.all():
         raise ValueError("forward: session has no items")
     domains = np.array([s.domain for s in sessions], dtype=np.int64)
     bad = domains[(domains < 0) | (domains >= cfg.n_domains)]
     if bad.size:
         raise ValueError(f"forward: session domain {bad[0]} out of range [0, {cfg.n_domains})")
-    try:
-        feats = np.array([it.features for s in sessions for it in s.items], dtype=np.float64)
-    except ValueError:
-        raise ShapeError("forward: feature widths differ across items") from None
-    if feats.shape[1] != cfg.feature_dim:
-        raise ShapeError(
-            f"forward: feature width {feats.shape[1]} does not match config "
-            f"feature_dim {cfg.feature_dim}"
-        )
+    widths = {s.features.shape[1] for s in sessions}
+    if widths != {cfg.feature_dim}:
+        raise ShapeError(f"forward: feature widths {sorted(widths)} do not match config "
+                         f"feature_dim {cfg.feature_dim}")
     p = model.parameters
 
-    h = Tensor(feats)
+    h = Tensor(np.concatenate([s.features for s in sessions]))
     for i in range(len(cfg.trunk_hidden)):
         h = relu(linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"]))
     s = linear(h, p["score.0.w"], p["score.0.b"])

@@ -52,12 +52,14 @@ class TrainConfig:
             raise ValueError("TrainConfig: epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("TrainConfig: batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("TrainConfig: learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("TrainConfig: learning_rate must be finite and non-negative")
         if self.eval_every < 1:
             raise ValueError("TrainConfig: eval_every must be >= 1")
         if self.k < 1:
             raise ValueError("TrainConfig: k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("TrainConfig: seed must be >= 0")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mdrank.data import Item, QuerySession
+from mdrank.autodiff import ShapeError, Tensor, _accumulate, _record
+from mdrank.data import QuerySession
 from mdrank.models import ModelConfig
 
 
@@ -21,8 +22,8 @@ def make_session(
     labels = (rng.random(n_items) < 0.3).astype(float)
     if ensure_positive and labels.sum() == 0:
         labels[int(rng.integers(n_items))] = 1.0
-    items = [Item(features=features[i], label=labels[i]) for i in range(n_items)]
-    return QuerySession(query_id=query_id, domain=domain, timestamp=timestamp, items=items)
+    return QuerySession(query_id=query_id, domain=domain, timestamp=timestamp,
+                        features=features, grades=labels)
 
 
 def tiny_config(variant: str = "baseline", **overrides) -> ModelConfig:
@@ -40,6 +41,32 @@ def tiny_config(variant: str = "baseline", **overrides) -> ModelConfig:
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def mul_const(x: Tensor, c) -> Tensor:
+    """Elementwise product with a constant array; gradient harnesses use it
+    to weight an op's output before summing it to a scalar."""
+    cv = np.asarray(c, dtype=np.float64)
+    if cv.shape != x.shape:
+        raise ShapeError(f"mul_const: constant shape {cv.shape} != tensor shape {x.shape}")
+    out = Tensor(x.values * cv, x.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(x, cv * g)
+
+    _record("mul_const", out, bwd)
+    return out
+
+
+def reduce_sum(x: Tensor) -> Tensor:
+    """Sum of every entry, as a scalar tensor on the active tape."""
+    out = Tensor(x.values.sum(), x.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(x, np.full_like(x.values, float(g)))
+
+    _record("reduce_sum", out, bwd)
+    return out
 
 
 @pytest.fixture

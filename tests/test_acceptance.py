@@ -24,15 +24,12 @@ from mdrank.autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
-    mul_const,
     put_rows,
-    reduce_sum,
     relu,
     segment_cross_entropy,
     take_rows,
 )
 from mdrank.data import (
-    Item,
     QuerySession,
     SyntheticSpec,
     generate_synthetic,
@@ -50,7 +47,7 @@ from mdrank.training import (
     VariantSpec,
     run_protocol,
 )
-from tests.conftest import make_session, tiny_config
+from tests.conftest import make_session, mul_const, reduce_sum, tiny_config
 
 FD_TOL = 1e-4
 EXACT = 1e-12
@@ -486,8 +483,7 @@ def _click_sessions(rng, n, n_items=6):
         feats = rng.normal(size=(n_items, 3))
         labels = np.zeros(n_items)
         labels[rng.integers(n_items)] = 1.0
-        out.append(QuerySession(f"q{i}", 0, 0,
-                                [Item(feats[j], labels[j]) for j in range(n_items)]))
+        out.append(QuerySession(f"q{i}", 0, 0, feats, labels))
     return out
 
 
@@ -529,12 +525,12 @@ def test_criterion_9_round_trip_and_split_cover(tmp_path):
         n = int(rng.integers(1, 13))
         feats = rng.normal(size=(n, 6)) * rng.uniform(0.1, 100)
         labels = rng.choice([0.0, 1.0, 2.0, 0.5], size=n)
-        items = [Item(feats[j], float(labels[j])) for j in range(n)]
         sessions.append(QuerySession(
             query_id=f"query-{i}-é",
             domain=int(rng.integers(2)),
             timestamp=int(rng.integers(0, 3_000_000)),
-            items=items,
+            features=feats,
+            grades=labels,
         ))
 
     path = tmp_path / "sessions.jsonl"

@@ -25,16 +25,14 @@ from mdrank.autodiff import (
     gradient_reversal,
     layer_norm,
     linear,
-    mul_const,
     put_rows,
-    reduce_sum,
     relu,
     scale,
     segment_cross_entropy,
     take_rows,
 )
 from mdrank.models import build, forward
-from tests.conftest import make_session, tiny_config
+from tests.conftest import make_session, mul_const, reduce_sum, tiny_config
 
 N_INSTANCES = 25  # random instances per primitive for the FD oracle
 FD_TOL = 1e-4

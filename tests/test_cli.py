@@ -1,16 +1,20 @@
 """End-to-end command-line tests driving cli.main with tiny experiments."""
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mdrank
 from mdrank import cli
@@ -308,6 +312,27 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["interleave"].update(examination_eta=-1.0), "examination_eta"),
         (lambda doc: doc["interleave"].update(examination_eta=float("nan")), "examination_eta"),
         (lambda doc: doc["interleave"].update(seed=-1), "seed"),
+        (lambda doc: doc.update(seeds=[-1]), "seeds must be distinct non-negative"),
+        (lambda doc: doc.update(seeds=[3, 3]), "seeds must be distinct"),
+        (lambda doc: doc["train"].update(seed=-2), "TrainConfig: seed"),
+        (lambda doc: doc["dataset"]["synthetic"].update(seed=-3), "SyntheticSpec: seed"),
+        (lambda doc: doc["models"]["multihead"].update(heads=1.0), "heads must be an integer"),
+        (lambda doc: doc["models"]["multihead"].update(feature_dim=5.0), "ModelConfig: feature_dim"),
+        (lambda doc: doc["models"]["multihead"].update(n_domains=2.0), "ModelConfig: n_domains"),
+        (lambda doc: doc["dataset"]["synthetic"].update(feature_dim=4.5),
+         "SyntheticSpec: feature_dim"),
+        (lambda doc: doc["dataset"]["synthetic"].update(n_domains=2.0), "SyntheticSpec: n_domains"),
+        (lambda doc: doc["dataset"]["synthetic"]["sessions_per_domain"].update(test=4.0),
+         "non-negative integer"),
+        (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[4.5]), "trunk_hidden"),
+        (lambda doc: doc["dataset"]["synthetic"].update(list_length=5), "list_length"),
+        (lambda doc: doc.update(dataset={"paths": {"train": 1, "valid": "v", "test": "t"}}),
+         "dataset.paths values"),
+        (lambda doc: doc["models"]["multihead"].update(grl_lambda=float("nan")), "grl_lambda"),
+        (lambda doc: doc["train"].update(learning_rate=float("nan")), "learning_rate"),
+        (lambda doc: doc["train"].update(learning_rate=float("inf")), "learning_rate must be finite"),
+        (lambda doc: doc["models"]["baseline_d1"].update(train_domain=2), "train_domain 2"),
+        (lambda doc: doc["interleave"]["pairs"][0].update(a=[]), "unknown model"),
     ],
 )
 def test_bad_configs_exit_config_error(tmp_path, capsys, mutate, fragment):
@@ -415,6 +440,74 @@ def test_uniform_width_mismatch_exits_config_error(tmp_path, capsys, command):
 def test_k_flag_must_be_positive(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["evaluate", "--config", str(config), "--k", "0"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("seeds", [["-3"], ["4", "4"]])
+def test_bad_seed_flag_exits_config_error(tmp_path, capsys, seeds):
+    config = _write_config(tmp_path)
+    assert cli.main(["protocol", "--config", str(config), "--seed", *seeds]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --seed")
+
+
+def test_domain_without_training_sessions_exits_data_error(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["dataset"]["synthetic"]["sessions_per_domain"]["train"] = [8, 0]
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("train", "protocol"):
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+        assert "no training sessions in domain 1" in capsys.readouterr().err
+
+
+def _config_nodes(node, path=()):
+    """Paths to every value below the top of a JSON document."""
+    if path:
+        yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _config_nodes(child, (*path, key))
+
+
+def _mutations(value):
+    """Another type, a negative, a NaN or a float where an integer belongs."""
+    out = ["text", None, True, [], {}, float("nan")]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out += [-value - 1, value + 0.5, float("inf")]
+    if isinstance(value, int) and not isinstance(value, bool):
+        out.append(float(value))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_config_never_ends_in_a_traceback(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        doc = json.loads(_write_config(root).read_text())
+        if data.draw(st.booleans(), label="paths dataset"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["generate", "--config", str(root / "experiment.json")])
+            doc["normalize"] = True
+            doc["dataset"] = {"paths": {s: str(root / "out" / "data" / f"{s}.jsonl")
+                                        for s in ("train", "valid", "test")}}
+        paths = [p for p in _config_nodes(doc) if p != ("out_dir",)]
+        path = data.draw(st.sampled_from(paths), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from(_mutations(parent[path[-1]])), label="value")
+        doc["out_dir"] = str(root / "run")
+        config = root / "mutated.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("generate", "train", "evaluate", "interleave", "protocol"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([command, "--config", str(config)])
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
 
 
 def _check_console_command(command, workdir, env):

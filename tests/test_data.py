@@ -2,15 +2,18 @@
 synthetic two-domain generator."""
 
 import math
+import tempfile
 import zlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrank.data import (
     MAX_LIST_LENGTH,
     DatasetFormatError,
-    Item,
     QuerySession,
     SyntheticSpec,
     add_text_similarity_features,
@@ -38,9 +41,7 @@ def _random_sessions(rng, n, feature_dim=4):
         )
         # sprinkle in optional text fields
         if i % 3 == 0:
-            for item in s.items:
-                item.query_text = f"query {i}"
-                item.title_text = f"title {i} extra"
+            s = replace(s, texts=((f"query {i}", f"title {i} extra"),) * s.grades.size)
         out.append(s)
     return out
 
@@ -59,12 +60,73 @@ def test_round_trip_preserves_everything(tmp_path, rng):
         assert a.query_id == b.query_id
         assert a.domain == b.domain
         assert a.timestamp == b.timestamp
-        assert len(a.items) == len(b.items)
-        for ia, ib in zip(a.items, b.items):
-            assert np.array_equal(ia.features, ib.features)  # bit-exact floats
-            assert ia.label == ib.label
-            assert ia.query_text == ib.query_text
-            assert ia.title_text == ib.title_text
+        assert np.array_equal(a.features, b.features)  # bit-exact floats
+        assert np.array_equal(a.grades, b.grades)
+        assert a.texts == b.texts
+
+
+_EDGE_FEATURES = [0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308]
+_EDGE_LABELS = [0.0, -0.0, 5e-324, 1e-310, 1e308]
+
+
+@st.composite
+def _edge_sessions(draw):
+    """A session of 1-6 rows and 0-4 features with edge floats, whose rows
+    have no text, all have text, or mix both."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    features = draw(st.lists(st.one_of(st.sampled_from(_EDGE_FEATURES), finite),
+                             min_size=n * d, max_size=n * d))
+    grades = draw(st.lists(st.one_of(st.sampled_from(_EDGE_LABELS), st.floats(0.0, 1e308)),
+                           min_size=n, max_size=n))
+    text = st.text(max_size=6)
+    layout = draw(st.sampled_from(["none", "all", "mixed"]))
+    texts = None
+    if layout == "all":
+        texts = tuple((draw(text), draw(text)) for _ in range(n))
+    elif layout == "mixed":
+        texts = tuple((draw(st.none() | text), draw(st.none() | text)) for _ in range(n))
+        if all(q is None and t is None for q, t in texts):
+            texts = None
+    return QuerySession(draw(st.text(max_size=5)), draw(st.integers(0, 3)),
+                        draw(st.integers(-2**40, 2**40)), np.reshape(features, (n, d)),
+                        grades, texts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_edge_sessions(), min_size=1, max_size=5))
+def test_round_trip_is_bit_exact_and_rewrites_the_same_bytes(sessions):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.jsonl", Path(tmp) / "second.jsonl"
+        write_dataset(sessions, first)
+        loaded = load_dataset(first)
+        assert len(loaded) == len(sessions)
+        for a, b in zip(sessions, loaded):
+            assert (a.query_id, a.domain, a.timestamp) == (b.query_id, b.domain, b.timestamp)
+            assert a.features.shape == b.features.shape
+            assert a.features.tobytes() == b.features.tobytes()
+            assert a.grades.tobytes() == b.grades.tobytes()
+            assert a.texts == b.texts
+        write_dataset(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_session_holds_read_only_copies_of_matching_shapes():
+    features, grades = np.ones((3, 2)), np.array([1.0, 0.0, 0.0])
+    session = QuerySession("q", 0, 0, features, grades)
+    features[0, 0], grades[0] = 5.0, 7.0
+    assert session.features[0, 0] == 1.0 and session.grades[0] == 1.0
+    assert session.feature_matrix() is session.features and session.labels() is session.grades
+    with pytest.raises(ValueError, match="read-only"):
+        session.labels()[0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        session.feature_matrix()[0, 0] = 2.0
+    for bad_features, bad_grades in ((np.ones(3), grades), (features, np.ones(2)),
+                                     (features, np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="QuerySession"):
+            QuerySession("q", 0, 0, bad_features, bad_grades)
+    with pytest.raises(ValueError, match="texts"):
+        QuerySession("q", 0, 0, features, grades, texts=(("query", "title"),))
 
 
 def test_load_preserves_input_order(tmp_path, rng):
@@ -129,10 +191,10 @@ def test_load_rejects_overlong_sessions(tmp_path):
 
 def test_split_by_time_half_open_boundaries():
     sessions = [
-        QuerySession("a", 0, 5, [Item(np.zeros(1), 0.0)]),
-        QuerySession("b", 0, 10, [Item(np.zeros(1), 0.0)]),
-        QuerySession("c", 0, 19, [Item(np.zeros(1), 0.0)]),
-        QuerySession("d", 0, 20, [Item(np.zeros(1), 0.0)]),
+        QuerySession("a", 0, 5, np.zeros((1, 1)), [0.0]),
+        QuerySession("b", 0, 10, np.zeros((1, 1)), [0.0]),
+        QuerySession("c", 0, 19, np.zeros((1, 1)), [0.0]),
+        QuerySession("d", 0, 20, np.zeros((1, 1)), [0.0]),
     ]
     train, valid, test = split_by_time(sessions, train_end=10, valid_end=20)
     assert [s.query_id for s in train] == ["a"]
@@ -208,9 +270,12 @@ def test_add_text_similarity_features_appends_two_columns(rng):
     sessions = _random_sessions(rng, 6)
     out = add_text_similarity_features(sessions)
     for before, after in zip(sessions, out):
-        for ia, ib in zip(before.items, after.items):
-            assert ib.features.size == ia.features.size + 2
-            assert np.array_equal(ib.features[:-2], ia.features)
+        assert after.features.shape == (before.features.shape[0], before.features.shape[1] + 2)
+        assert np.array_equal(after.features[:, :-2], before.features)
+        for (q, t), extra in zip(before.texts or (), after.features[:, -2:]):
+            assert np.array_equal(extra, text_similarity(q, t))
+        if before.texts is None:
+            assert not after.features[:, -2:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +301,7 @@ def test_normalize_is_identity_for_standardized_input(rng):
     sessions = _random_sessions(rng, 40)
     rows = np.concatenate([s.feature_matrix() for s in sessions])
     mean, std = rows.mean(axis=0), rows.std(axis=0)
-    for s in sessions:
-        for item in s.items:
-            item.features = (item.features - mean) / std
+    sessions = [replace(s, features=(s.features - mean) / std) for s in sessions]
     (normed,), _ = normalize_features(sessions)
     for before, after in zip(sessions, normed):
         assert np.allclose(after.feature_matrix(), before.feature_matrix(), atol=1e-9)
@@ -246,9 +309,10 @@ def test_normalize_is_identity_for_standardized_input(rng):
 
 def test_normalize_passes_constant_features_through(rng):
     sessions = _random_sessions(rng, 10, feature_dim=3)
-    for s in sessions:
-        for item in s.items:
-            item.features[1] = 7.0  # constant column
+    for i, s in enumerate(sessions):
+        features = s.features.copy()
+        features[:, 1] = 7.0  # constant column
+        sessions[i] = replace(s, features=features)
     (normed,), stats = normalize_features(sessions)
     assert stats.passthrough.tolist() == [False, True, False]
     for s in normed:

@@ -4,10 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrank import evaluation
-from mdrank.data import MAX_LIST_LENGTH, Item, QuerySession
-from mdrank.evaluation import NonFiniteScoreError, evaluate, ndcg_at_k, score_sessions
+from mdrank.data import MAX_LIST_LENGTH, QuerySession
+from mdrank.evaluation import (
+    NonFiniteScoreError,
+    evaluate,
+    ndcg_at_k,
+    ranked_indices,
+    score_sessions,
+)
 from mdrank.models import build, forward
 from tests.conftest import make_session, tiny_config
 
@@ -61,6 +68,16 @@ def test_ties_break_by_original_index():
     # equal scores leave items in input order: positive at index 1 lands rank 2
     got = ndcg_at_k([1.0, 1.0, 1.0], [0.0, 1.0, 0.0], k=3)
     assert abs(got - 1.0 / math.log2(3.0)) < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=40))
+def test_ranked_indices_match_the_sorted_rule_on_ties(values):
+    """Highest score first, equal scores (0.0 and -0.0 alike) by index."""
+    s = np.array(values)
+    assert ranked_indices(s).tolist() == sorted(range(s.size), key=lambda i: (-s[i], i))
 
 
 def test_all_zero_labels_are_excluded():
@@ -132,7 +149,7 @@ def test_evaluate_matches_per_session_averaging(rng):
 
     def scorer(session):
         local = np.random.default_rng(abs(hash(session.query_id)) % 2**32)
-        return local.normal(size=len(session.items))
+        return local.normal(size=session.grades.size)
 
     summary = evaluate(scorer, sessions, k=5)
     by_domain = {0: [], 1: []}
@@ -168,7 +185,7 @@ def test_evaluate_omits_empty_domains(rng):
 
 def test_evaluate_excludes_unlabeled_sessions(rng):
     labeled = make_session(rng, 4, 4, domain=0)
-    blank = QuerySession("z", 0, 0, [Item(np.zeros(4), 0.0), Item(np.ones(4), 0.0)])
+    blank = QuerySession("z", 0, 0, [np.zeros(4), np.ones(4)], [0.0, 0.0])
     summary = evaluate(_label_scorer, [labeled, blank], k=4)
     assert summary.per_domain_sessions[0] == 1
     assert summary.sessions_evaluated == 1
@@ -177,8 +194,7 @@ def test_evaluate_excludes_unlabeled_sessions(rng):
 def test_antioracle_scorer_closed_form(rng):
     """Scoring by negated labels pushes the single positive to the bottom."""
     n = 6
-    items = [Item(np.zeros(2), 1.0 if i == 0 else 0.0) for i in range(n)]
-    session = QuerySession("q", 0, 0, items)
+    session = QuerySession("q", 0, 0, np.zeros((n, 2)), np.eye(n)[0])
 
     def anti(s):
         return -s.labels()
@@ -211,7 +227,7 @@ def test_long_sessions_are_scored_in_chunks_within_the_cell_cap(rng, monkeypatch
     real = evaluation.forward
 
     def spy(model, batch, **kwargs):
-        chunks.append([len(s.items) for s in batch])
+        chunks.append([s.grades.size for s in batch])
         return real(model, batch, **kwargs)
 
     monkeypatch.setattr(evaluation, "forward", spy)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mdrank.data import Item, QuerySession
+from mdrank.data import QuerySession
 from mdrank.evaluation import NonFiniteScoreError
 from mdrank.interleaving import (
     InterleavedList,
@@ -23,8 +23,7 @@ def _sessions(rng, n, n_items=6, feature_dim=3):
         feats = rng.normal(size=(n_items, feature_dim))
         labels = np.zeros(n_items)
         labels[rng.integers(n_items)] = 1.0
-        items = [Item(feats[j], labels[j]) for j in range(n_items)]
-        out.append(QuerySession(f"q{i}", 0, 0, items))
+        out.append(QuerySession(f"q{i}", 0, 0, feats, labels))
     return out
 
 
@@ -175,7 +174,7 @@ def test_interleaving_credit_is_conserved():
     rng = np.random.default_rng(40)
     sessions = _sessions(rng, 5)
     user = UserModel((1.0, 1.0, 1.0, 1.0))
-    rel = [np.ones(len(s.items)) for s in sessions]
+    rel = [np.ones(s.grades.size) for s in sessions]
     report = run_interleaving(
         _feature_sum_scorer, lambda s: -_feature_sum_scorer(s), sessions, user,
         n_impressions=50, seed=1, k=4, relevance=rel,
@@ -238,8 +237,7 @@ def test_swapping_rankers_mirrors_the_experiment_exactly():
 def test_moving_a_relevant_item_up_never_hurts():
     """Monotonicity probe on a constructed instance: promoting the most
     relevant item in A's ranking cannot lower A's expected credit."""
-    items = [Item(np.zeros(2), 0.0) for _ in range(4)]
-    session = QuerySession("q", 0, 0, items)
+    session = QuerySession("q", 0, 0, np.zeros((4, 2)), np.zeros(4))
     rel = [np.array([1.0, 0.3, 0.1, 0.05])]
     user = UserModel.position_decay(4)
     b_scores = np.array([0.05, 0.1, 0.3, 1.0])  # B ranks worst-first
@@ -262,7 +260,7 @@ def test_moving_a_relevant_item_up_never_hurts():
 def test_zero_credit_is_flagged_inconclusive():
     rng = np.random.default_rng(44)
     sessions = _sessions(rng, 3)
-    rel = [np.zeros(len(s.items)) for s in sessions]
+    rel = [np.zeros(s.grades.size) for s in sessions]
     report = run_interleaving(
         _feature_sum_scorer, _feature_sum_scorer, sessions,
         UserModel.position_decay(4), n_impressions=20, seed=2, k=4, relevance=rel,
@@ -290,7 +288,7 @@ def test_non_finite_scores_raise(bad_value):
     """A ranker with NaN or infinite scores has no ranking to draft from."""
     sessions = _sessions(np.random.default_rng(3), 5)
     good = lambda s: s.feature_matrix().sum(axis=1)
-    bad = lambda s: np.full(len(s.items), bad_value)
+    bad = lambda s: np.full(s.grades.size, bad_value)
     for a, b in ((bad, good), (good, bad)):
         with pytest.raises(NonFiniteScoreError):
             run_interleaving(a, b, sessions, UserModel.position_decay(6),

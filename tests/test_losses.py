@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdrank.autodiff import Tape, Tensor, backward, grad_check, scale
-from mdrank.data import Item, QuerySession
+from mdrank.data import QuerySession
 from mdrank.losses import batch_loss, domain_loss, listwise_loss
 from mdrank.models import build, forward
 from tests.conftest import make_session, tiny_config
@@ -16,8 +16,7 @@ SHARED_PREFIXES = ("trunk.", "score.", "token.", "transformer.")
 
 def _session_with_labels(labels, feature_dim=5, domain=0, seed=0):
     rng = np.random.default_rng(seed)
-    items = [Item(features=rng.normal(size=feature_dim), label=l) for l in labels]
-    return QuerySession("q", domain, 0, items)
+    return QuerySession("q", domain, 0, rng.normal(size=(len(labels), feature_dim)), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Model construction, forward semantics, and serialization tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mdrank.autodiff import ShapeError, Tape, backward
-from mdrank.data import Item, QuerySession
+from mdrank.data import QuerySession
 from mdrank.losses import batch_loss
 from mdrank.models import (
     ConfigError,
@@ -170,7 +171,7 @@ def test_forward_rejects_bad_sessions(rng):
     with pytest.raises(ValueError):
         forward(model, [])
     with pytest.raises(ValueError):
-        forward(model, [good, QuerySession("q", 0, 0, [])])
+        forward(model, [good, QuerySession("q", 0, 0, np.zeros((0, 5)), [])])
     with pytest.raises(ShapeError):
         forward(model, [make_session(rng, 3, feature_dim=4)])  # wrong width
     with pytest.raises(ShapeError):
@@ -265,8 +266,7 @@ def test_forward_is_permutation_equivariant(rng):
     model = build(tiny_config(), seed=2)
     session = make_session(rng, 8, feature_dim=5)
     perm = rng.permutation(8)
-    shuffled = QuerySession(session.query_id, session.domain, session.timestamp,
-                            [session.items[i] for i in perm])
+    shuffled = replace(session, features=session.features[perm], grades=session.grades[perm])
     base = _scores(model, session)
     moved = _scores(model, shuffled)
     assert np.allclose(moved, base[perm], atol=1e-9)
