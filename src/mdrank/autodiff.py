@@ -53,17 +53,21 @@ class ShapeError(ValueError):
 class Tensor:
     """Dense float64 array plus an optional gradient buffer.
 
-    ``grad`` is lazily allocated by the backward pass and has the same shape
-    as ``values``.  Tensors are never mutated by operations; optimizers may
-    update ``values`` in place between steps.
+    ``grad`` is set by the backward pass and has the same shape as
+    ``values``.  It is a fresh array, or the tensor's ``grad_buffer`` when
+    one is set: a model's parameters hold views into one gradient vector
+    there, which the first gradient of each backward pass overwrites.
+    Tensors are never mutated by operations; optimizers may update
+    ``values`` in place between steps.
     """
 
-    __slots__ = ("values", "grad", "requires_grad")
+    __slots__ = ("values", "grad", "requires_grad", "grad_buffer")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self.grad_buffer: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -130,8 +134,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # g + 0.0 has the bits of zeros + g and overwrites a stale buffer
+        buf = t.grad_buffer if t.grad_buffer is not None else np.empty_like(t.values)
+        t.grad = np.add(g, 0.0, out=buf)
+    else:
+        t.grad += g
 
 
 def backward(tape: Tape, loss: Tensor) -> None:

@@ -151,8 +151,11 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
         ):
             raise DatasetFormatError(f"{iw}: features must be a list of numbers")
-        vec = np.asarray(feats, dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
+        try:
+            vec = np.asarray(feats, dtype=np.float64)
+        except OverflowError:  # a JSON integer beyond the float64 range
+            vec = None
+        if vec is None or not np.all(np.isfinite(vec)):
             raise DatasetFormatError(f"{iw}: features must be finite")
         if dim is None:
             dim = vec.size
@@ -161,7 +164,10 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
         label = raw["label"]
         if isinstance(label, bool) or not isinstance(label, (int, float)):
             raise DatasetFormatError(f"{iw}: label must be a number")
-        label = float(label)
+        try:
+            label = float(label)
+        except OverflowError:  # a JSON integer beyond the float64 range
+            label = math.inf
         if not math.isfinite(label) or label < 0.0:
             raise DatasetFormatError(f"{iw}: label must be finite and non-negative")
         q = raw.get("q")

@@ -201,30 +201,46 @@ class Model:
 
     Parameter iteration order is fixed by construction, which keeps
     initialization, optimization, and serialization deterministic.
+
+    The constructor packs every parameter into one float64 vector
+    ``values``, in that order: each tensor's ``values`` becomes a reshaped
+    view into it (``slices[i]`` locates parameter i), and its
+    ``grad_buffer`` the matching view into the parallel vector ``grads``.
+    Write parameter values in place; rebinding one detaches it from the
+    vectors the optimizer updates.
     """
 
     def __init__(self, config: ModelConfig, parameters: dict[str, Tensor], seed: int):
         self.config = config
         self.parameters = parameters
         self.seed = seed
+        ends = np.cumsum([t.values.size for t in parameters.values()]).tolist()
+        self.slices = [slice(end - t.values.size, end)
+                       for end, t in zip(ends, parameters.values())]
+        self.values = np.empty(ends[-1])
+        self.grads = np.zeros_like(self.values)
+        for sl, t in zip(self.slices, parameters.values()):
+            shape = t.values.shape
+            self.values[sl] = t.values.reshape(-1)
+            t.values = self.values[sl].reshape(shape)
+            t.grad_buffer = self.grads[sl].reshape(shape)
 
     def zero_grad(self) -> None:
         for p in self.parameters.values():
             p.zero_grad()
 
     def copy(self) -> "Model":
-        params = {
-            name: Tensor(t.values.copy(), requires_grad=True)
-            for name, t in self.parameters.items()
-        }
+        """A model with the same parameter values in an arena of its own."""
+        params = {name: Tensor(t.values, requires_grad=True)
+                  for name, t in self.parameters.items()}
         return Model(self.config, params, self.seed)
 
-    def param_values(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.parameters.items()}
+    def param_values(self) -> np.ndarray:
+        return self.values.copy()
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            self.parameters[name].values = arr.copy()
+    def load_values(self, values: np.ndarray) -> None:
+        """Write a ``param_values()`` snapshot back in place."""
+        self.values[:] = values
 
     def __repr__(self) -> str:
         return f"Model(variant={self.config.variant.value}, parameters={count_parameters(self)})"

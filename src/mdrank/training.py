@@ -72,7 +72,14 @@ class HistoryRecord:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the usual defaults."""
+    """Adaptive-moment optimizer with the usual defaults.
+
+    The moments ``m`` and ``v`` are flat vectors parallel to the model's
+    parameter arena.  A step updates the whole arena at once when every
+    parameter has a gradient in its buffer, and otherwise each parameter
+    that has one, so a parameter whose ``grad`` is None (a multihead head
+    whose domain was absent from the batch) keeps its values and moments.
+    """
 
     def __init__(self, model: Model, learning_rate: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -82,24 +89,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in model.parameters.items()}
-        self.v = {name: np.zeros_like(p.values) for name, p in model.parameters.items()}
+        self.m = np.zeros_like(model.values)
+        self.v = np.zeros_like(model.values)
 
     def step(self) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, p in self.model.parameters.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        model = self.model
+        params = model.parameters.values()
+        if all(p.grad is p.grad_buffer for p in params):
+            self._update(model.values, model.grads, self.m, self.v, b1c, b2c)
+            return
+        for sl, p in zip(model.slices, params):
+            if p.grad is not None:
+                shape = p.values.shape
+                self._update(p.values, p.grad, self.m[sl].reshape(shape),
+                             self.v[sl].reshape(shape), b1c, b2c)
+
+    def _update(self, values, g, m, v, b1c: float, b2c: float) -> None:
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def _batches(n: int, batch_size: int, order: np.ndarray):

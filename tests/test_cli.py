@@ -426,6 +426,18 @@ def test_mixed_feature_widths_exit_data_error(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
+def test_integer_beyond_the_float_range_exits_data_error(tmp_path, capsys, command):
+    def edit(split, sessions):
+        if split == "train":
+            sessions[0]["items"][0]["label"] = 10**400
+
+    config = _edited_dataset_config(tmp_path, edit)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "label must be finite" in err
+
+
+@pytest.mark.parametrize("command", SPLIT_COMMANDS)
 def test_uniform_width_mismatch_exits_config_error(tmp_path, capsys, command):
     def edit(split, sessions):
         for session in sessions:

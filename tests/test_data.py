@@ -168,6 +168,19 @@ def test_load_validates_fields(tmp_path):
             load_dataset(path)
 
 
+@pytest.mark.parametrize("item, fragment", [
+    ('{"features":[1.0],"label":1%s}', "label must be finite"),
+    ('{"features":[1.0,-1%s],"label":1}', "features must be finite"),
+], ids=["label", "feature"])
+def test_load_rejects_integers_beyond_the_float_range(tmp_path, item, fragment):
+    """A 401-digit JSON integer cannot become a float64."""
+    line = '{"query_id":"a","domain":0,"ts":1,"items":[%s]}' % (item % ("0" * 400))
+    path = tmp_path / "huge.jsonl"
+    _write_lines(path, [line])
+    with pytest.raises(DatasetFormatError, match=f":1, item 0: {fragment}"):
+        load_dataset(path)
+
+
 def test_load_checks_domain_range_when_told(tmp_path):
     line = '{"query_id":"a","domain":5,"ts":1,"items":[{"features":[1.0],"label":1.0}]}'
     path = tmp_path / "d.jsonl"

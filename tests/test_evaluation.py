@@ -258,3 +258,97 @@ def test_model_with_nan_weights_raises_non_finite(rng):
     model.parameters["final.1.b"].values[:] = np.nan
     with pytest.raises(NonFiniteScoreError):
         evaluate(model, [make_session(rng, 4, 5)], k=4)
+
+
+# ---------------------------------------------------------------------------
+# batched NDCG in evaluate against the one-session reference
+
+_TIED_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+                         st.floats(-1e6, 1e6, allow_nan=False))
+_GRADES = st.sampled_from([0.0, -0.0, 0.0, 1.0, 2.0, 0.5, 3.0])
+# ndcg_at_k takes any finite grade; data files hold non-negative ones
+_SIGNED_GRADES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 3.0])
+
+
+@st.composite
+def _scored_sessions(draw, equal_lengths=False, grade=_GRADES):
+    """Sessions with tied (0.0 against -0.0 too) and all-zero-label rows,
+    single items, ragged or equal lengths, each with its own scores."""
+    count = draw(st.integers(1, 8))
+    fixed = draw(st.integers(1, 24))
+    sessions, scores = [], {}
+    for i in range(count):
+        n = fixed if equal_lengths else draw(st.integers(1, 24))
+        grades = draw(st.one_of(st.lists(grade, min_size=n, max_size=n),
+                                st.just([0.0] * n)))
+        qid = f"q{i}"
+        scores[qid] = np.array(draw(st.lists(_TIED_SCORES, min_size=n, max_size=n)))
+        sessions.append(QuerySession(qid, draw(st.integers(0, 2)), 0, np.zeros((n, 1)), grades))
+    return sessions, scores
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # signed grades can make IDCG 0
+@settings(max_examples=300, deadline=None)
+@given(st.builds(dict, equal_lengths=st.booleans(), grade=st.sampled_from([_GRADES, _SIGNED_GRADES]))
+       .flatmap(lambda kw: _scored_sessions(**kw)), st.integers(1, 30))
+def test_batched_evaluate_equals_the_mean_of_ndcg_at_k_exactly(case, k):
+    """Equality is by repr, which tells every float apart (0.0 from -0.0
+    too) and matches NaN to NaN."""
+    sessions, scores = case
+
+    def scorer(session):
+        return scores[session.query_id]
+
+    summary = evaluate(scorer, sessions, k)
+    sums, counts = {}, {}
+    for s in sessions:
+        value = ndcg_at_k(scores[s.query_id], s.labels(), k)
+        if value is not None:
+            sums[s.domain] = sums.get(s.domain, 0.0) + value
+            counts[s.domain] = counts.get(s.domain, 0) + 1
+    assert repr(summary.per_domain) == repr({d: sums[d] / counts[d] for d in sorted(sums)})
+    assert summary.per_domain_sessions == {d: counts[d] for d in sorted(counts)}
+    total = sum(counts.values())
+    assert summary.sessions_evaluated == total
+    assert repr(summary.overall) == repr(sum(sums.values()) / total if total else None)
+    # per session, where evaluate's sums would hide -0.0
+    values, evaluable = evaluation._ndcg_rows([scores[s.query_id] for s in sessions],
+                                              [s.labels() for s in sessions], k)
+    want = [ndcg_at_k(scores[s.query_id], s.labels(), k) for s in sessions]
+    assert evaluable.tolist() == [w is not None for w in want]
+    assert repr(values.tolist()) == repr([w for w in want if w is not None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scored_sessions(), st.integers(1, 30))
+def test_ndcg_lies_in_the_unit_interval(case, k):
+    sessions, scores = case
+    for s in sessions:
+        value = ndcg_at_k(scores[s.query_id], s.labels(), k)
+        assert value is None or 0.0 <= value <= 1.0
+    summary = evaluate(lambda s: scores[s.query_id], sessions, k)
+    assert all(0.0 <= v <= 1.0 for v in summary.per_domain.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 24), st.integers(1, 30))
+def test_ndcg_is_invariant_when_distinctly_scored_items_are_permuted(data, n, k):
+    # unique=True also keeps 0.0 and -0.0, which tie, out of one list
+    scores = np.array(data.draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                                         min_size=n, max_size=n, unique=True)))
+    grades = np.array(data.draw(st.lists(_GRADES, min_size=n, max_size=n)))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    before = ndcg_at_k(scores, grades, k)
+    after = ndcg_at_k(scores[perm], grades[perm], k)
+    assert before == after
+    session = QuerySession("q", 0, 0, np.zeros((n, 1)), grades[perm])
+    batched = evaluate(lambda s: scores[perm], [session], k)
+    assert batched.overall == before
+
+
+def test_evaluate_checks_k_and_score_shapes(rng):
+    session = make_session(rng, 4, 4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluate(_label_scorer, [session], k=0)
+    with pytest.raises(ValueError, match="scores of shape"):
+        evaluate(lambda s: np.zeros(3), [session], k=4)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrank.data import QuerySession
 from mdrank.evaluation import NonFiniteScoreError
@@ -303,3 +304,20 @@ def test_model_with_nan_scores_raises():
     with pytest.raises(NonFiniteScoreError):
         run_interleaving(good, broken, sessions, UserModel.position_decay(6),
                          n_impressions=10, seed=0, k=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 14), st.integers(1, 20))
+def test_team_draft_invariants(data, n, k):
+    """No item twice, team sizes within one, and each team's picks in the
+    order of its own ranking, for any two rankings and coin sequence."""
+    rank_a = data.draw(st.permutations(range(n)))
+    rank_b = data.draw(st.permutations(range(n)))
+    coins = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    page = team_draft(rank_a, rank_b, k, coins=coins)
+    assert len(page.items) == min(k, n) == len(page.team_of)
+    assert len(set(page.items)) == len(page.items)
+    assert abs(page.team_of.count("A") - page.team_of.count("B")) <= 1
+    for team, ranking in (("A", rank_a), ("B", rank_b)):
+        picks = [ranking.index(item) for item, t in zip(page.items, page.team_of) if t == team]
+        assert picks == sorted(picks)

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from mdrank.autodiff import Tape, backward
 from mdrank.data import SyntheticSpec, generate_synthetic
 from mdrank.evaluation import evaluate
-from mdrank.models import build
+from mdrank.losses import batch_loss
+from mdrank.models import build, load, save
 from mdrank.training import (
+    Adam,
     DataSplits,
     EvalReport,
     TrainConfig,
@@ -15,7 +18,7 @@ from mdrank.training import (
     run_protocol,
     train,
 )
-from tests.conftest import tiny_config
+from tests.conftest import make_session, tiny_config
 
 
 def _splits(seed=5, train=40, valid=12, test=16, feature_dim=5):
@@ -118,6 +121,128 @@ def test_train_config_validation():
         TrainConfig(k=0)
     with pytest.raises(ValueError):
         TrainConfig(eval_every=0)
+
+
+# ---------------------------------------------------------------------------
+# parameter arena: one vector each for values, gradients and Adam moments
+
+
+VARIANTS = ("baseline", "multihead", "domain_adversarial", "domain_specialist")
+
+
+def _backward(model, batch):
+    model.zero_grad()
+    with Tape() as tape:
+        _, loss = batch_loss(model, batch)
+        backward(tape, loss)
+
+
+class _TensorAdam:
+    """Adam over each parameter tensor on its own, with dict moments: the
+    reference the flat optimizer must match bit for bit."""
+
+    def __init__(self, model, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.model, self.lr, self.beta1, self.beta2, self.eps, self.t = (
+            model, lr, beta1, beta2, eps, 0)
+        self.m = {n: np.zeros_like(p.values) for n, p in model.parameters.items()}
+        self.v = {n: np.zeros_like(p.values) for n, p in model.parameters.items()}
+
+    def step(self):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for name, p in self.model.parameters.items():
+            if p.grad is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * p.grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * p.grad * p.grad
+            p.values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def _mixed_batches(rng):
+    """Five batches over two domains; the third and fifth lack one."""
+    domains = [(0, 1, 0, 1), (1, 0, 1, 1), (0, 0, 0), (1, 0), (1, 1)]
+    return [[make_session(rng, int(rng.integers(1, 7)), 5, domain=d, query_id=f"q{i}")
+             for i, d in enumerate(batch)] for batch in domains]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_flat_adam_matches_per_tensor_adam_bitwise(rng, variant):
+    flat, ref = build(tiny_config(variant), seed=4), build(tiny_config(variant), seed=4)
+    flat_opt, ref_opt = Adam(flat, 0.05), _TensorAdam(ref, 0.05)
+    for batch in _mixed_batches(rng):
+        for model, opt in ((flat, flat_opt), (ref, ref_opt)):
+            _backward(model, batch)
+            opt.step()
+        for (name, p), sl in zip(flat.parameters.items(), flat.slices):
+            assert p.values.tobytes() == ref.parameters[name].values.tobytes(), name
+            assert flat_opt.m[sl].tobytes() == ref_opt.m[name].tobytes(), name
+            assert flat_opt.v[sl].tobytes() == ref_opt.v[name].tobytes(), name
+
+
+def test_absent_domain_head_keeps_values_and_moments(rng):
+    model = build(tiny_config("multihead", n_domains=3), seed=5)
+    opt = Adam(model, 0.05)
+    every = [make_session(rng, 4, 5, domain=d, query_id=f"a{d}") for d in (0, 1, 2)]
+    _backward(model, every)
+    opt.step()  # moments of every head are now non-zero
+    head = [sl for name, sl in zip(model.parameters, model.slices) if name.startswith("head.1.")]
+    before = [(model.values[sl].tobytes(), opt.m[sl].tobytes(), opt.v[sl].tobytes())
+              for sl in head]
+    _backward(model, [make_session(rng, 3, 5, domain=d, query_id=f"b{d}") for d in (2, 0)])
+    assert all(model.parameters[n].grad is None for n in model.parameters
+               if n.startswith("head.1."))
+    opt.step()
+    after = [(model.values[sl].tobytes(), opt.m[sl].tobytes(), opt.v[sl].tobytes())
+             for sl in head]
+    assert after == before
+    assert all(opt.m[sl].any() for sl in head)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_per_tensor_zero_grad_then_backward_gives_a_fresh_gradient(rng, variant):
+    first, second = _mixed_batches(rng)[:2]
+    used, fresh = build(tiny_config(variant), seed=8), build(tiny_config(variant), seed=8)
+    _backward(used, first)  # leaves stale gradients in the arena
+    for p in used.parameters.values():
+        p.zero_grad()
+    with Tape() as tape:
+        _, loss = batch_loss(used, second)
+        backward(tape, loss)
+    _backward(fresh, second)
+    for name, p in used.parameters.items():
+        want = fresh.parameters[name].grad
+        assert (p.grad is None) == (want is None), name
+        if want is not None:
+            assert p.grad.tobytes() == want.tobytes(), name
+            assert p.grad is p.grad_buffer
+
+
+def test_copies_and_loads_own_their_arenas(rng):
+    original = build(tiny_config("domain_specialist"), seed=9)
+    snapshot = original.param_values()
+    for other in (original.copy(), load(save(original))):
+        assert other.values.tobytes() == snapshot.tobytes()
+        assert not np.shares_memory(other.values, original.values)
+        assert not np.shares_memory(other.grads, original.grads)
+        opt = Adam(other, 0.1)
+        for batch in _mixed_batches(rng)[:2]:
+            _backward(other, batch)
+            opt.step()
+        assert other.values.tobytes() != snapshot.tobytes()
+        assert original.values.tobytes() == snapshot.tobytes()
+        assert all(p.grad is None for p in original.parameters.values())
+    views = {name: p.values for name, p in original.parameters.items()}
+    original.load_values(np.zeros_like(snapshot))
+    original.load_values(snapshot)
+    for (name, p), sl in zip(original.parameters.items(), original.slices):
+        assert p.values is views[name]
+        assert np.shares_memory(p.values, original.values[sl])
+        assert np.shares_memory(p.grad_buffer, original.grads[sl])
+    assert original.values.tobytes() == snapshot.tobytes()
 
 
 # ---------------------------------------------------------------------------
