@@ -110,7 +110,8 @@ def score_sessions(
 
     A Model scores chunks of sessions in one forward pass each, without
     its domain classifier; a callable is called per session.  Raises
-    ``NonFiniteScoreError`` on a NaN or infinite score.
+    ``NonFiniteScoreError`` on a NaN or infinite score and ``ValueError``
+    on scores that are not one per item.
     """
     if isinstance(model_or_fn, Model):
         scores: list[np.ndarray] = [None] * len(sessions)
@@ -124,6 +125,9 @@ def score_sessions(
     for session, values in zip(sessions, scores):
         if not np.all(np.isfinite(values)):
             raise NonFiniteScoreError(f"session {session.query_id!r}: scores must be finite")
+        if values.shape != session.grades.shape:
+            raise ValueError(f"session {session.query_id!r}: scores of shape {values.shape} "
+                             f"for {session.grades.size} labels")
     return scores
 
 
@@ -211,10 +215,9 @@ def evaluate(
         raise ValueError(f"evaluate: k must be >= 1, got {k}")
     scores = score_sessions(model_or_fn, sessions)
     labels = [session.labels() for session in sessions]
-    for session, values, lab in zip(sessions, scores, labels):
-        if values.shape != lab.shape or not lab.size:
-            raise ValueError(f"session {session.query_id!r}: scores of shape {values.shape} "
-                             f"for {lab.size} labels")
+    for session, lab in zip(sessions, labels):
+        if not lab.size:
+            raise ValueError(f"session {session.query_id!r}: no items to rank")
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     if sessions:

@@ -82,7 +82,8 @@ def team_draft(
     The team with fewer picks drafts next; on equal counts the next entry of
     ``coins`` decides, True meaning team A drafts first (so teams alternate
     within each coin-decided round).  The drafting team contributes its
-    highest-ranked item not yet placed.
+    highest-ranked item not yet placed.  This is the one-page reference:
+    ``run_interleaving`` drafts all its pages at once with ``_draft_pages``.
     """
     if k < 1:
         raise ValueError(f"team_draft: k must be >= 1, got {k}")
@@ -131,11 +132,13 @@ def simulate_session(
     """Draw an independent purchase decision per displayed position.
 
     ``relevance`` is indexed by item (the entries of ``interleaved.items``
-    must be valid indices into it) and must lie in [0, 1].
+    must be valid indices into it) and must lie in [0, 1].  This is the
+    one-page reference: ``run_interleaving`` simulates all its pages at
+    once with the same arithmetic.
     """
     rel = np.asarray(relevance, dtype=np.float64)
-    if np.any(rel < 0.0) or np.any(rel > 1.0):
-        raise ValueError("simulate_session: relevance must lie in [0, 1]")
+    if not np.all((rel >= 0.0) & (rel <= 1.0)):
+        raise ValueError("simulate_session: relevance must be finite and lie in [0, 1]")
     n = len(interleaved.items)
     if n > len(user.examination):
         raise ValueError(
@@ -159,6 +162,47 @@ def sign_test_p(wins_a: int, wins_b: int) -> float:
     return float(min(1.0, 2.0 * binom.cdf(min(wins_a, wins_b), n, 0.5)))
 
 
+def _draft_pages(
+    ranks: Sequence[tuple[np.ndarray, np.ndarray]],
+    session_of: np.ndarray,
+    a_turn: np.ndarray,
+) -> np.ndarray:
+    """Team-draft one page per impression, all impressions at once.
+
+    ``ranks[s]`` holds the item orders of rankers A and B on session s,
+    ``session_of[i]`` the session of impression i, and ``a_turn[i, t]``
+    whether team A drafts position t of page i.  Returns the ``(I, width)``
+    item drafted at each position, ``width`` being ``a_turn``'s; positions
+    past a session's length hold item 0.
+
+    A team's pick at position t is among its own first t + 1 items, of
+    which at most t are placed, so each team only tracks its top ``width``:
+    ``placed[team, i, r]`` marks rank r of that team's order as placed on
+    page i, with column ``width`` absorbing items ranked below the top.
+    """
+    n_impressions, width = a_turn.shape
+    n_max = max(order.size for pair in ranks for order in pair)
+    top = np.zeros((2, len(ranks), width), dtype=np.int64)
+    rank_of = np.full((2, len(ranks), n_max), width, dtype=np.int64)
+    for s, pair in enumerate(ranks):
+        for team, order in enumerate(pair):
+            head_items = order[:width]
+            top[team, s, :head_items.size] = head_items
+            rank_of[team, s, head_items] = np.arange(head_items.size)
+
+    rows = np.arange(n_impressions)
+    teams = np.arange(2)[:, None]
+    placed = np.zeros((2, n_impressions, width + 1), dtype=bool)
+    items = np.empty((n_impressions, width), dtype=np.int64)
+    for t in range(width):
+        first = np.argmin(placed[:, :, : t + 1], axis=2)  # first unplaced, per team
+        picks = top[teams, session_of, first]
+        item = np.where(a_turn[:, t], picks[0], picks[1])
+        items[:, t] = item
+        placed[teams, rows, rank_of[teams, session_of, item]] = True
+    return items
+
+
 def run_interleaving(
     model_a: Model | Scorer,
     model_b: Model | Scorer,
@@ -180,10 +224,16 @@ def run_interleaving(
     A NaN or infinite score from either ranker raises
     ``NonFiniteScoreError``.
 
-    ``relevance`` defaults to the items' labels clipped to [0, 1].
+    ``relevance`` defaults to the items' labels clipped to [0, 1]; every
+    vector must have one finite value in [0, 1] per item.
     ``mirror_coins`` inverts every coin outcome; running (B, A) with the
     same seed and mirrored coins reproduces the (A, B) experiment exactly
     with the team labels swapped.
+
+    All pages are drafted and simulated at once.  The random streams are
+    those of ``team_draft`` and ``simulate_session`` applied page by page
+    (coins from ``SeedSequence([seed, i, 0])``, purchase draws from
+    ``SeedSequence([seed, i, 1])``), and so is the report, exactly.
     """
     if not sessions:
         raise ValueError("run_interleaving: no sessions")
@@ -196,8 +246,6 @@ def run_interleaving(
             f"run_interleaving: page size {k} exceeds the examination curve "
             f"({len(user.examination)} positions)"
         )
-    ranks_a = [ranked_indices(scores).tolist() for scores in score_sessions(model_a, sessions)]
-    ranks_b = [ranked_indices(scores).tolist() for scores in score_sessions(model_b, sessions)]
     if relevance is not None:
         if len(relevance) != len(sessions):
             raise ValueError("run_interleaving: one relevance vector per session required")
@@ -205,29 +253,53 @@ def run_interleaving(
     else:
         rels = [np.clip(s.labels(), 0.0, 1.0) for s in sessions]
     for s, r in zip(sessions, rels):
-        if r.size != s.grades.size:
-            raise ValueError("run_interleaving: relevance length mismatch")
+        if r.shape != s.grades.shape:
+            raise ValueError(
+                f"run_interleaving: relevance of session {s.query_id!r} has shape "
+                f"{r.shape} for {s.grades.size} items"
+            )
+        if not np.all((r >= 0.0) & (r <= 1.0)):
+            raise ValueError(
+                f"run_interleaving: relevance of session {s.query_id!r} must be "
+                "finite and lie in [0, 1]"
+            )
+    ranks = [
+        (ranked_indices(a), ranked_indices(b))
+        for a, b in zip(score_sessions(model_a, sessions), score_sessions(model_b, sessions))
+    ]
 
-    credit_a = credit_b = 0
-    wins_a = wins_b = 0
-    for i in range(n_impressions):
-        si = i % len(sessions)
+    lengths = np.array([s.grades.size for s in sessions])
+    width = min(k, int(lengths.max()))
+    session_of = np.arange(n_impressions) % len(sessions)
+    shown = np.minimum(lengths, k)[session_of]
+    coins = np.empty((n_impressions, k), dtype=bool)
+    # A draw of 1.0 is never below a purchase probability, so positions past
+    # the end of a page buy nothing.
+    draws = np.ones((n_impressions, width))
+    for i, n_shown in enumerate(shown.tolist()):
         coin_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 0]))
-        coin_bits = coin_rng.integers(0, 2, size=k).astype(bool)
-        if mirror_coins:
-            coin_bits = ~coin_bits
-        page = team_draft(ranks_a[si], ranks_b[si], k, coin_bits)
-        purchases = simulate_session(
-            page, user, rels[si], seed=np.random.SeedSequence([seed, i, 1])
-        )
-        pa = int(purchases[[t == "A" for t in page.team_of]].sum())
-        pb = int(purchases.sum()) - pa
-        credit_a += pa
-        credit_b += pb
-        if pa > pb:
-            wins_a += 1
-        elif pb > pa:
-            wins_b += 1
+        coins[i] = coin_rng.integers(0, 2, size=k)
+        draw_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 1]))
+        draws[i, :n_shown] = draw_rng.random(n_shown)
+    if mirror_coins:
+        coins = ~coins
+    # Pick counts are equal before every even position, so coin t // 2
+    # names the team drafting position t and the other team drafts t + 1.
+    position = np.arange(width)
+    a_turn = coins[:, position // 2] ^ (position % 2 == 1)
+    items = _draft_pages(ranks, session_of, a_turn)
+
+    rel = np.zeros((len(sessions), int(lengths.max())))
+    for s, r in enumerate(rels):
+        rel[s, : r.size] = r
+    probs = np.array(user.examination[:width]) * rel[session_of[:, None], items]
+    bought = draws < probs
+    per_a = np.count_nonzero(bought & a_turn, axis=1)
+    per_b = np.count_nonzero(bought & ~a_turn, axis=1)
+    credit_a = int(per_a.sum())
+    credit_b = int(per_b.sum())
+    wins_a = int(np.count_nonzero(per_a > per_b))
+    wins_b = int(np.count_nonzero(per_b > per_a))
 
     total = credit_a + credit_b
     gain = (credit_a - credit_b) / total if total > 0 else None

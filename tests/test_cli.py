@@ -522,6 +522,72 @@ def test_mutated_config_never_ends_in_a_traceback(data):
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
 
 
+@pytest.fixture(scope="module")
+def generated_lines(tmp_path_factory):
+    """The lines of each split file the tiny config generates."""
+    root = tmp_path_factory.mktemp("generated")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["generate", "--config", str(_write_config(root))]) == cli.EXIT_OK
+    return {split: (root / "out" / "data" / f"{split}.jsonl").read_text().splitlines()
+            for split in ("train", "valid", "test")}
+
+
+def _mutated_line(data, line):
+    """``line`` with a key dropped, a value of another type, a non-finite or
+    401-digit label or feature, no items, or cut short."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "number", "no items", "truncate"]),
+                     label="mutation")
+    if kind == "truncate":
+        return line[: data.draw(st.integers(0, len(line) - 1), label="cut")]
+    doc = json.loads(line)
+    if kind == "no items":
+        doc["items"] = []
+        return json.dumps(doc)
+    paths = list(_config_nodes(doc))
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    elif kind == "number":
+        paths = [p for p in paths if p[-1] == "label" or "features" in p[:-1]]
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "number":
+        parent[path[-1]] = data.draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf"), 10**400]), label="value")
+    else:
+        parent[path[-1]] = data.draw(
+            st.sampled_from(["text", None, True, [], {}, 1.5, 7]), label="value")
+    return json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_data_file_never_ends_in_a_traceback(generated_lines, data):
+    split = data.draw(st.sampled_from(sorted(generated_lines)), label="split")
+    lines = list(generated_lines[split])
+    index = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[index] = _mutated_line(data, lines[index])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in generated_lines.items():
+            (root / f"{name}.jsonl").write_text(
+                "\n".join(lines if name == split else text) + "\n", encoding="utf-8")
+        config = _write_config(
+            root,
+            dataset={"paths": {s: str(root / f"{s}.jsonl") for s in ("train", "valid", "test")}},
+            normalize=data.draw(st.booleans(), label="normalize"),
+        )
+        for command in SPLIT_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(config)])
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
+            assert "Traceback" not in err.getvalue()
+
+
 def _check_console_command(command, workdir, env):
     """Run ``command`` as a shell would: one good and one broken config."""
     workdir.mkdir()

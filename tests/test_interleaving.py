@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from mdrank.data import QuerySession
 from mdrank.evaluation import NonFiniteScoreError
+from mdrank.evaluation import ranked_indices, score_sessions
 from mdrank.interleaving import (
     InterleavedList,
+    InterleaveReport,
     UserModel,
     run_interleaving,
     sign_test_p,
@@ -125,6 +127,8 @@ def test_simulate_session_validates_inputs():
     user = UserModel((1.0,))
     with pytest.raises(ValueError):
         simulate_session(InterleavedList([0], ["A"]), user, [1.5])
+    with pytest.raises(ValueError, match="finite"):
+        simulate_session(InterleavedList([0], ["A"]), user, [np.nan])
     with pytest.raises(ValueError):
         simulate_session(InterleavedList([0, 1], ["A", "B"]), user, [0.5, 0.5])
 
@@ -321,3 +325,109 @@ def test_team_draft_invariants(data, n, k):
     for team, ranking in (("A", rank_a), ("B", rank_b)):
         picks = [ranking.index(item) for item, t in zip(page.items, page.team_of) if t == team]
         assert picks == sorted(picks)
+
+
+def test_bad_relevance_is_rejected_naming_the_session():
+    """NaN relevance used to read as "never bought"; a vector on a session
+    no impression reaches used to go unchecked."""
+    sessions = _sessions(np.random.default_rng(46), 3)
+    user = UserModel.position_decay(4)
+
+    def run(rel, n_impressions=50):
+        return run_interleaving(_feature_sum_scorer, lambda s: -_feature_sum_scorer(s),
+                                sessions, user, n_impressions, seed=0, k=4, relevance=rel)
+
+    good = [np.full(s.grades.size, 0.5) for s in sessions]
+    for bad in (np.nan, np.inf, -np.inf, -0.1, 1.5):
+        rel = list(good)
+        rel[1] = np.full(sessions[1].grades.size, bad)
+        with pytest.raises(ValueError, match="relevance of session 'q1'"):
+            run(rel)
+    rel = list(good)
+    rel[2] = np.full(sessions[2].grades.size, 2.0)
+    with pytest.raises(ValueError, match="relevance of session 'q2'"):
+        run(rel, n_impressions=2)  # impressions 0 and 1 never reach session 2
+    rel[2] = np.full(sessions[2].grades.size - 1, 0.5)
+    with pytest.raises(ValueError, match="relevance of session 'q2'"):
+        run(rel, n_impressions=2)
+
+
+def test_scores_must_be_one_per_item():
+    sessions = _sessions(np.random.default_rng(47), 2)
+    short = lambda s: np.zeros(s.grades.size - 1)
+    with pytest.raises(ValueError, match="scores of shape"):
+        run_interleaving(short, short, sessions, UserModel.position_decay(4),
+                         n_impressions=4, seed=0, k=4)
+
+
+def _loop_interleaving(model_a, model_b, sessions, user, n_impressions, seed, k,
+                       relevance, mirror_coins):
+    """The experiment page by page: ``team_draft`` and ``simulate_session``
+    on the coin and purchase streams ``run_interleaving`` documents."""
+    ranks_a = [ranked_indices(s).tolist() for s in score_sessions(model_a, sessions)]
+    ranks_b = [ranked_indices(s).tolist() for s in score_sessions(model_b, sessions)]
+    if relevance is None:
+        relevance = [np.clip(s.labels(), 0.0, 1.0) for s in sessions]
+    credit_a = credit_b = wins_a = wins_b = 0
+    for i in range(n_impressions):
+        si = i % len(sessions)
+        coins = np.random.default_rng(np.random.SeedSequence([seed, i, 0])).integers(0, 2, size=k)
+        coins = coins.astype(bool)
+        if mirror_coins:
+            coins = ~coins
+        page = team_draft(ranks_a[si], ranks_b[si], k, coins)
+        purchases = simulate_session(page, user, relevance[si],
+                                     seed=np.random.SeedSequence([seed, i, 1]))
+        pa = int(purchases[[t == "A" for t in page.team_of]].sum())
+        pb = int(purchases.sum()) - pa
+        credit_a += pa
+        credit_b += pb
+        wins_a += pa > pb
+        wins_b += pb > pa
+    total = credit_a + credit_b
+    return InterleaveReport(
+        credit_a=float(credit_a),
+        credit_b=float(credit_b),
+        credit_gain=(credit_a - credit_b) / total if total > 0 else None,
+        p_value=sign_test_p(wins_a, wins_b),
+        queries_used=wins_a + wins_b,
+        impressions=n_impressions,
+        inconclusive=total == 0,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_batched_interleaving_equals_the_page_by_page_loop(data):
+    """Ragged sessions (one item, fewer items than the page), tied scores,
+    fewer or more impressions than sessions, mirrored coins and any eta."""
+    lengths = data.draw(st.lists(st.integers(1, 10), min_size=1, max_size=5), label="lengths")
+    sessions = [
+        QuerySession(
+            f"q{j}", 0, 0,
+            data.draw(st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2),
+                               min_size=n, max_size=n)),
+            data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n)),
+        )
+        for j, n in enumerate(lengths)
+    ]
+    if data.draw(st.booleans(), label="explicit relevance"):
+        relevance = [
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)) for n in lengths
+        ]
+    else:
+        relevance = None
+    k = data.draw(st.integers(1, 8), label="k")
+    eta = data.draw(st.floats(0.0, 2.0), label="eta")
+    user = UserModel.position_decay(k + data.draw(st.integers(0, 2)), eta)
+    args = dict(
+        n_impressions=data.draw(st.integers(1, 3 * len(sessions) + 2), label="impressions"),
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        k=k,
+        relevance=relevance,
+        mirror_coins=data.draw(st.booleans(), label="mirror"),
+    )
+    score_a = lambda s: s.features[:, 0]
+    score_b = lambda s: s.features[:, 1] - s.features[:, 0]
+    assert (run_interleaving(score_a, score_b, sessions, user, **args)
+            == _loop_interleaving(score_a, score_b, sessions, user, **args))
