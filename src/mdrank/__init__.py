@@ -46,6 +46,7 @@ from .models import (
     forward,
     load,
     save,
+    stack,
 )
 from .training import (
     DataSplits,
@@ -99,6 +100,7 @@ __all__ = [
     "ScoredBatch",
     "Variant",
     "build",
+    "stack",
     "count_parameters",
     "forward",
     "load",

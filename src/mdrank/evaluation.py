@@ -31,7 +31,12 @@ _ATTENTION_CELLS = 65_536
 
 
 class NonFiniteScoreError(ValueError):
-    """A ranker produced a NaN or infinite score, which has no rank."""
+    """A ranker produced a NaN or infinite score, which has no rank;
+    ``member`` is the index of the offending member of a stacked model."""
+
+    def __init__(self, message: str, member: int = 0):
+        super().__init__(message)
+        self.member = member
 
 
 def ranked_indices(scores: np.ndarray) -> np.ndarray:
@@ -78,6 +83,9 @@ def as_scorer(model_or_fn: Model | Scorer) -> Scorer:
     """Adapt a Model (or any session -> scores callable) to a scorer."""
     if isinstance(model_or_fn, Model):
         model = model_or_fn
+        if len(model.seeds) != 1:
+            raise ValueError(f"as_scorer: a stack of {len(model.seeds)} members; "
+                             f"score one member() at a time")
 
         def score(session: QuerySession) -> np.ndarray:
             return forward(model, [session], domain_logits=False).session_scores()[0]
@@ -103,32 +111,58 @@ def _length_chunks(sessions: Sequence[QuerySession]):
         yield chunk
 
 
+def _member_scores(
+    model_or_fn: Model | Scorer, sessions: Sequence[QuerySession]
+) -> list[list[np.ndarray]]:
+    """Scores of every session per member (a callable is one member),
+    checked as ``score_sessions`` documents.
+
+    Scoring is bound by the rows, not by per-call overhead, so the members
+    of a stack score one at a time: stacking their rows measured slower.
+    """
+    if isinstance(model_or_fn, Model):
+        models = ([model_or_fn] if len(model_or_fn.seeds) == 1 else
+                  [model_or_fn.member(m) for m in range(len(model_or_fn.seeds))])
+        scores: list[list[np.ndarray]] = [[None] * len(sessions) for _ in models]
+        finite = [True] * len(models)
+        for chunk in _length_chunks(sessions):
+            batch = [sessions[i] for i in chunk]
+            for m, member in enumerate(models):
+                scored = forward(member, batch, domain_logits=False)
+                finite[m] = finite[m] and bool(np.isfinite(scored.scores.values).all())
+                for i, v in zip(chunk, scored.session_scores()):
+                    scores[m][i] = v
+    else:
+        scorer = as_scorer(model_or_fn)
+        scores = [[scorer(session) for session in sessions]]
+        finite = [False]
+    for m, (member_scores, checked) in enumerate(zip(scores, finite)):
+        if checked:
+            continue  # finite, and a model's scores have its sessions' shapes
+        for session, values in zip(sessions, member_scores):
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteScoreError(
+                    f"session {session.query_id!r}: scores must be finite", member=m)
+            if values.shape != session.grades.shape:
+                raise ValueError(f"session {session.query_id!r}: scores of shape "
+                                 f"{values.shape} for {session.grades.size} labels")
+    return scores
+
+
 def score_sessions(
     model_or_fn: Model | Scorer, sessions: Sequence[QuerySession]
 ) -> list[np.ndarray]:
     """Scores of every session, in session order.
 
-    A Model scores chunks of sessions in one forward pass each, without
-    its domain classifier; a callable is called per session.  Raises
-    ``NonFiniteScoreError`` on a NaN or infinite score and ``ValueError``
-    on scores that are not one per item.
+    A one-member Model scores chunks of sessions in one forward pass each,
+    without its domain classifier; a callable is called per session.
+    Raises ``NonFiniteScoreError`` on a NaN or infinite score and
+    ``ValueError`` on scores that are not one per item.
     """
-    if isinstance(model_or_fn, Model):
-        scores: list[np.ndarray] = [None] * len(sessions)
-        for chunk in _length_chunks(sessions):
-            batch = forward(model_or_fn, [sessions[i] for i in chunk], domain_logits=False)
-            for i, values in zip(chunk, batch.session_scores()):
-                scores[i] = values
-    else:
-        scorer = as_scorer(model_or_fn)
-        scores = [scorer(session) for session in sessions]
-    for session, values in zip(sessions, scores):
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteScoreError(f"session {session.query_id!r}: scores must be finite")
-        if values.shape != session.grades.shape:
-            raise ValueError(f"session {session.query_id!r}: scores of shape {values.shape} "
-                             f"for {session.grades.size} labels")
-    return scores
+    if isinstance(model_or_fn, Model) and len(model_or_fn.seeds) != 1:
+        raise ValueError(f"score_sessions: a stack of {len(model_or_fn.seeds)} members; "
+                         f"score one member() at a time")
+    return _member_scores(model_or_fn, sessions)[0]
 
 
 @dataclass
@@ -205,34 +239,44 @@ def _padded(flat: np.ndarray, pad: np.ndarray, fill: float) -> np.ndarray:
 
 def evaluate(
     model_or_fn: Model | Scorer, sessions: Sequence[QuerySession], k: int
-) -> EvalSummary:
+) -> EvalSummary | list[EvalSummary]:
     """Score every session and average NDCG@k per domain.
 
     NDCG runs over all sessions at once and equals ``ndcg_at_k`` per
-    session; sessions whose labels are all zero are left out.
+    session; sessions whose labels are all zero are left out.  A stack of
+    several members gives one summary per member: its members score one
+    at a time, and NDCG runs over all of them at once.
     """
     if k < 1:
         raise ValueError(f"evaluate: k must be >= 1, got {k}")
-    scores = score_sessions(model_or_fn, sessions)
+    scores = _member_scores(model_or_fn, sessions)
     labels = [session.labels() for session in sessions]
     for session, lab in zip(sessions, labels):
         if not lab.size:
             raise ValueError(f"session {session.query_id!r}: no items to rank")
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
+    summaries = []
     if sessions:
-        values, evaluable = _ndcg_rows(scores, labels, k)
-        domains = [s.domain for s, keep in zip(sessions, evaluable.tolist()) if keep]
-        for domain, value in zip(domains, values.tolist()):
-            sums[domain] = sums.get(domain, 0.0) + value
-            counts[domain] = counts.get(domain, 0) + 1
-    per_domain = {d: sums[d] / counts[d] for d in sorted(sums)}
-    total_sessions = sum(counts.values())
-    overall = sum(sums.values()) / total_sessions if total_sessions else None
-    return EvalSummary(
-        k=k,
-        per_domain=per_domain,
-        per_domain_sessions={d: counts[d] for d in sorted(counts)},
-        overall=overall,
-        sessions_evaluated=total_sessions,
-    )
+        values, evaluable = _ndcg_rows([v for member in scores for v in member],
+                                       labels * len(scores), k)
+        keep = evaluable.reshape(len(scores), -1)
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        values = [values[start:end] for start, end in zip([0, *ends], ends)]
+    for m in range(len(scores)):
+        sums: dict[int, float] = {}
+        counts: dict[int, int] = {}
+        if sessions:
+            domains = [s.domain for s, kept in zip(sessions, keep[m].tolist()) if kept]
+            for domain, value in zip(domains, values[m].tolist()):
+                sums[domain] = sums.get(domain, 0.0) + value
+                counts[domain] = counts.get(domain, 0) + 1
+        per_domain = {d: sums[d] / counts[d] for d in sorted(sums)}
+        total_sessions = sum(counts.values())
+        overall = sum(sums.values()) / total_sessions if total_sessions else None
+        summaries.append(EvalSummary(
+            k=k,
+            per_domain=per_domain,
+            per_domain_sessions={d: counts[d] for d in sorted(counts)},
+            overall=overall,
+            sessions_evaluated=total_sessions,
+        ))
+    return summaries[0] if len(summaries) == 1 else summaries

@@ -6,7 +6,10 @@ and the normalized label distribution, per session.  Sessions whose labels
 are all zero carry no ranking signal: the ranking term leaves them out of
 its average (and is None, a skip signal, when no session is left) while the
 domain term still counts them.  Both losses take stacked scores cut into
-sessions by ``lengths`` and record one tape node each.
+sessions by ``lengths`` and record one tape node each.  For a stack of
+models, ``members`` splits the sessions into the members' consecutive
+batches, and each loss is one value per member, computed exactly as for
+that member alone.
 """
 
 from __future__ import annotations
@@ -23,13 +26,27 @@ from .models import Model, forward
 __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
-def listwise_loss(scores, labels: Sequence[float], lengths=None) -> Tensor | None:
+def _member_ids(members, lens: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The member index of each session (``members[m]`` consecutive
+    sessions belong to member m) and each member's row count."""
+    counts = np.asarray(members, dtype=np.int64)
+    if counts.ndim != 1 or np.any(counts < 1) or int(counts.sum()) != lens.size:
+        raise ValueError(f"member batches {counts.tolist()} do not split {lens.size} sessions")
+    ids = np.repeat(np.arange(counts.size), counts)
+    rows = np.bincount(ids, weights=lens, minlength=counts.size).astype(np.int64).tolist()
+    return ids, rows
+
+
+def listwise_loss(scores, labels: Sequence[float], lengths=None,
+                  members=None) -> Tensor | None:
     """Cross-entropy between softmax(scores) and labels/sum(labels) within
     each session, averaged over the sessions with a positive label.
 
     ``scores`` is an (n,) or (n, 1) vector; ``lengths`` cuts it into
     consecutive sessions (default: one session).  Returns a scalar tensor,
-    or None when every label is zero (nothing can be ranked).
+    or None when every label is zero (nothing can be ranked).  With
+    ``members`` it returns one loss per member, each averaged over its own
+    sessions; a member without a positive label gets no gradient.
     """
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
     if not (t.values.ndim == 1 or t.values.ndim == 2 and t.shape[1] == 1):
@@ -46,13 +63,19 @@ def listwise_loss(scores, labels: Sequence[float], lengths=None) -> Tensor | Non
     used = totals > 0.0
     if not used.any():
         return None
-    norm = np.repeat(np.where(used, totals, 1.0) * used.sum(), lens)
-    return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens)
+    if members is None:
+        norm = np.repeat(np.where(used, totals, 1.0) * used.sum(), lens)
+        return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens)
+    ids, rows = _member_ids(members, lens)
+    used_count = np.bincount(ids[used], minlength=len(rows))
+    norm = np.repeat(np.where(used, totals, 1.0) * np.maximum(used_count, 1)[ids], lens)
+    return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, rows)
 
 
-def domain_loss(domain_logits: Tensor, domain, lengths=None) -> Tensor:
+def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Tensor:
     """Cross-entropy of each item's logits against its session's domain id,
-    averaged over each session's items, then over sessions.
+    averaged over each session's items, then over sessions (one value per
+    member with ``members``).
 
     ``domain`` is one id, or one per session of ``lengths`` (default: all
     rows form one session).
@@ -68,9 +91,13 @@ def domain_loss(domain_logits: Tensor, domain, lengths=None) -> Tensor:
     doms = np.broadcast_to(np.asarray(domain, dtype=np.int64), lens.shape)
     if np.any(doms < 0) or np.any(doms >= k):
         raise ValueError(f"domain_loss: domain {doms.tolist()} out of range [0, {k})")
+    sessions, rows = lens.size, None
+    if members is not None:
+        ids, rows = _member_ids(members, lens)
+        sessions = np.asarray(members)[ids]
     target = np.zeros((n, k))
-    target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(lens * lens.size, lens)
-    return cross_entropy(domain_logits, target, axis=1)
+    target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(lens * sessions, lens)
+    return cross_entropy(domain_logits, target, axis=1, members=rows)
 
 
 @dataclass
@@ -89,44 +116,53 @@ class LossBreakdown:
 
 
 def batch_loss(
-    model: Model, sessions: Sequence[QuerySession]
-) -> tuple[LossBreakdown, Tensor | None]:
+    model: Model, sessions: Sequence[QuerySession], members: Sequence[int] | None = None,
+) -> tuple[LossBreakdown | list[LossBreakdown], Tensor | None]:
     """Combined loss over a batch of sessions, scored in one forward pass.
 
     The ranking term averages over sessions with at least one positive
     label; the domain term (classifier variants only) averages over every
     session.  Returns the breakdown plus the loss tensor to backpropagate,
     which is None when nothing in the batch contributes.
+
+    A stack of several members gives one breakdown per member and a vector
+    of member losses; ``members`` splits the sessions into the members'
+    batches.  A member whose batch contributes nothing has the breakdown
+    of a skipped step and no gradient.
     """
     if not sessions:
         raise ValueError("batch_loss: empty batch")
     cfg = model.config
-    scored = forward(model, sessions)
+    n_members = len(model.seeds)
+    scored = forward(model, sessions, members=members)
+    members = None if n_members == 1 else scored.members  # one scalar loss alone
     lens = scored.lengths
     labels = np.concatenate([s.labels() for s in sessions])
-    rank = listwise_loss(scored.scores, labels, lens)
+    rank = listwise_loss(scored.scores, labels, lens, members)
+    session_used = np.add.reduceat(labels, np.cumsum(lens) - lens) > 0.0
+    used = np.bincount(np.repeat(np.arange(n_members), scored.members)[session_used],
+                       minlength=n_members).tolist()
     pieces: list[Tensor] = []
-    rank_value = 0.0
-    sessions_used = 0
     if rank is not None:
-        rank_value = rank.item()
-        sessions_used = int(np.count_nonzero(np.add.reduceat(labels, np.cumsum(lens) - lens)))
         pieces.append(rank)
-    dom_value: float | None = None
+    dom = None
     if cfg.variant.has_classifier:
-        dom = domain_loss(scored.domain_logits, [s.domain for s in sessions], lens)
-        dom_value = dom.item()
+        dom = domain_loss(scored.domain_logits, [s.domain for s in sessions], lens, members)
         pieces.append(scale(dom, cfg.domain_loss_weight))
 
-    if not pieces:
-        return LossBreakdown(0.0, dom_value, 0.0, 0), None
-    loss = pieces[0] if len(pieces) == 1 else add(*pieces)
-    return (
-        LossBreakdown(
-            ranking_loss=rank_value,
-            domain_loss=dom_value,
-            total=loss.item(),
-            sessions_used=sessions_used,
-        ),
-        loss,
-    )
+    loss = None if not pieces else pieces[0] if len(pieces) == 1 else add(*pieces)
+    breakdowns = []
+    for m in range(n_members):
+        if used[m]:
+            total = loss.values.reshape(-1)[m]
+        elif dom is not None:
+            total = pieces[-1].values.reshape(-1)[m]
+        else:
+            total = 0.0
+        breakdowns.append(LossBreakdown(
+            ranking_loss=float(rank.values.reshape(-1)[m]) if used[m] else 0.0,
+            domain_loss=None if dom is None else float(dom.values.reshape(-1)[m]),
+            total=float(total),
+            sessions_used=used[m],
+        ))
+    return (breakdowns if n_members > 1 else breakdowns[0]), loss

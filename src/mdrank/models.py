@@ -19,6 +19,13 @@ final head combines both views.
 ``forward`` scores a whole batch of sessions at once: their rows are
 stacked into one matrix, every row-wise layer runs once over it, and only
 attention looks at session boundaries.
+
+A ``Model`` is a stack of S members of one config, one per seed (S = 1 for
+a model built or loaded on its own).  The members are trained in lockstep
+and share nothing but the tape: their rows form consecutive member blocks,
+and every layer with parameters applies member m's slice to member m's
+block only (see ``autodiff``), so each member computes exactly what it
+would alone.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ __all__ = [
     "Model",
     "ScoredBatch",
     "build",
+    "stack",
     "forward",
     "count_parameters",
     "save",
@@ -183,47 +191,60 @@ class ScoredBatch:
 
     ``scores`` is ``(N, 1)`` and ``domain_logits`` ``(N, n_domains)`` (None
     without a classifier, or when not asked for); ``lengths[b]`` rows belong
-    to session b.  The tensors stay attached to the active tape so losses
-    can backpropagate through them.
+    to session b, and ``members[m]`` consecutive sessions to member m of the
+    model.  The tensors stay attached to the active tape so losses can
+    backpropagate through them.
     """
 
     scores: Tensor
     domain_logits: Tensor | None
     lengths: np.ndarray
+    members: tuple[int, ...]
 
     def session_scores(self) -> list[np.ndarray]:
         """Final scores per session, as detached 1-d arrays."""
-        return np.split(self.scores.values[:, 0].copy(), np.cumsum(self.lengths)[:-1])
+        flat = self.scores.values[:, 0].copy()
+        ends = np.cumsum(self.lengths).tolist()
+        return [flat[start:end] for start, end in zip([0, *ends], ends)]
 
 
 class Model:
-    """A built ranker: config plus named parameter tensors.
+    """A built ranker, or a stack of rankers of one config: config, seeds
+    and named parameter tensors.
 
-    Parameter iteration order is fixed by construction, which keeps
-    initialization, optimization, and serialization deterministic.
+    ``seeds[m]`` names member m.  A one-member model's parameters have
+    their natural shapes; a stack's have a leading member axis of length
+    ``len(seeds)``.  Parameter iteration order is fixed by construction,
+    which keeps initialization, optimization, and serialization
+    deterministic.
 
-    The constructor packs every parameter into one float64 vector
-    ``values``, in that order: each tensor's ``values`` becomes a reshaped
-    view into it (``slices[i]`` locates parameter i), and its
-    ``grad_buffer`` the matching view into the parallel vector ``grads``.
-    Write parameter values in place; rebinding one detaches it from the
-    vectors the optimizer updates.
+    The constructor packs every parameter into one float64 arena
+    ``values`` (``(P,)``, or ``(S, P)`` with member m's parameters in row
+    m), in that order: each tensor's ``values`` becomes a reshaped view
+    into it (``slices[i]`` locates parameter i along the last axis), and
+    its ``grad_buffer`` the matching view into the parallel arena
+    ``grads``.  Write parameter values in place; rebinding one detaches it
+    from the arena the optimizer updates.
     """
 
-    def __init__(self, config: ModelConfig, parameters: dict[str, Tensor], seed: int):
+    def __init__(self, config: ModelConfig, parameters: dict[str, Tensor], seeds: Sequence[int]):
         self.config = config
         self.parameters = parameters
-        self.seed = seed
-        ends = np.cumsum([t.values.size for t in parameters.values()]).tolist()
-        self.slices = [slice(end - t.values.size, end)
-                       for end, t in zip(ends, parameters.values())]
-        self.values = np.empty(ends[-1])
+        self.seeds = tuple(int(seed) for seed in seeds)
+        n = len(self.seeds)
+        lead = () if n == 1 else (n,)
+        if not n or any(t.values.shape[: len(lead)] != lead for t in parameters.values()):
+            raise ValueError(f"Model: parameters need a leading axis of {n} members")
+        sizes = [t.values.size // n for t in parameters.values()]
+        ends = np.cumsum(sizes).tolist()
+        self.slices = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        self.values = np.empty((*lead, ends[-1]))
         self.grads = np.zeros_like(self.values)
         for sl, t in zip(self.slices, parameters.values()):
             shape = t.values.shape
-            self.values[sl] = t.values.reshape(-1)
-            t.values = self.values[sl].reshape(shape)
-            t.grad_buffer = self.grads[sl].reshape(shape)
+            self.values[..., sl] = t.values.reshape(*lead, -1)
+            t.values = self.values[..., sl].reshape(shape, copy=False)
+            t.grad_buffer = self.grads[..., sl].reshape(shape, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.parameters.values():
@@ -233,7 +254,15 @@ class Model:
         """A model with the same parameter values in an arena of its own."""
         params = {name: Tensor(t.values, requires_grad=True)
                   for name, t in self.parameters.items()}
-        return Model(self.config, params, self.seed)
+        return Model(self.config, params, self.seeds)
+
+    def member(self, m: int) -> "Model":
+        """Member m as a one-member model, in an arena of its own."""
+        if len(self.seeds) == 1:
+            return self.copy()
+        params = {name: Tensor(t.values[m], requires_grad=True)
+                  for name, t in self.parameters.items()}
+        return Model(self.config, params, self.seeds[m : m + 1])
 
     def param_values(self) -> np.ndarray:
         return self.values.copy()
@@ -243,7 +272,8 @@ class Model:
         self.values[:] = values
 
     def __repr__(self) -> str:
-        return f"Model(variant={self.config.variant.value}, parameters={count_parameters(self)})"
+        return (f"Model(variant={self.config.variant.value}, seeds={list(self.seeds)}, "
+                f"parameters={count_parameters(self)})")
 
 
 def _dense_specs(prefix: str, dims: tuple[int, ...]) -> list[tuple[str, str, tuple[int, ...]]]:
@@ -286,7 +316,7 @@ def _parameter_specs(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...
 
 
 def build(config: ModelConfig, seed: int) -> Model:
-    """Initialize a model deterministically from (config, seed).
+    """Initialize a one-member model deterministically from (config, seed).
 
     Weights draw from a uniform range scaled by fan-in; biases start at
     zero, layer-norm gains at one.
@@ -302,29 +332,49 @@ def build(config: ModelConfig, seed: int) -> Model:
         else:  # ln_gain
             values = np.ones(shape)
         params[name] = Tensor(values, requires_grad=True)
-    return Model(config, params, seed)
+    return Model(config, params, (seed,))
 
 
-def _mlp(x: Tensor, model: Model, prefix: str, n_layers: int) -> Tensor:
+def stack(models: Sequence[Model]) -> Model:
+    """One model whose members are ``models``, in order; the models must
+    share one config and have one member each."""
+    if not models:
+        raise ValueError("stack: no models")
+    config = models[0].config
+    if any(m.config != config or len(m.seeds) != 1 for m in models):
+        raise ConfigError("stack: needs one-member models of one config")
+    if len(models) == 1:
+        return models[0].copy()
+    params = {name: Tensor(np.stack([m.parameters[name].values for m in models]),
+                           requires_grad=True)
+              for name in models[0].parameters}
+    return Model(config, params, [m.seeds[0] for m in models])
+
+
+def _mlp(x: Tensor, model: Model, prefix: str, n_layers: int, rows) -> Tensor:
     p = model.parameters
     out = x
     for i in range(n_layers):
-        out = linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"])
+        out = linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], rows)
         if i < n_layers - 1:
             out = relu(out)
     return out
 
 
 def forward(
-    model: Model, sessions: Sequence[QuerySession], domain_logits: bool = True
+    model: Model, sessions: Sequence[QuerySession], domain_logits: bool = True,
+    members: Sequence[int] | None = None,
 ) -> ScoredBatch:
     """Score every item of a batch of sessions in one pass.
 
-    Call inside an active Tape to make the returned tensors differentiable.
-    ``domain_logits=False`` skips the domain classifier, whose logits only
-    feed the training loss.
+    A stack of several members needs ``members``: the sessions are then
+    the consecutive batches of its members, ``members[m]`` sessions for
+    member m.  Call inside an active Tape to make the returned tensors
+    differentiable.  ``domain_logits=False`` skips the domain classifier,
+    whose logits only feed the training loss.
     """
     cfg = model.config
+    n_members = len(model.seeds)
     if not sessions:
         raise ValueError("forward: no sessions")
     lengths = np.array([s.features.shape[0] for s in sessions], dtype=np.int64)
@@ -338,76 +388,94 @@ def forward(
     if widths != {cfg.feature_dim}:
         raise ShapeError(f"forward: feature widths {sorted(widths)} do not match config "
                          f"feature_dim {cfg.feature_dim}")
+    members = (len(sessions),) if members is None else tuple(int(c) for c in members)
+    if len(members) != n_members or min(members) < 1 or sum(members) != len(sessions):
+        raise ValueError(f"forward: member batches {list(members)} do not split "
+                         f"{len(sessions)} sessions among {n_members} members")
+    rows = None  # one member: parameters without a member axis
+    if n_members > 1:
+        ends = np.cumsum(lengths)[np.cumsum(members) - 1].tolist()
+        rows = tuple(end - start for start, end in zip([0, *ends], ends))
     p = model.parameters
 
     h = Tensor(np.concatenate([s.features for s in sessions]))
     for i in range(len(cfg.trunk_hidden)):
-        h = relu(linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"]))
-    s = linear(h, p["score.0.w"], p["score.0.b"])
+        h = relu(linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"], rows))
+    s = linear(h, p["score.0.w"], p["score.0.b"], rows)
 
-    t = linear(concat_cols(h, s), p["token.0.w"], p["token.0.b"])
+    t = linear(concat_cols(h, s), p["token.0.w"], p["token.0.b"], rows)
     for l in range(cfg.transformer_layers):
         pre = f"transformer.{l}"
         attended = attention(
-            layer_norm(t, p[f"{pre}.norm1.gain"], p[f"{pre}.norm1.bias"]),
+            layer_norm(t, p[f"{pre}.norm1.gain"], p[f"{pre}.norm1.bias"], members=rows),
             p[f"{pre}.wq"],
             p[f"{pre}.wk"],
             p[f"{pre}.wv"],
             lengths,
             heads=cfg.heads,
+            members=rows,
         )
-        t = add(t, linear(attended, p[f"{pre}.attn_out.0.w"], p[f"{pre}.attn_out.0.b"]))
-        ff = layer_norm(t, p[f"{pre}.norm2.gain"], p[f"{pre}.norm2.bias"])
-        ff = linear(relu(linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"])),
-                    p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"])
+        t = add(t, linear(attended, p[f"{pre}.attn_out.0.w"], p[f"{pre}.attn_out.0.b"], rows))
+        ff = layer_norm(t, p[f"{pre}.norm2.gain"], p[f"{pre}.norm2.bias"], members=rows)
+        ff = linear(relu(linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"], rows)),
+                    p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"], rows)
         t = add(t, ff)
 
     final_in = concat_cols(s, t)
     n_final = len(cfg.final_hidden) + 1
     if cfg.variant is not Variant.MULTI_HEAD:
-        y = _mlp(final_in, model, "final", n_final)
+        y = _mlp(final_in, model, "final", n_final, rows)
     elif (domains == domains[0]).all():
-        y = _mlp(final_in, model, f"head.{domains[0]}", n_final)
+        y = _mlp(final_in, model, f"head.{domains[0]}", n_final, rows)
     else:
+        # each domain's rows run through its head, member by member
         row_domain = np.repeat(domains, lengths)
         present = np.unique(domains)
-        rows = [np.flatnonzero(row_domain == d) for d in present]
-        parts = [_mlp(take_rows(final_in, r), model, f"head.{d}", n_final)
-                 for d, r in zip(present, rows)]
-        y = put_rows(parts, rows, row_domain.size)
+        row_sets = [np.flatnonzero(row_domain == d) for d in present]
+        head_rows = [None] * len(row_sets)
+        if rows is not None:
+            row_member = np.repeat(np.arange(n_members), rows)
+            head_rows = [np.bincount(row_member[r], minlength=n_members).tolist()
+                         for r in row_sets]
+        parts = [_mlp(take_rows(final_in, r), model, f"head.{d}", n_final, hr)
+                 for d, r, hr in zip(present, row_sets, head_rows)]
+        y = put_rows(parts, row_sets, row_domain.size)
 
     logits_t: Tensor | None = None
     if domain_logits and cfg.variant.has_classifier:
         clf_in = h
         if cfg.variant is Variant.DOMAIN_ADVERSARIAL:
             clf_in = gradient_reversal(h, cfg.grl_lambda)
-        logits_t = _mlp(clf_in, model, "classifier", len(cfg.classifier_hidden) + 1)
+        logits_t = _mlp(clf_in, model, "classifier", len(cfg.classifier_hidden) + 1, rows)
 
-    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths)
+    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths, members=members)
 
 
 def count_parameters(model: Model, deployed: bool = False) -> int:
-    """Total parameter count; ``deployed`` drops the domain classifier,
-    which only exists to shape training."""
+    """Parameter count of one member; ``deployed`` drops the domain
+    classifier, which only exists to shape training."""
     total = 0
     for name, t in model.parameters.items():
         if deployed and name.startswith("classifier."):
             continue
-        total += t.values.size
+        total += t.values.size // len(model.seeds)
     return total
 
 
 def save(model: Model) -> bytes:
-    """Serialize to a self-describing, versioned JSON payload.
+    """Serialize a one-member model to a self-describing, versioned JSON
+    payload (save a stack's members one ``member()`` at a time).
 
     Floats round-trip exactly through their shortest decimal repr, so
     save -> load -> save is byte-identical.  Non-finite weights raise
     ValueError instead of being written as bare NaN/Infinity tokens.
     """
+    if len(model.seeds) != 1:
+        raise ValueError(f"save: a stack of {len(model.seeds)} members; save one member() each")
     doc = {
         "format": _FORMAT_NAME,
         "version": _FORMAT_VERSION,
-        "seed": model.seed,
+        "seed": model.seeds[0],
         "config": model.config.to_json_obj(),
         "parameters": {
             name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
@@ -463,4 +531,4 @@ def load(raw: bytes) -> Model:
     extra = set(raw_params) - set(params)
     if extra:
         raise ModelLoadError(f"model payload has unexpected parameters: {sorted(extra)}")
-    return Model(config, params, seed)
+    return Model(config, params, (seed,))

@@ -1,21 +1,31 @@
 """Mini-batch training with listwise + domain losses, checkpoint selection
-on validation NDCG, and the multi-seed comparison protocol."""
+on validation NDCG, and the multi-seed comparison protocol.
+
+``train`` steps every member of a model in lockstep: one forward, backward
+and Adam update per step serve all of them, while each member keeps its
+own seed, batch order, history, best checkpoint and divergence check.  A
+one-member model is the S = 1 case of the same loop; the protocol trains
+all seeds of a variant as one stacked model.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
 import os
+import time
 from collections.abc import Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, backward
 from .data import QuerySession
 from .evaluation import EvalSummary, NonFiniteScoreError, evaluate
-from .losses import batch_loss
-from .models import ConfigError, Model, ModelConfig, Variant, build
+from .losses import LossBreakdown, batch_loss
+from .models import ConfigError, Model, ModelConfig, Variant, build, stack
 
 __all__ = [
     "TrainConfig",
@@ -34,12 +44,19 @@ __all__ = [
 ]
 
 
+_log = logging.getLogger(__name__)
+
+
 class TrainingDiverged(RuntimeError):
     """The training loss left the finite range; the run cannot continue."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Optimization settings.  ``seed`` is the seed the ``train`` command
+    builds its models with; ``train`` draws each member's batch order from
+    that member's own seed."""
+
     epochs: int = 3
     batch_size: int = 8
     learning_rate: float = 1e-3
@@ -74,11 +91,14 @@ class HistoryRecord:
 class Adam:
     """Adaptive-moment optimizer with the usual defaults.
 
-    The moments ``m`` and ``v`` are flat vectors parallel to the model's
-    parameter arena.  A step updates the whole arena at once when every
-    parameter has a gradient in its buffer, and otherwise each parameter
-    that has one, so a parameter whose ``grad`` is None (a multihead head
-    whose domain was absent from the batch) keeps its values and moments.
+    The moments ``m`` and ``v`` are arrays parallel to the model's
+    parameter arena (one row per member of a stack), and ``t`` counts each
+    member's steps.  A step updates the whole arena at once when every
+    parameter of every member has a gradient, and otherwise only the
+    (member, parameter) slices that have one, so a parameter whose
+    gradient does not reach a member (a multihead head whose domain was
+    absent from the member's batch) keeps that member's values and
+    moments.  A member that no gradient reaches does not step.
     """
 
     def __init__(self, model: Model, learning_rate: float,
@@ -88,36 +108,48 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.t = 0
+        n = len(model.seeds)
+        self.t = [0] * n
         self.m = np.zeros_like(model.values)
         self.v = np.zeros_like(model.values)
+        # one row per member: views of the arenas
+        self._rows = [a.reshape(n, -1) for a in (model.values, model.grads, self.m, self.v)]
+        self._sizes = [sl.stop - sl.start for sl in model.slices]
 
     def step(self) -> None:
-        self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
-        model = self.model
-        params = model.parameters.values()
-        if all(p.grad is p.grad_buffer for p in params):
-            self._update(model.values, model.grads, self.m, self.v, b1c, b2c)
-            return
-        for sl, p in zip(model.slices, params):
-            if p.grad is not None:
-                shape = p.values.shape
-                self._update(p.values, p.grad, self.m[sl].reshape(shape),
-                             self.v[sl].reshape(shape), b1c, b2c)
-
-    def _update(self, values, g, m, v, b1c: float, b2c: float) -> None:
+        params = self.model.parameters.values()
+        values, g, m_rows, v_rows = self._rows
+        mask = None
+        # only the members of a stack can miss a parameter's gradient
+        if all(p.grad is not None for p in params) and (
+                len(self.t) == 1 or all(p.grad_members is None for p in params)):
+            self.t = [t + 1 for t in self.t]
+        else:
+            touched = np.zeros((len(self.t), len(params)), dtype=bool)
+            for i, p in enumerate(params):
+                if p.grad is not None:
+                    touched[:, i] = True if p.grad_members is None else p.grad_members
+            mask = np.repeat(touched, self._sizes, axis=1)
+            self.t = [t + int(stepped) for t, stepped in zip(self.t, touched.any(axis=1))]
+        # a member that never stepped is masked out; t = 1 keeps it finite
+        b1c = [1.0 - self.beta1 ** max(t, 1) for t in self.t]
+        b2c = [1.0 - self.beta2 ** max(t, 1) for t in self.t]
+        if len(self.t) == 1:
+            b1c, b2c = b1c[0], b2c[0]
+        else:
+            b1c, b2c = np.array(b1c)[:, None], np.array(b2c)[:, None]
+        m, v = (m_rows, v_rows) if mask is None else (m_rows.copy(), v_rows.copy())
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2
         v += (1.0 - self.beta2) * g * g
-        values -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
-
-
-def _batches(n: int, batch_size: int, order: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        if mask is None:
+            values -= update
+        else:
+            np.copyto(m_rows, m, where=mask)
+            np.copyto(v_rows, v, where=mask)
+            np.subtract(values, update, out=values, where=mask)
 
 
 def train(
@@ -125,71 +157,84 @@ def train(
     train_sessions: Sequence[QuerySession],
     valid_sessions: Sequence[QuerySession],
     config: TrainConfig,
-) -> tuple[Model, list[HistoryRecord]]:
-    """Optimize in place, tracking the best validation checkpoint.
+) -> tuple[Model, list[HistoryRecord] | list[list[HistoryRecord]]]:
+    """Optimize every member of ``model`` in place, in lockstep, tracking
+    each member's best validation checkpoint.
 
+    Member m draws its batch order from ``default_rng(model.seeds[m])``.
     Validation NDCG@k runs every ``eval_every`` steps and once after the
-    final step; the returned model carries the parameters of the best
-    checkpoint (earliest wins on ties).  Raises TrainingDiverged when the
-    loss or a validation score stops being finite.
+    final step; the returned model carries each member's parameters at its
+    best checkpoint (earliest wins on ties).  Returns the history of a
+    one-member model, or one history per member of a stack.  Raises
+    TrainingDiverged, naming the member's seed and the step, when a loss or
+    a validation score stops being finite.
     """
     if not train_sessions:
         raise ValueError("train: no training sessions")
-    rng = np.random.default_rng(config.seed)
+    seeds = model.seeds
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     optimizer = Adam(model, config.learning_rate)
-    history: list[HistoryRecord] = []
-    best_ndcg = -math.inf
+    histories: list[list[HistoryRecord]] = [[] for _ in seeds]
+    best_ndcg = [-math.inf] * len(seeds)
     best_values = model.param_values()
+    member_values = model.values.reshape(len(seeds), -1)
+    best_rows = best_values.reshape(len(seeds), -1)
     step = 0
 
-    def validate() -> float | None:
+    def validate() -> None:
         try:
-            summary: EvalSummary = evaluate(model, valid_sessions, config.k)
+            summaries = evaluate(model, valid_sessions, config.k)
         except NonFiniteScoreError as exc:
-            raise TrainingDiverged(f"step {step}: non-finite validation score ({exc})") from exc
-        return summary.overall
+            raise TrainingDiverged(f"seed {seeds[exc.member]}, step {step}: "
+                                   f"non-finite validation score ({exc})") from exc
+        if isinstance(summaries, EvalSummary):
+            summaries = [summaries]
+        for m, summary in enumerate(summaries):
+            ndcg = summary.overall
+            histories[m][-1].valid_ndcg = ndcg
+            if ndcg is not None and ndcg > best_ndcg[m]:
+                best_ndcg[m] = ndcg
+                best_rows[m] = member_values[m]
 
+    n = len(train_sessions)
     for _ in range(config.epochs):
-        order = rng.permutation(len(train_sessions))
-        for batch_idx in _batches(len(train_sessions), config.batch_size, order):
-            batch = [train_sessions[i] for i in batch_idx]
+        orders = [rng.permutation(n) for rng in rngs]
+        for start in range(0, n, config.batch_size):
+            batch = [train_sessions[i] for order in orders
+                     for i in order[start : start + config.batch_size]]
+            members = [len(batch) // len(seeds)] * len(seeds)
             model.zero_grad()
             with Tape() as tape:
-                breakdown, loss = batch_loss(model, batch)
+                breakdowns, loss = batch_loss(model, batch, members)
                 if loss is not None:
                     backward(tape, loss)
-            if not math.isfinite(breakdown.total):
-                raise TrainingDiverged(
-                    f"step {step}: non-finite loss (ranking={breakdown.ranking_loss}, "
-                    f"domain={breakdown.domain_loss})"
-                )
+            if isinstance(breakdowns, LossBreakdown):
+                breakdowns = [breakdowns]
+            for seed, breakdown in zip(seeds, breakdowns):
+                if not math.isfinite(breakdown.total):
+                    raise TrainingDiverged(
+                        f"seed {seed}, step {step}: non-finite loss (ranking="
+                        f"{breakdown.ranking_loss}, domain={breakdown.domain_loss})"
+                    )
             if loss is not None:
                 optimizer.step()
             step += 1
-            record = HistoryRecord(
-                step=step,
-                ranking_loss=breakdown.ranking_loss,
-                domain_loss=breakdown.domain_loss,
-                total_loss=breakdown.total,
-            )
+            for history, breakdown in zip(histories, breakdowns):
+                history.append(HistoryRecord(
+                    step=step,
+                    ranking_loss=breakdown.ranking_loss,
+                    domain_loss=breakdown.domain_loss,
+                    total_loss=breakdown.total,
+                ))
             if step % config.eval_every == 0:
-                ndcg = validate()
-                record.valid_ndcg = ndcg
-                if ndcg is not None and ndcg > best_ndcg:
-                    best_ndcg = ndcg
-                    best_values = model.param_values()
-            history.append(record)
+                validate()
 
-    if history and history[-1].valid_ndcg is None:
-        ndcg = validate()
-        history[-1].valid_ndcg = ndcg
-        if ndcg is not None and ndcg > best_ndcg:
-            best_ndcg = ndcg
-            best_values = model.param_values()
+    if histories[0][-1].valid_ndcg is None:
+        validate()
 
     best_model = model.copy()
     best_model.load_values(best_values)
-    return best_model, history
+    return best_model, histories if len(seeds) > 1 else histories[0]
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +362,27 @@ class EvalReport:
         return rows
 
 
-def _run_one(args) -> tuple[str, int, dict[int, float], float | None]:
-    name, spec, splits, train_config, seed, k = args
-    model = build(spec.config, seed)
+def _run_variant(args):
+    """Train all seeds of one variant as one stack and score its test
+    split.  Returns each member's (per-domain, overall) test NDCG, the
+    steps taken, each member's best validation NDCG and the seconds."""
+    name, spec, splits, train_config, seeds, k = args
+    start = time.perf_counter()
     data = splits.restrict(spec.train_domain)
     if not data.train:
         raise ValueError(f"protocol: variant {name!r} has no training sessions")
-    best, _ = train(model, data.train, data.valid, replace(train_config, seed=seed))
-    summary = evaluate(best, data.test, k)
-    return name, seed, summary.per_domain, summary.overall
+    model = stack([build(spec.config, seed) for seed in seeds])
+    try:
+        best, histories = train(model, data.train, data.valid, train_config)
+    except TrainingDiverged as exc:
+        raise TrainingDiverged(f"{name}: {exc}") from exc
+    summaries = evaluate(best, data.test, k)
+    if len(seeds) == 1:
+        histories, summaries = [histories], [summaries]
+    best_valid = [max((r.valid_ndcg for r in h if r.valid_ndcg is not None), default=None)
+                  for h in histories]
+    return ([(s.per_domain, s.overall) for s in summaries], len(histories[0]), best_valid,
+            time.perf_counter() - start)
 
 
 def run_protocol(
@@ -339,10 +396,13 @@ def run_protocol(
     """Train every (variant, seed) pair and summarize test NDCG@k.
 
     Per-domain baselines (variant=baseline with a train_domain) anchor the
-    percentage gains of the consolidated models in the same domain.  Runs
-    are independent, so they may fan out across ``workers`` processes
-    (default: the ``MDRANK_WORKERS`` environment variable, else 1); results
-    are assembled in a fixed order either way.
+    percentage gains of the consolidated models in the same domain.  All
+    seeds of a variant train as one stacked model; variants are
+    independent, so they may fan out across ``workers`` processes
+    (default: the ``MDRANK_WORKERS`` environment variable, else 1; fewer
+    than 1 is a ConfigError).  Results are assembled in a fixed order
+    either way, and each finished variant logs one INFO record on
+    ``mdrank.training``.
     """
     if not variants:
         raise ValueError("run_protocol: no variants")
@@ -350,30 +410,32 @@ def run_protocol(
         raise ValueError("run_protocol: no seeds")
     if len(set(seeds)) != len(seeds):
         raise ValueError("run_protocol: duplicate seeds")
+    source = "workers"
     if workers is None:
+        source = "MDRANK_WORKERS"
         raw_workers = os.environ.get("MDRANK_WORKERS", "1")
         try:
             workers = int(raw_workers)
         except ValueError:
             raise ConfigError(f"MDRANK_WORKERS must be an integer, got {raw_workers!r}") from None
+    if workers < 1:
+        raise ConfigError(f"{source} must be at least 1, got {workers}")
 
-    jobs = [
-        (name, spec, splits, train_config, seed, k)
-        for name, spec in variants.items()
-        for seed in seeds
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_one, jobs))
-    else:
-        raw = [_run_one(job) for job in jobs]
-    by_key = {(name, seed): (per_domain, overall) for name, seed, per_domain, overall in raw}
-
+    jobs = [(name, spec, splits, train_config, tuple(seeds), k) for name, spec in variants.items()]
     runs: list[RunRecord] = []
-    for name in variants:
-        for seed in seeds:
-            per_domain, overall = by_key[(name, seed)]
-            runs.append(RunRecord(variant=name, seed=seed, per_domain=per_domain, overall=overall))
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        for name, (tests, steps, best_valid, seconds) in zip(
+                variants, pool.map(_run_variant, jobs) if pool else map(_run_variant, jobs)):
+            _log.info(
+                "protocol: %s trained seeds %s for %d steps in %.3f s; best valid NDCG %s",
+                name, list(seeds), steps, seconds,
+                ["n/a" if v is None else round(v, 6) for v in best_valid],
+                extra={"variant": name, "seeds": tuple(seeds), "steps": steps,
+                       "best_valid_ndcg": tuple(best_valid), "seconds": seconds},
+            )
+            runs += [RunRecord(variant=name, seed=seed, per_domain=per_domain, overall=overall)
+                     for seed, (per_domain, overall) in zip(seeds, tests)]
 
     cells: dict[tuple[str, int], list[float]] = {}
     for run in runs:

@@ -40,7 +40,7 @@ from mdrank.data import (
 from mdrank.evaluation import ndcg_at_k
 from mdrank.interleaving import UserModel, run_interleaving, sign_test_p
 from mdrank.losses import batch_loss, domain_loss, listwise_loss
-from mdrank.models import ModelConfig, build, count_parameters, forward
+from mdrank.models import ModelConfig, build, count_parameters, forward, stack
 from mdrank.training import (
     DataSplits,
     TrainConfig,
@@ -110,6 +110,30 @@ def _primitive_instances(rng):
                 [tok, wq, wk, wv],
             ))
 
+        # member blocks: two parameter sets, each applied to its own rows
+        mx = Tensor(rng.normal(size=(5, 4)), True)
+        mw, mb = Tensor(rng.normal(size=(2, 4, 3)), True), Tensor(rng.normal(size=(2, 3)), True)
+        wm = rng.normal(size=(5, 3))
+        out.append((
+            lambda mx=mx, mw=mw, mb=mb, wm=wm:
+                reduce_sum(mul_const(linear(mx, mw, mb, members=[2, 3]), wm)),
+            [mx, mw, mb],
+        ))
+        mg = Tensor(1.0 + 0.1 * rng.normal(size=(2, 4)), True)
+        ms = Tensor(rng.normal(size=(2, 4)), True)
+        wn = rng.normal(size=(5, 4))
+        out.append((
+            lambda mx=mx, mg=mg, ms=ms, wn=wn:
+                reduce_sum(mul_const(layer_norm(mx, mg, ms, members=[2, 3]), wn)),
+            [mx, mg, ms],
+        ))
+        mq, mk, mv = (Tensor(rng.normal(size=(2, 4, 4)) * 0.5, True) for _ in range(3))
+        out.append((
+            lambda mx=mx, mq=mq, mk=mk, mv=mv, wn=wn: reduce_sum(mul_const(
+                attention(mx, mq, mk, mv, [2, 1, 2], heads=2, members=[2, 3]), wn)),
+            [mx, mq, mk, mv],
+        ))
+
         r1 = Tensor(rng.normal(size=(5, 3)), True)
         wr = rng.normal(size=(5, 3))
         out.append((
@@ -143,6 +167,15 @@ def test_criterion_1_gradient_correctness():
             lambda model=model, batch=batch: batch_loss(model, batch)[1],
             list(model.parameters.values()),
         ))
+
+    # a stack of two multihead models, each on its own two-domain batch
+    pair = stack([build(tiny_config("multihead"), seed) for seed in (6, 7)])
+    batches = [make_session(rng, n_items=n, feature_dim=5, domain=d)
+               for n, d in ((3, 0), (2, 1), (4, 1))]
+    instances.append((
+        lambda: reduce_sum(batch_loss(pair, batches, members=[2, 1])[1]),
+        list(pair.parameters.values()),
+    ))
 
     assert len(instances) >= 20
     worst = 0.0

@@ -609,3 +609,95 @@ def test_grad_check_on_small_network():
         return reduce_sum(linear(h, w2, b2))
 
     assert grad_check(fn, [w1, b1, w2, b2]) < FD_TOL
+
+
+# ---------------------------------------------------------------------------
+# member blocks: parameters with a leading member axis, block m using slice m
+
+
+MEMBER_LAYOUTS = (
+    [[2, 3], [1], [3, 1, 2]],  # spans 3, 1, 3: members 0 and 2 share a padded layout
+    [[2], [1, 2], [2, 2]],     # one span: every session in one layout
+    [[2, 1], [], [3]],         # an empty block: no gradient reaches member 1
+)
+
+
+def _member_op(op, x, params, lengths, members=None, heads=1):
+    if op == "linear":
+        return linear(x, *params, members=members)
+    if op == "layer_norm":
+        return layer_norm(x, *params, members=members)
+    return attention(x, *params, lengths, heads=heads, members=members)
+
+
+def _member_params(rng, op, n_members, d=4):
+    shapes = {"linear": [(d, 3), (3,)], "layer_norm": [(d,), (d,)],
+              "attention": [(d, d)] * 3}[op]
+    return [_param(rng, n_members, *shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("op, heads", [("linear", 1), ("layer_norm", 1),
+                                       ("attention", 1), ("attention", 2)])
+@pytest.mark.parametrize("layout", MEMBER_LAYOUTS)
+def test_member_blocks_match_each_member_alone_and_finite_differences(op, heads, layout):
+    rng = np.random.default_rng(61 + len(layout[0]))
+    lengths = [n for member in layout for n in member]
+    members = [sum(member) for member in layout]
+    x = _param(rng, sum(lengths), 4)
+    params = _member_params(rng, op, len(layout))
+    c = rng.normal(size=_member_op(op, x, params, lengths, members, heads).shape)
+    fn = lambda: _weighted_sum(_member_op(op, x, params, lengths, members, heads), c)
+    assert grad_check(fn, [x, *params]) < FD_TOL
+
+    for t in (x, *params):
+        t.zero_grad()
+    with Tape() as tape:
+        out = fn()
+        stacked = tape.nodes[0].out.values.copy()
+        backward(tape, out)
+    reached = np.array([n > 0 for n in members])
+    for p in params:
+        assert (p.grad_members is None) == reached.all()
+        if p.grad_members is not None:
+            assert np.array_equal(p.grad_members, reached)
+    start = 0
+    for m, member in enumerate(layout):
+        rows = slice(start, start + sum(member))
+        start = rows.stop
+        if not member:
+            continue
+        xm = Tensor(x.values[rows], requires_grad=True)
+        pm = [Tensor(p.values[m], requires_grad=True) for p in params]
+        with Tape() as tape:
+            alone = _weighted_sum(_member_op(op, xm, pm, member, heads=heads), c[rows])
+            backward(tape, alone)
+        assert np.max(np.abs(tape.nodes[0].out.values - stacked[rows]), initial=0.0) <= EXACT
+        assert np.max(np.abs(xm.grad - x.grad[rows])) <= EXACT
+        for p, q in zip(params, pm):
+            assert np.max(np.abs(q.grad - p.grad[m])) <= EXACT
+
+
+@pytest.mark.parametrize("op", ["cross_entropy", "segment_cross_entropy"])
+def test_member_losses_are_one_sum_per_member(op):
+    """Each member's loss and gradient equal its block's loss alone; a
+    member whose targets are all zero gets no gradient."""
+    rng = np.random.default_rng(71)
+    members, lengths = [3, 4, 2], [1, 2, 4, 2]
+    x = _param(rng, 9, 3 if op == "cross_entropy" else 1)
+    target = rng.uniform(size=x.shape)
+    target[7:] = 0.0
+
+    with Tape() as tape:
+        out = (cross_entropy(x, target, axis=1, members=members) if op == "cross_entropy"
+               else segment_cross_entropy(x, target, lengths, members))
+        backward(tape, out)
+    assert out.shape == (3,)
+    assert np.array_equal(x.grad_members, [True, True, False])
+    for m, (r0, r1, seg) in enumerate(((0, 3, [1, 2]), (3, 7, [4]), (7, 9, [2]))):
+        xm = Tensor(x.values[r0:r1], requires_grad=True)
+        with Tape() as tape:
+            alone = (cross_entropy(xm, target[r0:r1], axis=1) if op == "cross_entropy"
+                     else segment_cross_entropy(xm, target[r0:r1], seg))
+            backward(tape, alone)
+        assert out.values[m] == alone.values
+        assert np.array_equal(xm.grad, x.grad[r0:r1])

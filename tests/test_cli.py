@@ -215,6 +215,38 @@ def test_non_integer_workers_env_exits_config_error(tmp_path, capsys, monkeypatc
     assert err.startswith("config error:") and "MDRANK_WORKERS" in err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_env_below_one_exits_config_error(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("MDRANK_WORKERS", workers)
+    config = _write_config(tmp_path)
+    assert cli.main(["protocol", "--config", str(config)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "MDRANK_WORKERS" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_protocol_divergence_names_variant_and_seed(tmp_path, capsys, monkeypatch):
+    """One poisoned member of a stack diverges alone: the error names its
+    variant and seed, and the other members stay finite."""
+    training = importlib.import_module("mdrank.training")
+    build, stack, stacks = training.build, training.stack, []
+
+    def poisoned_build(config, seed):
+        model = build(config, seed)
+        if seed == 22:
+            model.parameters["trunk.0.w"].values[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(training, "build", poisoned_build)
+    monkeypatch.setattr(training, "stack", lambda models: stacks.append(stack(models)) or stacks[-1])
+    config = _write_config(tmp_path)
+    assert cli.main(["protocol", "--config", str(config)]) == cli.EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: baseline_d0: seed 22, step 0: non-finite loss")
+    assert len(stacks) == 1 and stacks[0].seeds == (21, 22)
+    assert np.isfinite(stacks[0].values[0]).all()
+
+
 def test_interleave_end_to_end(tmp_path, capsys):
     config = _write_config(tmp_path)
     cli.main(["train", "--config", str(config)])

@@ -1,13 +1,17 @@
 """Training loop, checkpoint selection, and the multi-seed protocol."""
 
+import logging
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrank.autodiff import Tape, backward
 from mdrank.data import SyntheticSpec, generate_synthetic
 from mdrank.evaluation import evaluate
 from mdrank.losses import batch_loss
-from mdrank.models import build, load, save
+from mdrank.models import ConfigError, build, load, save, stack
 from mdrank.training import (
     Adam,
     DataSplits,
@@ -246,6 +250,60 @@ def test_copies_and_loads_own_their_arenas(rng):
 
 
 # ---------------------------------------------------------------------------
+# stacked training: all seeds of a variant step in lockstep
+
+
+def _history_bits(history):
+    return [repr(astuple(record)) for record in history]
+
+
+@settings(max_examples=25, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), n_members=st.integers(1, 4),
+       shape=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 2), st.booleans()),
+                      min_size=2, max_size=11),
+       batch_size=st.integers(1, 4), epochs=st.integers(1, 2), eval_every=st.integers(1, 7),
+       seed=st.integers(0, 1000))
+def test_stack_trains_every_member_exactly_as_its_seed_alone(
+    variant, n_members, shape, batch_size, epochs, eval_every, seed
+):
+    """Ragged last batches, batches missing a domain (three domains) or
+    every positive label, and validation mid-epoch or only at the end: each
+    member's checkpoint bytes, parameters and history equal its seed's run
+    alone, bit for bit."""
+    rng = np.random.default_rng(seed)
+    sessions = [make_session(rng, n, 5, domain=d, query_id=f"t{i}", ensure_positive=positive)
+                for i, (n, d, positive) in enumerate(shape)]
+    valid = [make_session(rng, int(rng.integers(1, 6)), 5, domain=i % 3, query_id=f"v{i}")
+             for i in range(4)]
+    config = tiny_config(variant, n_domains=3)
+    seeds = [seed + 7 * i for i in range(n_members)]
+    cfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=0.05,
+                      eval_every=eval_every, k=4)
+    best, histories = train(stack([build(config, s) for s in seeds]), sessions, valid, cfg)
+    if n_members == 1:
+        histories = [histories]
+    assert best.seeds == tuple(seeds)
+    for m, s in enumerate(seeds):
+        alone, history = train(build(config, s), sessions, valid, cfg)
+        member = best.member(m)
+        assert save(member) == save(alone)
+        assert member.param_values().tobytes() == alone.param_values().tobytes()
+        assert _history_bits(histories[m]) == _history_bits(history)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_names_the_member_and_spares_the_others():
+    splits = _splits()
+    models = [build(tiny_config(), seed=s) for s in (4, 5, 6)]
+    models[2].parameters["trunk.0.w"].values[0, 0] = np.nan
+    stacked = stack(models)
+    cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.01, eval_every=5, k=4)
+    with pytest.raises(TrainingDiverged, match=r"^seed 6, step 0: non-finite loss"):
+        train(stacked, list(splits.train), list(splits.valid), cfg)
+    assert np.isfinite(stacked.values[:2]).all()
+
+
+# ---------------------------------------------------------------------------
 # multi-seed protocol
 
 
@@ -327,3 +385,30 @@ def test_report_renderings_have_expected_columns():
     box = report.boxplot_rows()
     assert box[0] == "variant,domain,min,q1,median,q3,max"
     assert len(box) == 1 + len(report.stats)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_protocol_rejects_fewer_than_one_worker(workers):
+    splits = _splits(train=10, valid=4, test=4)
+    cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.01, eval_every=5, k=4)
+    with pytest.raises(ConfigError, match="at least 1"):
+        run_protocol(_protocol_variants(), splits, seeds=(1, 2), train_config=cfg, k=4,
+                     workers=workers)
+
+
+def test_protocol_logs_one_progress_record_per_variant(caplog):
+    quiet = _tiny_protocol()
+    with caplog.at_level(logging.INFO, logger="mdrank.training"):
+        report = _tiny_protocol()
+    records = [r for r in caplog.records if r.name == "mdrank.training"]
+    assert [r.variant for r in records] == list(_protocol_variants())
+    for record in records:
+        assert record.levelno == logging.INFO
+        assert record.seeds == (21, 22)
+        assert record.steps == (3 if record.variant.startswith("baseline") else 6)
+        assert len(record.best_valid_ndcg) == 2
+        assert all(0.0 <= v <= 1.0 for v in record.best_valid_ndcg)
+        assert record.seconds > 0.0
+        assert record.variant in record.getMessage()
+    assert report.csv_rows() == quiet.csv_rows()
+    assert report.table_text() == quiet.table_text()
