@@ -16,16 +16,19 @@ Member blocks: the ops that hold parameters (``linear``, ``layer_norm``,
 ``segment_cross_entropy``) take an optional ``members``, the row counts of
 consecutive member blocks of a stack of models trained in lockstep.  Their
 parameters then carry a leading member axis, block m uses member m's slice
-only, and each loss is one sum per member.  Every block goes through the
-same numpy calls it would alone, so a member's values and gradients are
-bit-identical to running it by itself.  A gradient records which members
-it reaches (``Tensor.grad_members``): a member without rows in a parameter
-op, or whose loss targets are all zero, gets no gradient there, as a model
-run alone would not.
+only, and each loss is one sum per member.  Without ``members`` there is
+one block of every row, and the parameters (without a member axis) are its
+slice: a lone model is the one-block case of the same code.  Every block
+goes through the same numpy calls it would alone, so a member's values and
+gradients are bit-identical to running it by itself.  A gradient records
+which members it reaches (``Tensor.grad_members``): a member without rows
+in a parameter op, or whose loss targets are all zero, gets no gradient
+there, as a model run alone would not.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -194,34 +197,123 @@ def backward(tape: Tape, loss: Tensor) -> None:
         _upstream_members.set(None)
 
 
-def _blocks(members, n_rows: int, n_members: int, where: str):
-    """Row ranges of the member blocks of ``members`` (row counts), and the
-    mask of members with rows (None when all have some)."""
-    counts = [int(c) for c in members]
-    if len(counts) != n_members or min(counts) < 0 or sum(counts) != n_rows:
-        raise ShapeError(f"{where}: member blocks {counts} do not split {n_rows} rows "
-                         f"among {n_members} members")
-    ends = list(itertools.accumulate(counts))
-    present = None if all(counts) else np.array([c > 0 for c in counts])
-    return list(zip([0, *ends], ends)), present
+class _OneBlock:
+    """Every row in one block, under parameters without a member axis: a
+    lone model.  Each method is the numpy call one member block makes."""
+
+    lead: tuple[int, ...] = ()  # the parameters' leading member axis
+    present = None  # the mask of members with rows, None when all have some
+
+    def matmul(self, rows, mat, transposed=False):
+        return rows @ (mat.T if transposed else mat)
+
+    def ufunc(self, ufunc, rows, vec, out=None):  # vec broadcast over the rows
+        return ufunc(rows, vec, out=out)
+
+    def sums(self, rows):  # the gradient of a vector broadcast over the rows
+        return np.add.reduce(rows, axis=0)
+
+    def outer(self, a, b):  # the gradient of a matrix applied to the rows
+        return a.T @ b
+
+    def losses(self, prod, target):
+        """``-sum(prod)`` per member, and the mask of members whose targets
+        are not all zero (None when all are)."""
+        return prod.sum() * -1.0, None
+
+    def spread(self, g, ndim):  # member-loss gradients over ndim-d rows
+        return g
+
+    def span_groups(self, lens):
+        """The blocks grouped by the length of their longest session, as
+        (rows, session lengths) pairs."""
+        return [(slice(None), lens)]
 
 
-def _by_member(ufunc, rows: np.ndarray, values: np.ndarray, blocks, out=None) -> np.ndarray:
-    """``ufunc(rows[block], values[m])`` for every member block m."""
-    if out is None:
-        out = np.empty(rows.shape)
-    for (r0, r1), vm in zip(blocks, values):
-        ufunc(rows[r0:r1], vm, out=out[r0:r1])
-    return out
+class _MemberBlocks:
+    """Consecutive row blocks, ``counts[m]`` rows for member m, under
+    parameters with a leading member axis: ``_OneBlock``'s methods, with
+    block m meeting slice m only."""
+
+    present = None
+
+    def __init__(self, counts: list[int]):
+        ends = list(itertools.accumulate(counts))
+        self.counts, self.spans, self.lead = counts, list(zip([0, *ends], ends)), (len(counts),)
+        if not all(counts):
+            self.present = np.array([c > 0 for c in counts])
+            self.present.flags.writeable = False  # shared by every op of the layout
+
+    def matmul(self, rows, mats, transposed=False):
+        out = np.empty((rows.shape[0], mats.shape[-2 if transposed else -1]))
+        for (r0, r1), mm in zip(self.spans, mats):
+            np.matmul(rows[r0:r1], mm.T if transposed else mm, out=out[r0:r1])
+        return out
+
+    def ufunc(self, ufunc, rows, vecs, out=None):
+        out = np.empty(rows.shape) if out is None else out
+        for (r0, r1), vm in zip(self.spans, vecs):
+            ufunc(rows[r0:r1], vm, out=out[r0:r1])
+        return out
+
+    def sums(self, rows):
+        out = np.empty((len(self.spans), *rows.shape[1:]))
+        for m, (r0, r1) in enumerate(self.spans):
+            np.add.reduce(rows[r0:r1], axis=0, out=out[m])
+        return out
+
+    def outer(self, a, b):
+        out = np.empty((len(self.spans), a.shape[1], b.shape[1]))
+        for m, (r0, r1) in enumerate(self.spans):
+            np.matmul(a[r0:r1].T, b[r0:r1], out=out[m])
+        return out
+
+    def losses(self, prod, target):
+        # a zero target is an identically zero loss, which a model run
+        # alone never records
+        value = np.array([np.add.reduce(prod[r0:r1], axis=None) for r0, r1 in self.spans]) * -1.0
+        live = [np.logical_or.reduce(target[r0:r1], axis=None) for r0, r1 in self.spans]
+        return value, None if all(live) else np.array(live)
+
+    def spread(self, g, ndim):
+        return np.repeat(g, self.counts).reshape(-1, *[1] * (ndim - 1))
+
+    def span_groups(self, lens):
+        # each group pads its sessions exactly as each of its members alone;
+        # rows is a slice when the group's blocks are consecutive
+        ends = np.cumsum(lens)
+        cuts = np.searchsorted(ends, [r1 for _, r1 in self.spans], side="right").tolist()
+        groups: dict[int, list[tuple[int, int, int, int]]] = {}
+        for (r0, r1), s0, s1 in zip(self.spans, [0, *cuts], cuts):
+            if r1 != (int(ends[s1 - 1]) if s1 else 0):
+                raise ShapeError(f"attention: member block ({r0}, {r1}) cuts a session")
+            if s1 > s0:
+                groups.setdefault(int(lens[s0:s1].max()), []).append((r0, r1, s0, s1))
+        out = []
+        for parts in groups.values():
+            if all(a[1] == b[0] for a, b in zip(parts, parts[1:])):
+                out.append((slice(parts[0][0], parts[-1][1]), lens[parts[0][2] : parts[-1][3]]))
+            else:
+                out.append((np.concatenate([np.arange(r0, r1) for r0, r1, _, _ in parts]),
+                            np.concatenate([lens[s0:s1] for _, _, s0, s1 in parts])))
+        return out
 
 
-def _member_loss(prod: np.ndarray, target: np.ndarray, blocks):
-    """``-sum(prod)`` per member block, and the mask of members whose
-    targets are not all zero (None when all are): a zero target is an
-    identically zero loss, which a model run alone never records."""
-    value = np.array([prod[r0:r1].sum() for r0, r1 in blocks]) * -1.0
-    live = [bool(target[r0:r1].any()) for r0, r1 in blocks]
-    return value, None if all(live) else np.array(live)
+_ONE_BLOCK = _OneBlock()
+
+
+def _blocks(members, n_rows: int, where: str) -> _OneBlock | _MemberBlocks:
+    """The layout of ``members``, the row counts of consecutive member
+    blocks; without ``members`` one block holds every row."""
+    return _ONE_BLOCK if members is None else _member_blocks(tuple(members), n_rows, where)
+
+
+@functools.lru_cache(maxsize=1024)  # a layout is built once, not once per op
+def _member_blocks(counts: tuple, n_rows: int, where: str) -> _MemberBlocks:
+    counts = [int(c) for c in counts]
+    if not counts or min(counts) < 0 or sum(counts) != n_rows:
+        raise ShapeError(f"{where}: member blocks {counts} do not split {n_rows} rows")
+    return _MemberBlocks(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -247,49 +339,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor, members=None) -> Tensor:
     With ``members``, ``w`` is ``(S, d, n)`` and ``b`` ``(S, n)``, and
     member block m computes ``x[block] @ w[m] + b[m]``.
     """
-    if members is not None:
-        return _stacked_linear(x, w, b, members)
-    if (x.values.ndim != 2 or w.values.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    xv, wv = x.values, w.values
-    out = Tensor(xv @ wv + b.values, x.requires_grad or w.requires_grad or b.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(b, np.add.reduce(g, axis=0))
-        _accumulate(x, g @ wv.T)
-        _accumulate(w, xv.T @ g)
-
-    _record("linear", out, bwd)
-    return out
-
-
-def _stacked_linear(x: Tensor, w: Tensor, b: Tensor, members) -> Tensor:
     xv, wv, bv = x.values, w.values, b.values
-    if (xv.ndim != 2 or wv.ndim != 3 or xv.shape[1] != wv.shape[1]
-            or bv.shape != (wv.shape[0], wv.shape[2])):
+    if xv.ndim != 2:
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    blocks, present = _blocks(members, xv.shape[0], wv.shape[0], "linear")
-    values = np.empty((xv.shape[0], wv.shape[2]))
-    for (r0, r1), wm, bm in zip(blocks, wv, bv):
-        part = values[r0:r1]
-        np.matmul(xv[r0:r1], wm, out=part)
-        part += bm
+    blocks = _blocks(members, xv.shape[0], "linear")
+    if wv.shape[:-1] != (*blocks.lead, xv.shape[1]) or bv.shape != (*blocks.lead, wv.shape[-1]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
+    values = blocks.matmul(xv, wv)
+    blocks.ufunc(np.add, values, bv, out=values)
     out = Tensor(values, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        gb, gw = np.empty_like(bv), np.empty_like(wv)
-        gx = np.empty_like(xv) if x.requires_grad else None
-        for m, (r0, r1) in enumerate(blocks):
-            gm = g[r0:r1]
-            np.add.reduce(gm, axis=0, out=gb[m])
-            if gx is not None:
-                np.matmul(gm, wv[m].T, out=gx[r0:r1])
-            np.matmul(xv[r0:r1].T, gm, out=gw[m])
-        _accumulate(b, gb, present)
-        if gx is not None:
-            _accumulate(x, gx)
-        _accumulate(w, gw, present)
+        _accumulate(b, blocks.sums(g), blocks.present)
+        if x.requires_grad:
+            _accumulate(x, blocks.matmul(g, wv, transposed=True))
+        _accumulate(w, blocks.outer(xv, g), blocks.present)
 
     _record("linear", out, bwd)
     return out
@@ -336,23 +400,18 @@ def cross_entropy(x: Tensor, target, axis: int, members=None) -> Tensor:
     tv = np.asarray(target, dtype=np.float64)
     if tv.shape != x.shape:
         raise ShapeError(f"cross_entropy: target shape {tv.shape} != tensor shape {x.shape}")
-    blocks = None
-    if members is not None:
-        if x.values.ndim != 2 or axis != 1:
-            raise ShapeError("cross_entropy: member blocks need a 2-d tensor and axis 1")
-        blocks, _ = _blocks(members, x.shape[0], len(members), "cross_entropy")
+    blocks = _blocks(members, x.shape[0], "cross_entropy")
+    if blocks.lead and (x.values.ndim != 2 or axis != 1):
+        raise ShapeError("cross_entropy: member blocks need a 2-d tensor and axis 1")
     shifted = x.values - np.maximum.reduce(x.values, axis=axis, keepdims=True)
     lse = np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
     y = shifted - lse
     p = np.exp(y)
-    value, live = (((y * tv).sum() * -1.0, None) if blocks is None
-                   else _member_loss(y * tv, tv, blocks))
+    value, live = blocks.losses(y * tv, tv)
     out = Tensor(value, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if blocks is not None:
-            g = np.repeat(g, [r1 - r0 for r0, r1 in blocks])[:, None]
-        gy = tv * (-1.0 * g)
+        gy = tv * (-1.0 * blocks.spread(g, tv.ndim))
         _accumulate(x, gy - p * np.add.reduce(gy, axis=axis, keepdims=True), live)
 
     _record("cross_entropy", out, bwd)
@@ -381,23 +440,18 @@ def segment_cross_entropy(x: Tensor, target, lengths, members=None) -> Tensor:
             f"shape, got {x.shape} and {tv.shape}"
         )
     lens = _segments(lengths, x.values.size, "segment_cross_entropy")
-    blocks = None
-    if members is not None:
-        blocks, _ = _blocks(members, x.values.size, len(members), "segment_cross_entropy")
+    blocks = _blocks(members, x.values.size, "segment_cross_entropy")
     starts = np.cumsum(lens) - lens
     xv = x.values.reshape(-1)
     t = tv.reshape(-1)
     shifted = xv - np.repeat(np.maximum.reduceat(xv, starts), lens)
     y = shifted - np.repeat(np.log(np.add.reduceat(np.exp(shifted), starts)), lens)
     p = np.exp(y)
-    value, live = (((y * t).sum() * -1.0, None) if blocks is None
-                   else _member_loss(y * t, t, blocks))
+    value, live = blocks.losses(y * t, t)
     out = Tensor(value, x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        if blocks is not None:
-            g = np.repeat(g, [r1 - r0 for r0, r1 in blocks])
-        gy = t * (-1.0 * g)
+        gy = t * (-1.0 * blocks.spread(g, 1))
         gx = gy - p * np.repeat(np.add.reduceat(gy, starts), lens)
         _accumulate(x, gx.reshape(x.shape), live)
 
@@ -418,44 +472,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
     ``members``, member m's rows using row m)."""
     if x.values.ndim != 2:
         raise ShapeError(f"layer_norm: expected 2-d input, got shape {x.shape}")
+    blocks = _blocks(members, x.shape[0], "layer_norm")
     d = x.shape[1]
-    want = (d,) if members is None else (len(members), d)
-    if gain.shape != want or bias.shape != want:
+    if gain.shape != (*blocks.lead, d) or bias.shape != (*blocks.lead, d):
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    blocks, present = (None, None) if members is None else _blocks(
-        members, x.shape[0], len(members), "layer_norm")
     mu = _row_mean(x.values)
     var = _row_mean((x.values - mu) ** 2)
     r = 1.0 / np.sqrt(var + eps)
     n = (x.values - mu) * r
     gv, bv = gain.values, bias.values
-    requires_grad = x.requires_grad or gain.requires_grad or bias.requires_grad
-    if blocks is None:
-        out = Tensor(n * gv, requires_grad)
-        out.values += bv
-    else:
-        out = Tensor(_by_member(np.multiply, n, gv, blocks), requires_grad)
-        _by_member(np.add, out.values, bv, blocks, out=out.values)
+    values = blocks.ufunc(np.multiply, n, gv)
+    blocks.ufunc(np.add, values, bv, out=values)
+    out = Tensor(values, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        dn = g * gv if blocks is None else _by_member(np.multiply, g, gv, blocks)
-        _accumulate(
-            x,
-            r * (dn - _row_mean(dn) - n * _row_mean(dn * n)),
-        )
-        gn = g * n
-        if blocks is None:
-            _accumulate(gain, np.add.reduce(gn, axis=0))
-            _accumulate(bias, np.add.reduce(g, axis=0))
-            return
-        g_gain, g_bias = np.empty_like(gv), np.empty_like(bv)
-        for m, (r0, r1) in enumerate(blocks):
-            np.add.reduce(gn[r0:r1], axis=0, out=g_gain[m])
-            np.add.reduce(g[r0:r1], axis=0, out=g_bias[m])
-        _accumulate(gain, g_gain, present)
-        _accumulate(bias, g_bias, present)
+        dn = blocks.ufunc(np.multiply, g, gv)
+        _accumulate(x, r * (dn - _row_mean(dn) - n * _row_mean(dn * n)))
+        _accumulate(gain, blocks.sums(g * n), blocks.present)
+        _accumulate(bias, blocks.sums(g), blocks.present)
 
     _record("layer_norm", out, bwd)
     return out
@@ -586,29 +622,6 @@ def _attention_core(qkv: np.ndarray, lens: np.ndarray, heads: int):
     return (o[seg, pos] if ragged else o.reshape(n, d)), back
 
 
-def _span_groups(lens: np.ndarray, blocks) -> list[tuple[object, np.ndarray]]:
-    """The member blocks grouped by the length of their longest session,
-    as (rows, session lengths) pairs: rows is a slice when the group's
-    blocks are consecutive, else an index array.  Each group pads its
-    sessions exactly as each of its members alone."""
-    ends = np.cumsum(lens)
-    cuts = np.searchsorted(ends, [r1 for _, r1 in blocks], side="right").tolist()
-    groups: dict[int, list[tuple[int, int, int, int]]] = {}
-    for (r0, r1), s0, s1 in zip(blocks, [0, *cuts], cuts):
-        if r1 != (int(ends[s1 - 1]) if s1 else 0):
-            raise ShapeError(f"attention: member block ({r0}, {r1}) cuts a session")
-        if s1 > s0:
-            groups.setdefault(int(lens[s0:s1].max()), []).append((r0, r1, s0, s1))
-    out = []
-    for parts in groups.values():
-        if all(a[1] == b[0] for a, b in zip(parts, parts[1:])):
-            out.append((slice(parts[0][0], parts[-1][1]), lens[parts[0][2] : parts[-1][3]]))
-        else:
-            out.append((np.concatenate([np.arange(r0, r1) for r0, r1, _, _ in parts]),
-                        np.concatenate([lens[s0:s1] for _, _, s0, s1 in parts])))
-    return out
-
-
 def attention(
     tokens: Tensor,
     wq: Tensor,
@@ -638,9 +651,9 @@ def attention(
     if tokens.values.ndim != 2:
         raise ShapeError(f"attention: expected 2-d tokens, got shape {tokens.shape}")
     n, d = tokens.shape
-    lead = () if members is None else (len(members),)
+    blocks = _blocks(members, n, "attention")
     for name, w in (("wq", wq), ("wk", wk), ("wv", wv)):
-        if w.shape != (*lead, d, d):
+        if w.shape != (*blocks.lead, d, d):
             raise ShapeError(f"attention: {name} shape {w.shape} does not match width {d}")
     if heads < 1 or d % heads != 0:
         raise ShapeError(f"attention: width {d} is not divisible by {heads} heads")
@@ -648,51 +661,22 @@ def attention(
     xv = tokens.values
     w_all = np.concatenate([wq.values, wk.values, wv.values], axis=-1)
     requires_grad = tokens.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad
-    if members is None:
-        values, back = _attention_core(xv @ w_all, lens, heads)
-
-        def bwd(g: np.ndarray) -> None:
-            dqkv = back(g)
-            _accumulate(tokens, dqkv @ w_all.T)
-            dw_all = xv.T @ dqkv
-            _accumulate(wq, dw_all[:, :d])
-            _accumulate(wk, dw_all[:, d : 2 * d])
-            _accumulate(wv, dw_all[:, 2 * d :])
-
-        out = Tensor(values, requires_grad)
-        _record("attention", out, bwd)
-        return out
-
-    blocks, present = _blocks(members, n, len(members), "attention")
-    groups = _span_groups(lens, blocks)
-    qkv = np.empty((n, 3 * d))
-    for (r0, r1), wm in zip(blocks, w_all):
-        np.matmul(xv[r0:r1], wm, out=qkv[r0:r1])
-    if len(groups) == 1:
-        values, back = _attention_core(qkv, lens, heads)
-        backs = [back]
-    else:
-        values = np.empty((n, d))
-        backs = []
-        for rows, group_lens in groups:
-            values[rows], back = _attention_core(qkv[rows], group_lens, heads)
-            backs.append(back)
+    groups = blocks.span_groups(lens)
+    qkv = blocks.matmul(xv, w_all)
+    values, backs = np.empty((n, d)), []
+    for rows, group_lens in groups:
+        values[rows], back = _attention_core(qkv[rows], group_lens, heads)
+        backs.append(back)
 
     def bwd(g: np.ndarray) -> None:
-        if len(groups) == 1:
-            dqkv = backs[0](g)
-        else:
-            dqkv = np.empty((n, 3 * d))
-            for (rows, _), back in zip(groups, backs):
-                dqkv[rows] = back(g[rows])
-        gx, dw_all = np.empty_like(xv), np.empty_like(w_all)
-        for m, (r0, r1) in enumerate(blocks):
-            np.matmul(dqkv[r0:r1], w_all[m].T, out=gx[r0:r1])
-            np.matmul(xv[r0:r1].T, dqkv[r0:r1], out=dw_all[m])
-        _accumulate(tokens, gx)
-        _accumulate(wq, dw_all[..., :d], present)
-        _accumulate(wk, dw_all[..., d : 2 * d], present)
-        _accumulate(wv, dw_all[..., 2 * d :], present)
+        dqkv = np.empty((n, 3 * d))
+        for (rows, _), back in zip(groups, backs):
+            dqkv[rows] = back(g[rows])
+        _accumulate(tokens, blocks.matmul(dqkv, w_all, transposed=True))
+        dw_all = blocks.outer(xv, dqkv)
+        _accumulate(wq, dw_all[..., :d], blocks.present)
+        _accumulate(wk, dw_all[..., d : 2 * d], blocks.present)
+        _accumulate(wv, dw_all[..., 2 * d :], blocks.present)
 
     out = Tensor(values, requires_grad)
     _record("attention", out, bwd)

@@ -340,7 +340,10 @@ def cmd_train(config: ExperimentConfig, args) -> int:
         spec = config.models[name]
         data = _training_data(config, splits, name)
         model = build(spec.config, seed)
-        best, history = train(model, data.train, data.valid, train_config)
+        try:
+            best, history = train(model, data.train, data.valid, train_config)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"{name}: {exc}") from exc
         model_path = _model_path(config, name)
         model_path.parent.mkdir(parents=True, exist_ok=True)
         model_path.write_bytes(save(best))

@@ -14,6 +14,7 @@ that member alone.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -26,15 +27,18 @@ from .models import Model, forward
 __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
-def _member_ids(members, lens: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """The member index of each session (``members[m]`` consecutive
-    sessions belong to member m) and each member's row count."""
-    counts = np.asarray(members, dtype=np.int64)
-    if counts.ndim != 1 or np.any(counts < 1) or int(counts.sum()) != lens.size:
-        raise ValueError(f"member batches {counts.tolist()} do not split {lens.size} sessions")
-    ids = np.repeat(np.arange(counts.size), counts)
-    rows = np.bincount(ids, weights=lens, minlength=counts.size).astype(np.int64).tolist()
-    return ids, rows
+def _members(members, lens: np.ndarray) -> tuple[list[int], list[int], list[int] | None]:
+    """Each member's session count, first session and row count
+    (``members[m]`` consecutive sessions belong to member m); without
+    ``members`` one member holds every session, and the loss ops get no
+    member blocks."""
+    if members is None:
+        return [lens.size], [0], None
+    counts = [int(c) for c in members]
+    if not counts or min(counts) < 1 or sum(counts) != lens.size:
+        raise ValueError(f"member batches {counts} do not split {lens.size} sessions")
+    starts = [0, *itertools.accumulate(counts)][:-1]
+    return counts, starts, np.add.reduceat(lens, starts).tolist()
 
 
 def listwise_loss(scores, labels: Sequence[float], lengths=None,
@@ -63,12 +67,10 @@ def listwise_loss(scores, labels: Sequence[float], lengths=None,
     used = totals > 0.0
     if not used.any():
         return None
-    if members is None:
-        norm = np.repeat(np.where(used, totals, 1.0) * used.sum(), lens)
-        return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens)
-    ids, rows = _member_ids(members, lens)
-    used_count = np.bincount(ids[used], minlength=len(rows))
-    norm = np.repeat(np.where(used, totals, 1.0) * np.maximum(used_count, 1)[ids], lens)
+    counts, starts, rows = _members(members, lens)
+    used_count = np.add.reduceat(used, starts, dtype=np.int64)
+    norm = np.repeat(np.where(used, totals, 1.0) * np.repeat(np.maximum(used_count, 1), counts),
+                     lens)
     return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, rows)
 
 
@@ -91,12 +93,10 @@ def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Te
     doms = np.broadcast_to(np.asarray(domain, dtype=np.int64), lens.shape)
     if np.any(doms < 0) or np.any(doms >= k):
         raise ValueError(f"domain_loss: domain {doms.tolist()} out of range [0, {k})")
-    sessions, rows = lens.size, None
-    if members is not None:
-        ids, rows = _member_ids(members, lens)
-        sessions = np.asarray(members)[ids]
+    counts, _, rows = _members(members, lens)
     target = np.zeros((n, k))
-    target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(lens * sessions, lens)
+    target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(
+        lens * np.repeat(counts, counts), lens)
     return cross_entropy(domain_logits, target, axis=1, members=rows)
 
 
@@ -123,24 +123,24 @@ def batch_loss(
     The ranking term averages over sessions with at least one positive
     label; the domain term (classifier variants only) averages over every
     session.  Returns the breakdown plus the loss tensor to backpropagate,
-    which is None when nothing in the batch contributes.
+    one loss per member of the model, which is None when nothing in the
+    batch contributes.
 
-    A stack of several members gives one breakdown per member and a vector
-    of member losses; ``members`` splits the sessions into the members'
-    batches.  A member whose batch contributes nothing has the breakdown
-    of a skipped step and no gradient.
+    A stack of several members gives one breakdown per member; ``members``
+    splits the sessions into the members' batches.  A member whose batch
+    contributes nothing has the breakdown of a skipped step and no
+    gradient.
     """
     if not sessions:
         raise ValueError("batch_loss: empty batch")
     cfg = model.config
     n_members = len(model.seeds)
     scored = forward(model, sessions, members=members)
-    members = None if n_members == 1 else scored.members  # one scalar loss alone
-    lens = scored.lengths
+    members, lens = scored.members, scored.lengths
     labels = np.concatenate([s.labels() for s in sessions])
     rank = listwise_loss(scored.scores, labels, lens, members)
     session_used = np.add.reduceat(labels, np.cumsum(lens) - lens) > 0.0
-    used = np.bincount(np.repeat(np.arange(n_members), scored.members)[session_used],
+    used = np.bincount(np.repeat(np.arange(n_members), members)[session_used],
                        minlength=n_members).tolist()
     pieces: list[Tensor] = []
     if rank is not None:
@@ -153,15 +153,10 @@ def batch_loss(
     loss = None if not pieces else pieces[0] if len(pieces) == 1 else add(*pieces)
     breakdowns = []
     for m in range(n_members):
-        if used[m]:
-            total = loss.values.reshape(-1)[m]
-        elif dom is not None:
-            total = pieces[-1].values.reshape(-1)[m]
-        else:
-            total = 0.0
+        total = loss.values[m] if used[m] else 0.0 if dom is None else pieces[-1].values[m]
         breakdowns.append(LossBreakdown(
-            ranking_loss=float(rank.values.reshape(-1)[m]) if used[m] else 0.0,
-            domain_loss=None if dom is None else float(dom.values.reshape(-1)[m]),
+            ranking_loss=float(rank.values[m]) if used[m] else 0.0,
+            domain_loss=None if dom is None else float(dom.values[m]),
             total=float(total),
             sessions_used=used[m],
         ))

@@ -181,7 +181,7 @@ class ModelConfig:
                 grl_lambda=float(obj["grl_lambda"]),
                 domain_loss_weight=float(obj["domain_loss_weight"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid model config: {exc}") from exc
 
 
@@ -258,6 +258,8 @@ class Model:
 
     def member(self, m: int) -> "Model":
         """Member m as a one-member model, in an arena of its own."""
+        if not 0 <= m < len(self.seeds):
+            raise IndexError(f"member {m} is outside the {len(self.seeds)} members of this model")
         if len(self.seeds) == 1:
             return self.copy()
         params = {name: Tensor(t.values[m], requires_grad=True)
@@ -284,35 +286,34 @@ def _dense_specs(prefix: str, dims: tuple[int, ...]) -> list[tuple[str, str, tup
     return specs
 
 
-def _parameter_specs(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(name, kind, shape) for every parameter, in build order."""
-    specs: list[tuple[str, str, tuple[int, ...]]] = []
+def _parameter_specs(config: ModelConfig):
+    """(name, kind, shape) for every parameter, in build order, lazily: a
+    payload that lacks one is rejected without listing the rest."""
     trunk_dims = (config.feature_dim, *config.trunk_hidden)
-    specs += _dense_specs("trunk", trunk_dims)
+    yield from _dense_specs("trunk", trunk_dims)
     h = config.trunk_hidden[-1]
     d = config.token_dim
-    specs += _dense_specs("score", (h, 1))
-    specs += _dense_specs("token", (h + 1, d))
+    yield from _dense_specs("score", (h, 1))
+    yield from _dense_specs("token", (h + 1, d))
     for l in range(config.transformer_layers):
         p = f"transformer.{l}"
-        specs.append((f"{p}.norm1.gain", "ln_gain", (d,)))
-        specs.append((f"{p}.norm1.bias", "ln_bias", (d,)))
-        specs.append((f"{p}.wq", "weight", (d, d)))
-        specs.append((f"{p}.wk", "weight", (d, d)))
-        specs.append((f"{p}.wv", "weight", (d, d)))
-        specs += _dense_specs(f"{p}.attn_out", (d, d))
-        specs.append((f"{p}.norm2.gain", "ln_gain", (d,)))
-        specs.append((f"{p}.norm2.bias", "ln_bias", (d,)))
-        specs += _dense_specs(f"{p}.ffn", (d, d, d))
+        yield f"{p}.norm1.gain", "ln_gain", (d,)
+        yield f"{p}.norm1.bias", "ln_bias", (d,)
+        yield f"{p}.wq", "weight", (d, d)
+        yield f"{p}.wk", "weight", (d, d)
+        yield f"{p}.wv", "weight", (d, d)
+        yield from _dense_specs(f"{p}.attn_out", (d, d))
+        yield f"{p}.norm2.gain", "ln_gain", (d,)
+        yield f"{p}.norm2.bias", "ln_bias", (d,)
+        yield from _dense_specs(f"{p}.ffn", (d, d, d))
     final_dims = (1 + d, *config.final_hidden, 1)
     if config.variant is Variant.MULTI_HEAD:
         for dom in range(config.n_domains):
-            specs += _dense_specs(f"head.{dom}", final_dims)
+            yield from _dense_specs(f"head.{dom}", final_dims)
     else:
-        specs += _dense_specs("final", final_dims)
+        yield from _dense_specs("final", final_dims)
     if config.variant.has_classifier:
-        specs += _dense_specs("classifier", (h, *config.classifier_hidden, config.n_domains))
-    return specs
+        yield from _dense_specs("classifier", (h, *config.classifier_hidden, config.n_domains))
 
 
 def build(config: ModelConfig, seed: int) -> Model:
@@ -486,45 +487,55 @@ def save(model: Model) -> bytes:
 
 
 def load(raw: bytes) -> Model:
+    """The model a ``save`` payload describes; raises ModelLoadError on a
+    payload that is corrupt, truncated, of another version, or whose
+    fields have the wrong types, shapes or values."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelLoadError(f"corrupt model payload: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise ModelLoadError("payload is not a serialized model")
-    if doc.get("version") != _FORMAT_VERSION:
+    version = doc.get("version")
+    if not _is_integer(version) or version != _FORMAT_VERSION:
         raise ModelLoadError(
-            f"unsupported model format version {doc.get('version')!r} "
-            f"(expected {_FORMAT_VERSION})"
+            f"unsupported model format version {version!r} (expected {_FORMAT_VERSION})"
         )
     try:
         config = ModelConfig.from_json_obj(doc["config"])
-        seed = int(doc["seed"])
+        seed = doc["seed"]
         raw_params = doc["parameters"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ModelLoadError(f"missing field in model payload: {exc}") from exc
     except ConfigError as exc:
         raise ModelLoadError(str(exc)) from exc
+    if not _is_integer(seed) or seed < 0:
+        raise ModelLoadError(f"model seed must be a non-negative integer, got {seed!r}")
+    if not isinstance(raw_params, dict):
+        raise ModelLoadError("model parameters must be an object of named entries")
 
     params: dict[str, Tensor] = {}
     for name, kind, shape in _parameter_specs(config):
         entry = raw_params.get(name)
         if entry is None:
             raise ModelLoadError(f"model payload is missing parameter {name!r}")
-        got_shape = tuple(entry.get("shape", ()))
+        if not isinstance(entry, dict):
+            raise ModelLoadError(f"parameter {name!r} is not an object")
+        got_shape = entry.get("shape")
+        if (not isinstance(got_shape, list) or not all(map(_is_integer, got_shape))
+                or tuple(got_shape) != shape):
+            raise ModelLoadError(f"parameter {name!r} has shape {got_shape!r}, expected {shape}")
         values = entry.get("values")
-        if got_shape != shape:
-            raise ModelLoadError(
-                f"parameter {name!r} has shape {got_shape}, expected {shape}"
-            )
-        expected = int(np.prod(shape, dtype=np.int64))
+        expected = math.prod(shape)
         if not isinstance(values, list) or len(values) != expected:
-            raise ModelLoadError(f"parameter {name!r} holds {0 if values is None else len(values)} "
-                                 f"values, expected {expected}")
+            count = len(values) if isinstance(values, list) else 0
+            raise ModelLoadError(f"parameter {name!r} holds {count} values, expected {expected}")
+        if not {*map(type, values)} <= {int, float}:
+            raise ModelLoadError(f"parameter {name!r} holds non-numeric values")
         try:
             arr = np.asarray(values, dtype=np.float64).reshape(shape)
-        except (TypeError, ValueError) as exc:
-            raise ModelLoadError(f"parameter {name!r} holds non-numeric values") from exc
+        except OverflowError:  # an integer beyond the float range
+            raise ModelLoadError(f"parameter {name!r} holds a value beyond the float range") from None
         if not np.isfinite(arr).all():
             raise ModelLoadError(f"parameter {name!r} holds non-finite values")
         params[name] = Tensor(arr, requires_grad=True)

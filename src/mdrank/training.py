@@ -120,9 +120,7 @@ class Adam:
         params = self.model.parameters.values()
         values, g, m_rows, v_rows = self._rows
         mask = None
-        # only the members of a stack can miss a parameter's gradient
-        if all(p.grad is not None for p in params) and (
-                len(self.t) == 1 or all(p.grad_members is None for p in params)):
+        if all(p.grad is not None and p.grad_members is None for p in params):
             self.t = [t + 1 for t in self.t]
         else:
             touched = np.zeros((len(self.t), len(params)), dtype=bool)
@@ -132,12 +130,8 @@ class Adam:
             mask = np.repeat(touched, self._sizes, axis=1)
             self.t = [t + int(stepped) for t, stepped in zip(self.t, touched.any(axis=1))]
         # a member that never stepped is masked out; t = 1 keeps it finite
-        b1c = [1.0 - self.beta1 ** max(t, 1) for t in self.t]
-        b2c = [1.0 - self.beta2 ** max(t, 1) for t in self.t]
-        if len(self.t) == 1:
-            b1c, b2c = b1c[0], b2c[0]
-        else:
-            b1c, b2c = np.array(b1c)[:, None], np.array(b2c)[:, None]
+        b1c = np.array([1.0 - self.beta1 ** max(t, 1) for t in self.t])[:, None]
+        b2c = np.array([1.0 - self.beta2 ** max(t, 1) for t in self.t])[:, None]
         m, v = (m_rows, v_rows) if mask is None else (m_rows.copy(), v_rows.copy())
         m *= self.beta1
         m += (1.0 - self.beta1) * g

@@ -323,7 +323,7 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
     )
     code = cli.main(["train", "--config", str(config), "--variant", "baseline_d0"])
     assert code == cli.EXIT_DIVERGED
-    assert "training diverged" in capsys.readouterr().err
+    assert "training diverged: baseline_d0: seed 1, step" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -617,6 +617,60 @@ def test_mutated_data_file_never_ends_in_a_traceback(generated_lines, data):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main([command, "--config", str(config)])
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
+            assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """The model files ``train`` writes for the tiny config, by file name."""
+    root = tmp_path_factory.mktemp("trained")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["train", "--config", str(_write_config(root))]) == cli.EXIT_OK
+    return {p.name: p.read_text() for p in (root / "out" / "models").glob("*.model.json")}
+
+
+def _mutated_model(data, text):
+    """A saved model with a value of another type, a negative, a NaN, an
+    infinity, a 401-digit integer or a nested list in one field, a key
+    dropped, or cut short."""
+    kind = data.draw(st.sampled_from(["value", "drop", "truncate"]), label="mutation")
+    if kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    doc = json.loads(text)
+    # one entry of each values list stands for the rest
+    paths = [p for p in _config_nodes(doc) if p[-2:-1] != ("values",) or p[-1] == 0]
+    if kind == "drop":
+        paths = [p for p in paths if isinstance(p[-1], str)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "drop":
+        del parent[path[-1]]
+    else:
+        value = parent[path[-1]]
+        parent[path[-1]] = data.draw(
+            st.sampled_from([*_mutations(value), 10**400, [value]]), label="value")
+    return json.dumps(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_model_file_never_ends_in_a_traceback(trained_models, data):
+    name = data.draw(st.sampled_from(sorted(trained_models)), label="model")
+    text = _mutated_model(data, trained_models[name])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        models = root / "out" / "models"
+        models.mkdir(parents=True)
+        for other, body in trained_models.items():
+            (models / other).write_text(text if other == name else body, encoding="utf-8")
+        config = _write_config(root)
+        for command in ("evaluate", "interleave"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(config)])
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA)
             assert "Traceback" not in err.getvalue()
 
 

@@ -19,6 +19,7 @@ from mdrank.models import (
     forward,
     load,
     save,
+    stack,
 )
 from tests.conftest import make_session, tiny_config
 
@@ -335,11 +336,42 @@ def test_load_rejects_tampered_parameters():
     with pytest.raises(ModelLoadError):
         load(json.dumps(obj).encode())
 
-    for bad, message in ((float("inf"), "non-finite"), ("abc", "non-numeric")):
+    for bad, message in ((float("inf"), "non-finite"), ("abc", "non-numeric"),
+                         (True, "non-numeric"), (10**400, "float range")):
         obj = json.loads(raw)
         obj["parameters"][name]["values"][0] = bad
         with pytest.raises(ModelLoadError, match=message):
             load(json.dumps(obj).encode())
+
+    for key, bad in (("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -4),
+                     ("parameters", []), ("version", True)):
+        obj = json.loads(raw)
+        obj[key] = bad
+        with pytest.raises(ModelLoadError):
+            load(json.dumps(obj).encode())
+
+    def nest(entry):
+        entry["values"] = [[v] for v in entry["values"]]
+
+    for change in (lambda entry: entry.update(shape=3), nest):
+        obj = json.loads(raw)
+        change(obj["parameters"][name])
+        with pytest.raises(ModelLoadError):
+            load(json.dumps(obj).encode())
+    obj = json.loads(raw)
+    obj["parameters"][name] = [1.0]
+    with pytest.raises(ModelLoadError, match="not an object"):
+        load(json.dumps(obj).encode())
+
+
+def test_member_rejects_indices_outside_the_stack():
+    lone = build(tiny_config(), seed=1)
+    trio = stack([build(tiny_config(), seed=s) for s in (1, 2, 3)])
+    for model, m, n in ((lone, 5, 1), (lone, -1, 1), (trio, -1, 3), (trio, 3, 3)):
+        with pytest.raises(IndexError, match=f"member {m} is outside the {n} members"):
+            model.member(m)
+    assert trio.member(2).seeds == (3,)
+    assert save(trio.member(0)) == save(build(tiny_config(), seed=1))
 
 
 def test_save_rejects_non_finite_weights():
