@@ -210,6 +210,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
     if interleave.n_impressions < 1:
         raise ConfigError(f"{inter_where}: n_impressions must be >= 1")
+    if interleave.n_impressions > 2**32:
+        raise ConfigError(f"{inter_where}: n_impressions must be <= 2**32")
     if interleave.seed < 0:
         raise ConfigError(f"{inter_where}: seed must be >= 0")
     if not (math.isfinite(interleave.examination_eta) and interleave.examination_eta >= 0.0):

@@ -3,6 +3,7 @@ exact binomial sign test over per-query winners."""
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -162,6 +163,130 @@ def sign_test_p(wins_a: int, wins_b: int) -> float:
     return float(min(1.0, 2.0 * binom.cdf(min(wins_a, wins_b), n, 0.5)))
 
 
+# numpy's SeedSequence and PCG64 as array operations over impressions.  They
+# mirror numpy/random/bit_generator.pyx (``SeedSequence``: ``hashmix``, ``mix``,
+# ``mix_entropy``, ``generate_state``), numpy/random/src/pcg64/pcg64.h
+# (``pcg64_srandom_r``, ``pcg64_random_r``, ``pcg64_next32``) and
+# numpy/random/src/distributions/distributions.c (``next_double``,
+# ``buffered_bounded_lemire_uint32``).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))  # (high, low)
+
+
+def _hash_constants(init: int, mult: int):
+    """The (xor, multiplier) pair of each successive hash call; they do not
+    depend on the data."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _mul128(a, b):
+    """(high, low) uint64 pairs multiplied mod 2**128; the high word of the
+    low words' product comes from 32-bit limbs."""
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a0, a1 = a_lo & _MASK32, a_lo >> 32
+    b0, b1 = b_lo & _MASK32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    high = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32) + a_lo * b_hi + a_hi * b_lo
+    return high, a_lo * b_lo
+
+
+def _add128(a, b):
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _pcg64_seeded(seed: int, n_impressions: int):
+    """The seeded PCG64 ``(state, inc)`` of ``SeedSequence([seed, i, j])``
+    for streams j = 0 and 1, each a (high, low) pair of uint64 arrays over
+    the impressions i."""
+    # SeedSequence: entropy words [seed words..., i, j] hashed into a pool
+    # of four uint32 words, then four uint64 words drawn from the pool.
+    shape = (2, n_impressions)
+    seed_words = [(seed >> s) & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(shape, w, dtype=np.uint32) for w in seed_words]
+    entropy.append(np.broadcast_to(np.arange(n_impressions, dtype=np.uint32), shape))
+    entropy.append(np.broadcast_to(np.arange(2, dtype=np.uint32)[:, None], shape))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(entropy[w] if w < len(entropy) else np.zeros(shape, np.uint32), constants)
+            for w in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    words = []
+    for w in range(0, 8, 2):
+        low = _hashmix(pool[w % 4], constants).astype(np.uint64)
+        words.append(low | _hashmix(pool[(w + 1) % 4], constants).astype(np.uint64) << 32)
+
+    # PCG64 seeding: inc = 2·initseq + 1, state = (inc + initstate)·M + inc.
+    inc = ((words[2] << 1) | (words[3] >> 63), (words[3] << 1) | 1)
+    state = _add128(_mul128(_add128(inc, (words[0], words[1])), _PCG_MULT), inc)
+    return [((state[0][j], state[1][j]), (inc[0][j], inc[1][j])) for j in range(2)]
+
+
+def _pcg64_outputs(state, inc, count: int) -> np.ndarray:
+    """The next ``count`` 64-bit outputs of each generator, one column per
+    generator: each output steps the state, then applies XSL-RR (in place,
+    to keep transient arrays few)."""
+    high = np.empty((count, state[0].size), dtype=np.uint64)
+    low = np.empty_like(high)
+    for t in range(count):
+        state = _add128(_mul128(state, _PCG_MULT), inc)
+        high[t], low[t] = state
+    low ^= high
+    high >>= 58  # the rotation
+    out = low >> high
+    np.subtract(64, high, out=high)
+    high &= 63
+    low <<= high
+    out |= low
+    return out
+
+
+def _impression_streams(
+    seed: int, n_impressions: int, n_coins: int, n_draws: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every impression's coins and purchase draws, computed as arrays.
+
+    Row i of the ``(n_impressions, n_coins)`` coins equals, bit for bit,
+    ``default_rng(SeedSequence([seed, i, 0])).integers(0, 2, size=n_coins)``,
+    and row i of the ``(n_impressions, n_draws)`` draws equals
+    ``default_rng(SeedSequence([seed, i, 1])).random(n_draws)``, of which
+    ``random(n)`` is the first n values.  Impression indices stay below
+    2**32, where ``SeedSequence`` gives them one entropy word.
+    """
+    coin_stream, draw_stream = _pcg64_seeded(seed, n_impressions)
+    # A coin is the top bit of a 32-bit half, low half first: for a range of
+    # 2 the Lemire method never rejects.
+    words = _pcg64_outputs(*coin_stream, (n_coins + 1) // 2)
+    coins = np.stack([(words >> 31) & 1, words >> 63], axis=1).reshape(-1, n_impressions)
+    words = _pcg64_outputs(*draw_stream, n_draws)
+    words >>= 11
+    return coins[:n_coins].T.astype(bool), words.T * (1.0 / 9007199254740992.0)
+
+
 def _draft_pages(
     ranks: Sequence[tuple[np.ndarray, np.ndarray]],
     session_of: np.ndarray,
@@ -230,15 +355,23 @@ def run_interleaving(
     same seed and mirrored coins reproduces the (A, B) experiment exactly
     with the team labels swapped.
 
-    All pages are drafted and simulated at once.  The random streams are
-    those of ``team_draft`` and ``simulate_session`` applied page by page
-    (coins from ``SeedSequence([seed, i, 0])``, purchase draws from
-    ``SeedSequence([seed, i, 1])``), and so is the report, exactly.
+    All pages are drafted and simulated at once, and so are the random
+    streams: ``_impression_streams`` computes numpy's SeedSequence and
+    PCG64 as array operations over the impressions.  Impression i's coins
+    equal ``default_rng(SeedSequence([seed, i, 0])).integers(0, 2, ...)``
+    and its purchase draws ``default_rng(SeedSequence([seed, i, 1])).random(...)``
+    bit for bit, so the report equals that of ``team_draft`` and
+    ``simulate_session`` applied page by page on those generators, exactly.
+    ``seed`` may be any non-negative integer; ``n_impressions`` is at most
+    2**32, which keeps each impression index one SeedSequence word.
     """
     if not sessions:
         raise ValueError("run_interleaving: no sessions")
-    if n_impressions < 1:
-        raise ValueError("run_interleaving: n_impressions must be >= 1")
+    if not 1 <= n_impressions <= 2**32:
+        raise ValueError("run_interleaving: n_impressions must lie in [1, 2**32]")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"run_interleaving: seed must be >= 0, got {seed}")
     if k < 1:
         raise ValueError("run_interleaving: k must be >= 1")
     if k > len(user.examination):
@@ -272,20 +405,15 @@ def run_interleaving(
     width = min(k, int(lengths.max()))
     session_of = np.arange(n_impressions) % len(sessions)
     shown = np.minimum(lengths, k)[session_of]
-    coins = np.empty((n_impressions, k), dtype=bool)
+    coins, draws = _impression_streams(seed, n_impressions, (width + 1) // 2, width)
+    position = np.arange(width)
     # A draw of 1.0 is never below a purchase probability, so positions past
     # the end of a page buy nothing.
-    draws = np.ones((n_impressions, width))
-    for i, n_shown in enumerate(shown.tolist()):
-        coin_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 0]))
-        coins[i] = coin_rng.integers(0, 2, size=k)
-        draw_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 1]))
-        draws[i, :n_shown] = draw_rng.random(n_shown)
+    draws[position >= shown[:, None]] = 1.0
     if mirror_coins:
         coins = ~coins
     # Pick counts are equal before every even position, so coin t // 2
     # names the team drafting position t and the other team drafts t + 1.
-    position = np.arange(width)
     a_turn = coins[:, position // 2] ^ (position % 2 == 1)
     items = _draft_pages(ranks, session_of, a_turn)
 

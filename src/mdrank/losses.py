@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,18 +28,31 @@ from .models import Model, forward
 __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
-def _members(members, lens: np.ndarray) -> tuple[list[int], list[int], list[int] | None]:
-    """Each member's session count, first session and row count
-    (``members[m]`` consecutive sessions belong to member m); without
-    ``members`` one member holds every session, and the loss ops get no
-    member blocks."""
+class _Layout(NamedTuple):
+    """A batch's sessions and member batches, worked out once for both
+    losses: session lengths, each session's first row, sessions per member,
+    each member's first session, and each member's row count (None without
+    ``members``, so the loss ops get no member blocks)."""
+
+    lens: np.ndarray
+    starts: np.ndarray
+    counts: list[int]
+    first: list[int]
+    rows: list[int] | None
+
+
+def _layout(lens: np.ndarray, members) -> _Layout:
+    """The layout of sessions of checked lengths ``lens``, of which
+    ``members[m]`` consecutive ones belong to member m (default: one member
+    holds every session)."""
+    starts = np.cumsum(lens) - lens
     if members is None:
-        return [lens.size], [0], None
+        return _Layout(lens, starts, [lens.size], [0], None)
     counts = [int(c) for c in members]
     if not counts or min(counts) < 1 or sum(counts) != lens.size:
         raise ValueError(f"member batches {counts} do not split {lens.size} sessions")
-    starts = [0, *itertools.accumulate(counts)][:-1]
-    return counts, starts, np.add.reduceat(lens, starts).tolist()
+    first = [0, *itertools.accumulate(counts)][:-1]
+    return _Layout(lens, starts, counts, first, np.add.reduceat(lens, first).tolist())
 
 
 def listwise_loss(scores, labels: Sequence[float], lengths=None,
@@ -60,18 +74,26 @@ def listwise_loss(scores, labels: Sequence[float], lengths=None,
         raise ValueError(
             f"listwise_loss: {lab.size} labels for {t.values.size} scores"
         )
+    return _listwise_loss(t, lab, _layout(_segments(
+        [lab.size] if lengths is None else lengths, lab.size, "listwise_loss"), members))[0]
+
+
+def _listwise_loss(t: Tensor, lab: np.ndarray,
+                   layout: _Layout) -> tuple[Tensor | None, list[int]]:
+    """``listwise_loss`` on a checked layout, and each member's count of
+    sessions with a positive label."""
     if np.any(lab < 0) or not np.all(np.isfinite(lab)):
         raise ValueError("listwise_loss: labels must be finite and non-negative")
-    lens = _segments([lab.size] if lengths is None else lengths, lab.size, "listwise_loss")
-    totals = np.add.reduceat(lab, np.cumsum(lens) - lens)
+    lens = layout.lens
+    totals = np.add.reduceat(lab, layout.starts)
     used = totals > 0.0
+    used_count = np.add.reduceat(used, layout.first, dtype=np.int64)
     if not used.any():
-        return None
-    counts, starts, rows = _members(members, lens)
-    used_count = np.add.reduceat(used, starts, dtype=np.int64)
-    norm = np.repeat(np.where(used, totals, 1.0) * np.repeat(np.maximum(used_count, 1), counts),
-                     lens)
-    return segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, rows)
+        return None, used_count.tolist()
+    norm = np.repeat(np.where(used, totals, 1.0) * np.repeat(np.maximum(used_count, 1),
+                                                             layout.counts), lens)
+    loss = segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, layout.rows)
+    return loss, used_count.tolist()
 
 
 def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Tensor:
@@ -88,16 +110,22 @@ def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Te
         raise ValueError(
             f"domain_loss: logits must be (items, n_domains), got {domain_logits.shape}"
         )
-    n, k = domain_logits.shape
+    n = domain_logits.shape[0]
     lens = _segments([n] if lengths is None else lengths, n, "domain_loss")
+    return _domain_loss(domain_logits, domain, _layout(lens, members))
+
+
+def _domain_loss(domain_logits: Tensor, domain, layout: _Layout) -> Tensor:
+    """``domain_loss`` on a checked layout."""
+    n, k = domain_logits.shape
+    lens, counts = layout.lens, layout.counts
     doms = np.broadcast_to(np.asarray(domain, dtype=np.int64), lens.shape)
     if np.any(doms < 0) or np.any(doms >= k):
         raise ValueError(f"domain_loss: domain {doms.tolist()} out of range [0, {k})")
-    counts, _, rows = _members(members, lens)
     target = np.zeros((n, k))
     target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(
         lens * np.repeat(counts, counts), lens)
-    return cross_entropy(domain_logits, target, axis=1, members=rows)
+    return cross_entropy(domain_logits, target, axis=1, members=layout.rows)
 
 
 @dataclass
@@ -136,18 +164,15 @@ def batch_loss(
     cfg = model.config
     n_members = len(model.seeds)
     scored = forward(model, sessions, members=members)
-    members, lens = scored.members, scored.lengths
+    layout = _layout(scored.lengths, scored.members)  # forward checked the lengths
     labels = np.concatenate([s.labels() for s in sessions])
-    rank = listwise_loss(scored.scores, labels, lens, members)
-    session_used = np.add.reduceat(labels, np.cumsum(lens) - lens) > 0.0
-    used = np.bincount(np.repeat(np.arange(n_members), members)[session_used],
-                       minlength=n_members).tolist()
+    rank, used = _listwise_loss(scored.scores, labels, layout)
     pieces: list[Tensor] = []
     if rank is not None:
         pieces.append(rank)
     dom = None
     if cfg.variant.has_classifier:
-        dom = domain_loss(scored.domain_logits, [s.domain for s in sessions], lens, members)
+        dom = _domain_loss(scored.domain_logits, [s.domain for s in sessions], layout)
         pieces.append(scale(dom, cfg.domain_loss_weight))
 
     loss = None if not pieces else pieces[0] if len(pieces) == 1 else add(*pieces)

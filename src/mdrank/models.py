@@ -167,21 +167,23 @@ class ModelConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelConfig":
+        """The config a model file holds.  Values of the wrong JSON type are
+        rejected, never cast: ``"heads": 1.9`` does not load as one head."""
         try:
-            return cls(
-                variant=Variant(obj["variant"]),
-                feature_dim=int(obj["feature_dim"]),
-                n_domains=int(obj["n_domains"]),
-                trunk_hidden=tuple(obj["trunk_hidden"]),
-                token_dim=int(obj["token_dim"]),
-                transformer_layers=int(obj["transformer_layers"]),
-                heads=int(obj["heads"]),
-                final_hidden=tuple(obj["final_hidden"]),
-                classifier_hidden=tuple(obj["classifier_hidden"]),
-                grl_lambda=float(obj["grl_lambda"]),
-                domain_loss_weight=float(obj["domain_loss_weight"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            fields = {name: obj[name] for name in cls.__dataclass_fields__}
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"invalid model config: {exc}") from exc
+        for name in ("trunk_hidden", "final_hidden", "classifier_hidden"):
+            if not isinstance(fields[name], list):
+                raise ConfigError(f"invalid model config: {name} must be a list of widths")
+        for name in ("grl_lambda", "domain_loss_weight"):
+            value = fields[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"invalid model config: {name} must be a number, got {value!r}")
+        try:
+            return cls(**{**fields, "grl_lambda": float(fields["grl_lambda"]),
+                          "domain_loss_weight": float(fields["domain_loss_weight"])})
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid model config: {exc}") from exc
 
 

@@ -339,6 +339,8 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["interleave"].update(n_impressions="20"), "n_impressions"),
         (lambda doc: doc["train"].update(epochs=2.5), "epochs"),
         (lambda doc: doc["interleave"].update(n_impressions=0), "n_impressions must be >= 1"),
+        (lambda doc: doc["interleave"].update(n_impressions=2**32 + 1),
+         "n_impressions must be <= 2**32"),
         (lambda doc: doc["interleave"].update(page_size=-1), "page_size"),
         (lambda doc: doc["interleave"].update(page_size=0), "page_size"),
         (lambda doc: doc["interleave"].update(examination_eta=-1.0), "examination_eta"),
@@ -629,14 +631,34 @@ def trained_models(tmp_path_factory):
     return {p.name: p.read_text() for p in (root / "out" / "models").glob("*.model.json")}
 
 
+def _ill_typed(value):
+    """JSON values of another type than ``value``, a model config field's."""
+    out = [None, True, {}, [value]]
+    if isinstance(value, list):
+        out += [str(value), [*value, 1.5]]
+    elif isinstance(value, str):
+        out.append(3)
+    elif isinstance(value, int):
+        out += [str(value), value + 0.5, float(value)]
+    else:
+        out.append(str(value))
+    return out
+
+
 def _mutated_model(data, text):
     """A saved model with a value of another type, a negative, a NaN, an
     infinity, a 401-digit integer or a nested list in one field, a key
-    dropped, or cut short."""
-    kind = data.draw(st.sampled_from(["value", "drop", "truncate"]), label="mutation")
+    dropped, or cut short; or with a config field of another JSON type,
+    which must not load.  Returns the text and whether it must fail."""
+    kind = data.draw(st.sampled_from(["value", "drop", "truncate", "config"]), label="mutation")
     if kind == "truncate":
-        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+        return text[: data.draw(st.integers(0, len(text) - 1), label="cut")], False
     doc = json.loads(text)
+    if kind == "config":
+        field = data.draw(st.sampled_from(sorted(doc["config"])), label="field")
+        doc["config"][field] = data.draw(
+            st.sampled_from(_ill_typed(doc["config"][field])), label="value")
+        return json.dumps(doc), True
     # one entry of each values list stands for the rest
     paths = [p for p in _config_nodes(doc) if p[-2:-1] != ("values",) or p[-1] == 0]
     if kind == "drop":
@@ -651,14 +673,14 @@ def _mutated_model(data, text):
         value = parent[path[-1]]
         parent[path[-1]] = data.draw(
             st.sampled_from([*_mutations(value), 10**400, [value]]), label="value")
-    return json.dumps(doc)
+    return json.dumps(doc), False
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_mutated_model_file_never_ends_in_a_traceback(trained_models, data):
     name = data.draw(st.sampled_from(sorted(trained_models)), label="model")
-    text = _mutated_model(data, trained_models[name])
+    text, must_fail = _mutated_model(data, trained_models[name])
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         models = root / "out" / "models"
@@ -670,6 +692,9 @@ def test_mutated_model_file_never_ends_in_a_traceback(trained_models, data):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main([command, "--config", str(config)])
+            # evaluate reads every model file, interleave only the pair's
+            if must_fail and command == "evaluate":
+                assert code == cli.EXIT_DATA
             assert code in (cli.EXIT_OK, cli.EXIT_DATA)
             assert "Traceback" not in err.getvalue()
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdrank.data import QuerySession
 from mdrank.evaluation import NonFiniteScoreError
@@ -11,6 +11,7 @@ from mdrank.interleaving import (
     InterleavedList,
     InterleaveReport,
     UserModel,
+    _impression_streams,
     run_interleaving,
     sign_test_p,
     simulate_session,
@@ -286,6 +287,16 @@ def test_run_interleaving_validates_arguments():
     with pytest.raises(ValueError):
         run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10, k=4,
                          relevance=[np.ones(3)])
+    # impression indices stay single SeedSequence words; nothing this large runs
+    with pytest.raises(ValueError, match="n_impressions"):
+        run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user,
+                         2**32 + 1, k=4)
+    with pytest.raises(ValueError, match="seed"):
+        run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10,
+                         seed=-1, k=4)
+    with pytest.raises(TypeError):
+        run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10,
+                         seed=1.5, k=4)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
@@ -360,6 +371,33 @@ def test_scores_must_be_one_per_item():
                          n_impressions=4, seed=0, k=4)
 
 
+# one, two and three or more SeedSequence entropy words
+_SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                   st.integers(2**64, 2**130))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=_SEEDS, n_impressions=st.integers(1, 12), k=st.integers(1, 17),
+       short=st.integers(0, 16))
+@example(seed=0, n_impressions=3, k=16, short=0)
+@example(seed=2**32 - 1, n_impressions=3, k=7, short=2)
+@example(seed=2**32, n_impressions=3, k=8, short=5)
+@example(seed=2**64, n_impressions=3, k=5, short=0)
+def test_array_streams_equal_numpy_per_impression_generators(seed, n_impressions, k, short):
+    """Coins and draws equal numpy's own per-impression streams bit for bit,
+    also on pages ``short`` items shorter than k; a numpy release that
+    changes SeedSequence or PCG64 fails here."""
+    n_shown = max(1, k - short)
+    coins, draws = _impression_streams(seed, n_impressions, k, k)
+    assert coins.shape == (n_impressions, k) and coins.dtype == bool
+    assert draws.shape == (n_impressions, k) and draws.dtype == np.float64
+    for i in range(n_impressions):
+        coin_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 0]))
+        assert coins[i].tolist() == coin_rng.integers(0, 2, size=k).astype(bool).tolist()
+        draw_rng = np.random.default_rng(np.random.SeedSequence([seed, i, 1]))
+        assert draws[i, :n_shown].tobytes() == draw_rng.random(n_shown).tobytes()
+
+
 def _loop_interleaving(model_a, model_b, sessions, user, n_impressions, seed, k,
                        relevance, mirror_coins):
     """The experiment page by page: ``team_draft`` and ``simulate_session``
@@ -422,7 +460,7 @@ def test_batched_interleaving_equals_the_page_by_page_loop(data):
     user = UserModel.position_decay(k + data.draw(st.integers(0, 2)), eta)
     args = dict(
         n_impressions=data.draw(st.integers(1, 3 * len(sessions) + 2), label="impressions"),
-        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        seed=data.draw(_SEEDS, label="seed"),
         k=k,
         relevance=relevance,
         mirror_coins=data.draw(st.booleans(), label="mirror"),
