@@ -24,15 +24,7 @@ from .data import (
     write_dataset,
 )
 from .evaluation import EvalSummary, as_scorer, evaluate, ndcg_at_k
-from .interleaving import (
-    InterleavedList,
-    InterleaveReport,
-    UserModel,
-    run_interleaving,
-    sign_test_p,
-    simulate_session,
-    team_draft,
-)
+from .interleaving import InterleaveReport, UserModel, run_interleaving, sign_test_p
 from .losses import LossBreakdown, batch_loss, domain_loss, listwise_loss
 from .models import (
     ConfigError,
@@ -82,13 +74,10 @@ __all__ = [
     "as_scorer",
     "evaluate",
     "ndcg_at_k",
-    "InterleavedList",
     "InterleaveReport",
     "UserModel",
     "run_interleaving",
     "sign_test_p",
-    "simulate_session",
-    "team_draft",
     "LossBreakdown",
     "batch_loss",
     "domain_loss",

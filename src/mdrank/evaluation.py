@@ -51,7 +51,7 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
     Returns None for sessions whose labels are all zero (the metric is
     undefined there and such sessions are excluded from averages).  Raises
     ``NonFiniteScoreError`` on a NaN or infinite score.  This is the
-    one-session reference: ``evaluate`` computes the same values for all
+    one-session case of ``_ndcg_rows``, which ``evaluate`` runs over all
     its sessions at once.
     """
     s = np.asarray(scores, dtype=np.float64)
@@ -64,33 +64,22 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
         raise ValueError(f"ndcg_at_k: k must be >= 1, got {k}")
     if not np.all(np.isfinite(s)):
         raise NonFiniteScoreError("ndcg_at_k: scores must be finite")
-    if not lab.any():
-        return None
-    n = s.size
-    depth = min(k, n)
-    order = ranked_indices(s)
-    dcg = 0.0
-    for rank in range(depth):
-        dcg += lab[order[rank]] / math.log2(rank + 2)
-    ideal = np.sort(lab)[::-1]
-    idcg = 0.0
-    for rank in range(depth):
-        idcg += ideal[rank] / math.log2(rank + 2)
-    return float(dcg / idcg)
+    values, evaluable = _ndcg_rows([s], [lab], k)
+    return float(values[0]) if evaluable[0] else None
 
 
 def as_scorer(model_or_fn: Model | Scorer) -> Scorer:
-    """Adapt a Model (or any session -> scores callable) to a scorer."""
+    """Adapt a Model (or any session -> scores callable) to a scorer.
+
+    A one-member Model scores through ``score_sessions``, so a NaN or
+    infinite score raises ``NonFiniteScoreError``.
+    """
     if isinstance(model_or_fn, Model):
         model = model_or_fn
         if len(model.seeds) != 1:
             raise ValueError(f"as_scorer: a stack of {len(model.seeds)} members; "
                              f"score one member() at a time")
-
-        def score(session: QuerySession) -> np.ndarray:
-            return forward(model, [session], domain_logits=False).session_scores()[0]
-
-        return score
+        return lambda session: score_sessions(model, [session])[0]
     if callable(model_or_fn):
         fn = model_or_fn
         return lambda session: np.asarray(fn(session), dtype=np.float64)
@@ -184,15 +173,17 @@ class EvalSummary:
 
 @functools.lru_cache(maxsize=None)
 def _discounts(depth: int) -> np.ndarray:
-    """``log2(rank + 2)`` for ranks below ``depth``, from ``math.log2`` as in
-    ``ndcg_at_k``; read-only, since every caller shares it."""
+    """``log2(rank + 2)`` for ranks below ``depth``, each from ``math.log2``;
+    read-only, since every caller shares it."""
     disc = np.array([math.log2(r + 2) for r in range(depth)])
     disc.flags.writeable = False
     return disc
 
 
 def _ndcg_rows(scores: Sequence[np.ndarray], labels: Sequence[np.ndarray], k: int):
-    """NDCG@k of every session at once, bit-identical to ``ndcg_at_k``.
+    """NDCG@k of every session at once, bit for bit the textbook loop
+    (``dcg += gain / math.log2(rank + 2)`` rank by rank from ``0.0``, the
+    same for the ideal order, then ``dcg / idcg`` in float64).
 
     Returns the values of the sessions with a non-zero label and a mask of
     those sessions.  Sessions of equal length are one reshape; otherwise
@@ -242,10 +233,11 @@ def evaluate(
 ) -> EvalSummary | list[EvalSummary]:
     """Score every session and average NDCG@k per domain.
 
-    NDCG runs over all sessions at once and equals ``ndcg_at_k`` per
-    session; sessions whose labels are all zero are left out.  A stack of
-    several members gives one summary per member: its members score one
-    at a time, and NDCG runs over all of them at once.
+    NDCG runs over all sessions at once (``_ndcg_rows``, of which
+    ``ndcg_at_k`` is the one-session case); sessions whose labels are all
+    zero are left out.  A stack of several members gives one summary per
+    member: its members score one at a time, and NDCG runs over all of
+    them at once.
     """
     if k < 1:
         raise ValueError(f"evaluate: k must be >= 1, got {k}")

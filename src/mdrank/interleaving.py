@@ -16,10 +16,7 @@ from .models import Model
 
 __all__ = [
     "UserModel",
-    "InterleavedList",
     "InterleaveReport",
-    "team_draft",
-    "simulate_session",
     "sign_test_p",
     "run_interleaving",
 ]
@@ -54,14 +51,6 @@ class UserModel:
 
 
 @dataclass
-class InterleavedList:
-    """Blended ranking plus, per position, the team that drafted the item."""
-
-    items: list
-    team_of: list[str]
-
-
-@dataclass
 class InterleaveReport:
     credit_a: float
     credit_b: float
@@ -70,87 +59,6 @@ class InterleaveReport:
     queries_used: int
     impressions: int
     inconclusive: bool
-
-
-def team_draft(
-    rank_a: Sequence,
-    rank_b: Sequence,
-    k: int,
-    coins: Sequence[bool],
-) -> InterleavedList:
-    """Blend two rankings of the same items by team drafting.
-
-    The team with fewer picks drafts next; on equal counts the next entry of
-    ``coins`` decides, True meaning team A drafts first (so teams alternate
-    within each coin-decided round).  The drafting team contributes its
-    highest-ranked item not yet placed.  This is the one-page reference:
-    ``run_interleaving`` drafts all its pages at once with ``_draft_pages``.
-    """
-    if k < 1:
-        raise ValueError(f"team_draft: k must be >= 1, got {k}")
-    if len(rank_a) != len(rank_b) or set(rank_a) != set(rank_b):
-        raise ValueError("team_draft: rankings must cover the same item set")
-    coin_iter = iter(coins)
-
-    placed: set = set()
-    items: list = []
-    teams: list[str] = []
-    ia = ib = count_a = count_b = 0
-    limit = min(k, len(rank_a))
-    while len(items) < limit:
-        if count_a < count_b:
-            turn = "A"
-        elif count_b < count_a:
-            turn = "B"
-        else:
-            try:
-                first_a = bool(next(coin_iter))
-            except StopIteration:
-                raise ValueError("team_draft: ran out of coin outcomes") from None
-            turn = "A" if first_a else "B"
-        if turn == "A":
-            while rank_a[ia] in placed:
-                ia += 1
-            pick = rank_a[ia]
-            count_a += 1
-        else:
-            while rank_b[ib] in placed:
-                ib += 1
-            pick = rank_b[ib]
-            count_b += 1
-        placed.add(pick)
-        items.append(pick)
-        teams.append(turn)
-    return InterleavedList(items=items, team_of=teams)
-
-
-def simulate_session(
-    interleaved: InterleavedList,
-    user: UserModel,
-    relevance: Sequence[float],
-    seed: int | np.random.SeedSequence = 0,
-) -> np.ndarray:
-    """Draw an independent purchase decision per displayed position.
-
-    ``relevance`` is indexed by item (the entries of ``interleaved.items``
-    must be valid indices into it) and must lie in [0, 1].  This is the
-    one-page reference: ``run_interleaving`` simulates all its pages at
-    once with the same arithmetic.
-    """
-    rel = np.asarray(relevance, dtype=np.float64)
-    if not np.all((rel >= 0.0) & (rel <= 1.0)):
-        raise ValueError("simulate_session: relevance must be finite and lie in [0, 1]")
-    n = len(interleaved.items)
-    if n > len(user.examination):
-        raise ValueError(
-            f"simulate_session: {n} positions exceed the examination curve "
-            f"({len(user.examination)} positions)"
-        )
-    probs = np.array(
-        [user.examination[pos] * rel[item] for pos, item in enumerate(interleaved.items)]
-    )
-    draws = np.random.default_rng(seed).random(n)
-    return (draws < probs).astype(np.int64)
 
 
 def sign_test_p(wins_a: int, wins_b: int) -> float:
@@ -342,12 +250,15 @@ def run_interleaving(
     """Simulate an online comparison of two rankers.
 
     Impressions cycle deterministically through the sessions; each one
-    drafts a fresh interleaved page (coin seeded per impression), samples
-    purchases from the user model, and credits each purchase to the team
-    that drafted the purchased item.  The per-query winner is the side with
-    more credit on that impression (ties excluded), feeding the sign test.
-    A NaN or infinite score from either ranker raises
-    ``NonFiniteScoreError``.
+    drafts a fresh page of ``min(k, items)`` positions by team draft: the
+    team with fewer picks drafts next, on equal counts the impression's next
+    coin decides (True: A first), and the drafting team contributes its
+    highest-ranked item not yet placed.  Position t is bought when its
+    uniform draw falls below ``examination[t] * relevance[item]``, and each
+    purchase credits the team that drafted the item.  The per-query winner
+    is the side with more credit on that impression (ties excluded),
+    feeding the sign test.  A NaN or infinite score from either ranker
+    raises ``NonFiniteScoreError``.
 
     ``relevance`` defaults to the items' labels clipped to [0, 1]; every
     vector must have one finite value in [0, 1] per item.
@@ -360,8 +271,8 @@ def run_interleaving(
     PCG64 as array operations over the impressions.  Impression i's coins
     equal ``default_rng(SeedSequence([seed, i, 0])).integers(0, 2, ...)``
     and its purchase draws ``default_rng(SeedSequence([seed, i, 1])).random(...)``
-    bit for bit, so the report equals that of ``team_draft`` and
-    ``simulate_session`` applied page by page on those generators, exactly.
+    bit for bit, so the report equals, exactly, that of drafting and
+    buying page by page, position by position, on those generators.
     ``seed`` may be any non-negative integer; ``n_impressions`` is at most
     2**32, which keeps each impression index one SeedSequence word.
     """

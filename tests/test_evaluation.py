@@ -10,29 +10,35 @@ from mdrank import evaluation
 from mdrank.data import MAX_LIST_LENGTH, QuerySession
 from mdrank.evaluation import (
     NonFiniteScoreError,
+    as_scorer,
     evaluate,
     ndcg_at_k,
     ranked_indices,
     score_sessions,
 )
-from mdrank.models import build, forward
+from mdrank.models import build, forward, stack
 from tests.conftest import make_session, tiny_config
 
 
 def _ndcg_oracle(scores, labels, k):
-    """Exhaustive reference: explicit sort, explicit discounted sums."""
-    n = len(scores)
-    order = sorted(range(n), key=lambda i: (-scores[i], i))
-    dcg = 0.0
-    for rank, idx in enumerate(order[:k]):
-        dcg += labels[idx] / math.log2(rank + 2)
-    ideal = sorted(labels, reverse=True)
-    idcg = 0.0
-    for rank, gain in enumerate(ideal[:k]):
-        idcg += gain / math.log2(rank + 2)
-    if idcg == 0.0:
+    """The textbook loop: rank by score descending with ties by index, add
+    each discounted gain rank by rank from 0.0, the same for the ideal
+    order, and divide in float64 (so signed grades with IDCG 0 give inf or
+    NaN).  None iff no label is non-zero."""
+    s = np.asarray(scores, dtype=np.float64)
+    lab = np.asarray(labels, dtype=np.float64)
+    if not lab.any():
         return None
-    return dcg / idcg
+    depth = min(k, s.size)
+    order = sorted(range(s.size), key=lambda i: (-s[i], i))
+    dcg = 0.0
+    for rank in range(depth):
+        dcg += lab[order[rank]] / math.log2(rank + 2)
+    ideal = np.sort(lab)[::-1]
+    idcg = 0.0
+    for rank in range(depth):
+        idcg += ideal[rank] / math.log2(rank + 2)
+    return float(np.float64(dcg) / idcg)
 
 
 def test_perfect_ranking_scores_one():
@@ -55,10 +61,8 @@ def test_matches_brute_force_oracle_on_random_instances():
         k = int(rng.choice([1, 5, 16]))
         got = ndcg_at_k(scores, labels, k)
         want = _ndcg_oracle(list(scores), list(labels), k)
-        if want is None:
-            assert got is None
-        else:
-            assert abs(got - want) <= 1e-12
+        assert got == want
+        if want is not None:
             assert 0.0 <= got <= 1.0
             checked += 1
     assert checked > 500
@@ -260,8 +264,24 @@ def test_model_with_nan_weights_raises_non_finite(rng):
         evaluate(model, [make_session(rng, 4, 5)], k=4)
 
 
+def test_as_scorer_is_the_batched_scoring_path_on_one_session(rng):
+    model = build(tiny_config("domain_specialist"), seed=4)
+    sessions = [make_session(rng, n, 5, domain=n % 2, query_id=f"q{n}") for n in (1, 3, 9)]
+    scorer = as_scorer(model)
+    for session in sessions:
+        got = scorer(session)
+        assert got.tobytes() == score_sessions(model, [session])[0].tobytes()
+        want = forward(model, [session], domain_logits=False).session_scores()[0]
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="a stack of 2 members"):
+        as_scorer(stack([model, build(tiny_config("domain_specialist"), seed=5)]))
+    model.parameters["final.1.b"].values[:] = np.nan
+    with pytest.raises(NonFiniteScoreError):
+        scorer(sessions[0])
+
+
 # ---------------------------------------------------------------------------
-# batched NDCG in evaluate against the one-session reference
+# batched NDCG against the loop oracle
 
 _TIED_SCORES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
                          st.floats(-1e6, 1e6, allow_nan=False))
@@ -292,17 +312,20 @@ def _scored_sessions(draw, equal_lengths=False, grade=_GRADES):
 @given(st.builds(dict, equal_lengths=st.booleans(), grade=st.sampled_from([_GRADES, _SIGNED_GRADES]))
        .flatmap(lambda kw: _scored_sessions(**kw)), st.integers(1, 30))
 def test_batched_evaluate_equals_the_mean_of_ndcg_at_k_exactly(case, k):
-    """Equality is by repr, which tells every float apart (0.0 from -0.0
-    too) and matches NaN to NaN."""
+    """Against the loop oracle, per session for ``ndcg_at_k`` and
+    ``_ndcg_rows`` and per domain for ``evaluate``.  Equality is by repr,
+    which tells every float apart (0.0 from -0.0 too) and matches NaN to
+    NaN."""
     sessions, scores = case
 
     def scorer(session):
         return scores[session.query_id]
 
     summary = evaluate(scorer, sessions, k)
+    want = [_ndcg_oracle(scores[s.query_id], s.labels(), k) for s in sessions]
+    assert repr([ndcg_at_k(scores[s.query_id], s.labels(), k) for s in sessions]) == repr(want)
     sums, counts = {}, {}
-    for s in sessions:
-        value = ndcg_at_k(scores[s.query_id], s.labels(), k)
+    for s, value in zip(sessions, want):
         if value is not None:
             sums[s.domain] = sums.get(s.domain, 0.0) + value
             counts[s.domain] = counts.get(s.domain, 0) + 1
@@ -314,7 +337,6 @@ def test_batched_evaluate_equals_the_mean_of_ndcg_at_k_exactly(case, k):
     # per session, where evaluate's sums would hide -0.0
     values, evaluable = evaluation._ndcg_rows([scores[s.query_id] for s in sessions],
                                               [s.labels() for s in sessions], k)
-    want = [ndcg_at_k(scores[s.query_id], s.labels(), k) for s in sessions]
     assert evaluable.tolist() == [w is not None for w in want]
     assert repr(values.tolist()) == repr([w for w in want if w is not None])
 

@@ -8,14 +8,12 @@ from mdrank.data import QuerySession
 from mdrank.evaluation import NonFiniteScoreError
 from mdrank.evaluation import ranked_indices, score_sessions
 from mdrank.interleaving import (
-    InterleavedList,
     InterleaveReport,
     UserModel,
+    _draft_pages,
     _impression_streams,
     run_interleaving,
     sign_test_p,
-    simulate_session,
-    team_draft,
 )
 from mdrank.models import build
 from tests.conftest import tiny_config
@@ -31,8 +29,53 @@ def _sessions(rng, n, n_items=6, feature_dim=3):
     return out
 
 
+def _feature_sum_scorer(session):
+    return session.feature_matrix().sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # drafting
+
+
+def team_draft(rank_a, rank_b, k, coins):
+    """The page-by-page oracle.  The team with fewer picks drafts next; on
+    equal counts the next coin decides, True meaning team A drafts first.
+    The drafting team contributes its highest-ranked item not yet placed.
+    Returns the page's items and the team ("A" or "B") of each."""
+    coin_iter = iter(coins)
+    placed = set()
+    items, teams = [], []
+    ia = ib = count_a = count_b = 0
+    while len(items) < min(k, len(rank_a)):
+        if count_a != count_b:
+            turn = "A" if count_a < count_b else "B"
+        else:
+            turn = "A" if next(coin_iter) else "B"
+        if turn == "A":
+            while rank_a[ia] in placed:
+                ia += 1
+            pick = rank_a[ia]
+            count_a += 1
+        else:
+            while rank_b[ib] in placed:
+                ib += 1
+            pick = rank_b[ib]
+            count_b += 1
+        placed.add(pick)
+        items.append(pick)
+        teams.append(turn)
+    return items, teams
+
+
+def _draft(rank_a, rank_b, k, coins):
+    """One page of the shipped kernel ``_draft_pages``, each coin naming the
+    team that drafts a pair of positions as in ``run_interleaving``;
+    returns the page's items and the team of each, like ``team_draft``."""
+    position = np.arange(min(k, len(rank_a)))
+    a_turn = np.asarray(coins, dtype=bool)[position // 2] ^ (position % 2 == 1)
+    pair = (np.array(rank_a), np.array(rank_b))
+    items = _draft_pages([pair], np.zeros(1, dtype=np.int64), a_turn[None])[0]
+    return items.tolist(), ["A" if a else "B" for a in a_turn.tolist()]
 
 
 def _coins(seed, k):
@@ -41,31 +84,22 @@ def _coins(seed, k):
 
 
 def test_team_draft_hand_trace():
-    # coin says A first: A drafts 1, then B (fewer picks) drafts its best
-    # remaining, which is 2
-    page = team_draft([1, 2], [2, 1], k=2, coins=[True])
-    assert page.items == [1, 2]
-    assert page.team_of == ["A", "B"]
-
-    page = team_draft([1, 2], [2, 1], k=2, coins=[False])
-    assert page.items == [2, 1]
-    assert page.team_of == ["B", "A"]
+    """Rankings [1, 2, 0] and [2, 1, 0] (session 0) and [0, 1] and [1, 0]
+    (session 1), all pages three positions wide."""
+    ranks = [(np.array([1, 2, 0]), np.array([2, 1, 0])), (np.array([0, 1]), np.array([1, 0]))]
+    a_turn = np.array([[True, False, True],    # coin True: A drafts 1, B its best left, 2
+                       [False, True, False],   # coin False: B drafts 2, then A drafts 1
+                       [True, False, True]])   # a page longer than its session
+    items = _draft_pages(ranks, np.array([0, 0, 1]), a_turn)
+    assert items.tolist() == [[1, 2, 0], [2, 1, 0], [0, 1, 0]]  # past the end: item 0
 
 
 def test_team_draft_identical_rankings_echo_the_ranking():
-    rank = [4, 2, 7, 1]
+    rank = [3, 1, 0, 2]
     for seed in range(5):
-        page = team_draft(rank, rank, k=4, coins=_coins(seed, 4))
-        assert page.items == rank
-        counts = {t: page.team_of.count(t) for t in "AB"}
-        assert counts["A"] == counts["B"] == 2
-
-
-def test_team_draft_requires_matching_item_sets():
-    with pytest.raises(ValueError):
-        team_draft([1, 2], [1, 3], k=2, coins=_coins(0, 2))
-    with pytest.raises(ValueError):
-        team_draft([1, 2], [1], k=2, coins=_coins(0, 2))
+        items, teams = _draft(rank, rank, k=4, coins=_coins(seed, 4))
+        assert items == rank
+        assert teams.count("A") == teams.count("B") == 2
 
 
 def test_team_draft_never_duplicates_and_stays_balanced():
@@ -75,22 +109,32 @@ def test_team_draft_never_duplicates_and_stays_balanced():
         items = list(rng.permutation(n))
         other = list(rng.permutation(n))
         k = int(rng.integers(1, n + 1))
-        page = team_draft(items, other, k, coins=_coins(int(rng.integers(1 << 30)), k))
-        assert len(page.items) == k
-        assert len(set(page.items)) == k
+        page, teams = _draft(items, other, k, coins=_coins(int(rng.integers(1 << 30)), k))
+        assert len(page) == k
+        assert len(set(page)) == k
         # the draft alternates in pairs, so pick counts never drift apart
-        assert abs(page.team_of.count("A") - page.team_of.count("B")) <= 1
+        assert abs(teams.count("A") - teams.count("B")) <= 1
 
 
 def test_team_draft_truncates_to_available_items():
-    page = team_draft([1, 2], [2, 1], k=10, coins=_coins(0, 10))
-    assert len(page.items) == 2
+    """A page shows min(k, items) positions; with certain purchases (all
+    labels 1) it sells exactly those."""
+    rng = np.random.default_rng(30)
+    sessions = [QuerySession(f"q{i}", 0, 0, rng.normal(size=(n, 3)), np.ones(n))
+                for i, n in enumerate((2, 5, 1))]
+    report = run_interleaving(
+        _feature_sum_scorer, lambda s: -_feature_sum_scorer(s), sessions,
+        UserModel((1.0,) * 4), n_impressions=30, seed=4, k=4,
+    )
+    assert report.credit_a + report.credit_b == 10 * (2 + 4 + 1)
 
 
 def test_team_draft_deterministic_given_seed():
-    a = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coins=_coins(5, 8))
-    b = team_draft(list(range(8)), list(range(7, -1, -1)), k=8, coins=_coins(5, 8))
-    assert a.items == b.items and a.team_of == b.team_of
+    sessions = _sessions(np.random.default_rng(32), 4)
+    args = (_feature_sum_scorer, lambda s: -_feature_sum_scorer(s), sessions,
+            UserModel.position_decay(6))
+    a = run_interleaving(*args, n_impressions=200, seed=5, k=6)
+    assert run_interleaving(*args, n_impressions=200, seed=5, k=6) == a
 
 
 # ---------------------------------------------------------------------------
@@ -115,37 +159,22 @@ def test_position_decay_curve():
     assert steep.examination == (1.0, 0.25, 1.0 / 9.0)
 
 
-def test_simulate_session_degenerate_cases():
-    user = UserModel((1.0, 0.5))
-    page = InterleavedList(items=[0, 1], team_of=["A", "B"])
-    none = simulate_session(page, user, [0.0, 0.0], seed=3)
-    assert none.tolist() == [0, 0]
-    certain = simulate_session(InterleavedList([0], ["A"]), UserModel((1.0,)), [1.0], seed=3)
-    assert certain.tolist() == [1]
-
-
-def test_simulate_session_validates_inputs():
-    user = UserModel((1.0,))
-    with pytest.raises(ValueError):
-        simulate_session(InterleavedList([0], ["A"]), user, [1.5])
-    with pytest.raises(ValueError, match="finite"):
-        simulate_session(InterleavedList([0], ["A"]), user, [np.nan])
-    with pytest.raises(ValueError):
-        simulate_session(InterleavedList([0, 1], ["A", "B"]), user, [0.5, 0.5])
-
-
-def test_simulate_session_purchase_rates_match_probabilities():
-    """Monte-Carlo check: empirical rate within 3 binomial sigmas."""
+def test_purchase_rates_match_probabilities():
+    """Monte-Carlo check: identical rankers show the ranking itself, and
+    with relevance at one position only, that position's purchases over n
+    impressions lie within 3 binomial sigmas of n * examination * relevance."""
     user = UserModel((1.0, 0.5, 0.25))
-    page = InterleavedList(items=[0, 1, 2], team_of=["A", "B", "A"])
-    rel = [0.8, 0.6, 0.4]
+    session = QuerySession("q", 0, 0, np.zeros((3, 2)), np.zeros(3))
+    ranking = lambda s: np.array([3.0, 2.0, 1.0])
     n = 20_000
-    hits = np.zeros(3)
-    for i in range(n):
-        hits += simulate_session(page, user, rel, seed=i)
-    probs = np.array([1.0 * 0.8, 0.5 * 0.6, 0.25 * 0.4])
-    sigma = np.sqrt(probs * (1 - probs) / n)
-    assert np.all(np.abs(hits / n - probs) < 3 * sigma)
+    for t, r in enumerate((0.8, 0.6, 0.4)):
+        rel = np.zeros(3)
+        rel[t] = r
+        report = run_interleaving(ranking, ranking, [session], user, n_impressions=n,
+                                  seed=t, k=3, relevance=[rel])
+        p = user.examination[t] * r
+        sigma = np.sqrt(n * p * (1 - p))
+        assert abs(report.credit_a + report.credit_b - n * p) < 3 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +197,6 @@ def test_sign_test_edge_cases():
 
 # ---------------------------------------------------------------------------
 # full experiment
-
-
-def _feature_sum_scorer(session):
-    return session.feature_matrix().sum(axis=1)
 
 
 def test_interleaving_credit_is_conserved():
@@ -329,12 +354,13 @@ def test_team_draft_invariants(data, n, k):
     rank_a = data.draw(st.permutations(range(n)))
     rank_b = data.draw(st.permutations(range(n)))
     coins = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
-    page = team_draft(rank_a, rank_b, k, coins=coins)
-    assert len(page.items) == min(k, n) == len(page.team_of)
-    assert len(set(page.items)) == len(page.items)
-    assert abs(page.team_of.count("A") - page.team_of.count("B")) <= 1
+    items, teams = _draft(rank_a, rank_b, k, coins=coins)
+    assert (items, teams) == team_draft(rank_a, rank_b, k, coins)
+    assert len(items) == min(k, n) == len(teams)
+    assert len(set(items)) == len(items)
+    assert abs(teams.count("A") - teams.count("B")) <= 1
     for team, ranking in (("A", rank_a), ("B", rank_b)):
-        picks = [ranking.index(item) for item, t in zip(page.items, page.team_of) if t == team]
+        picks = [ranking.index(item) for item, t in zip(items, teams) if t == team]
         assert picks == sorted(picks)
 
 
@@ -400,8 +426,9 @@ def test_array_streams_equal_numpy_per_impression_generators(seed, n_impressions
 
 def _loop_interleaving(model_a, model_b, sessions, user, n_impressions, seed, k,
                        relevance, mirror_coins):
-    """The experiment page by page: ``team_draft`` and ``simulate_session``
-    on the coin and purchase streams ``run_interleaving`` documents."""
+    """The experiment page by page: ``team_draft`` on the coin stream, then
+    one purchase draw per shown position on the draw stream, as
+    ``run_interleaving`` documents."""
     ranks_a = [ranked_indices(s).tolist() for s in score_sessions(model_a, sessions)]
     ranks_b = [ranked_indices(s).tolist() for s in score_sessions(model_b, sessions)]
     if relevance is None:
@@ -413,11 +440,13 @@ def _loop_interleaving(model_a, model_b, sessions, user, n_impressions, seed, k,
         coins = coins.astype(bool)
         if mirror_coins:
             coins = ~coins
-        page = team_draft(ranks_a[si], ranks_b[si], k, coins)
-        purchases = simulate_session(page, user, relevance[si],
-                                     seed=np.random.SeedSequence([seed, i, 1]))
-        pa = int(purchases[[t == "A" for t in page.team_of]].sum())
-        pb = int(purchases.sum()) - pa
+        items, teams = team_draft(ranks_a[si], ranks_b[si], k, coins)
+        rel = np.asarray(relevance[si], dtype=np.float64)
+        probs = np.array([user.examination[t] * rel[item] for t, item in enumerate(items)])
+        draws = np.random.default_rng(np.random.SeedSequence([seed, i, 1])).random(len(items))
+        bought = draws < probs
+        pa = int(bought[[t == "A" for t in teams]].sum())
+        pb = int(bought.sum()) - pa
         credit_a += pa
         credit_b += pb
         wins_a += pa > pb
