@@ -10,6 +10,8 @@ import numbers
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -114,6 +116,12 @@ def write_dataset(sessions: Iterable[QuerySession], path) -> int:
 
 
 def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession:
+    """One decoded jsonl line as a session.
+
+    Well-formed items parse as arrays (``_item_arrays``); the item-by-item
+    checks of ``_raise_item_error`` run only on items those reject, to name
+    the first bad one.
+    """
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: expected a JSON object per line")
     for key in ("query_id", "domain", "ts", "items"):
@@ -137,10 +145,52 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
         raise DatasetFormatError(
             f"{where}: {len(raw_items)} items exceeds the maximum list length {MAX_LIST_LENGTH}"
         )
+    parsed = _item_arrays(raw_items)
+    if parsed is None:
+        _raise_item_error(raw_items, where)
+    return QuerySession(qid, domain, ts, *parsed)
 
-    rows: list[np.ndarray] = []
-    labels: list[float] = []
-    texts: list[tuple[str | None, str | None]] = []
+
+_NUMBER_TYPES = {int, float}
+_TEXT_TYPES = {str, type(None)}
+
+
+def _item_arrays(raw_items: list) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
+    """The items' ``(n, d)`` features and ``(n,)`` labels as float64 arrays
+    with their ``(q, t)`` pairs (None when no item has text), or None when
+    an item breaks the contract.
+
+    Set scans of exact types replace the per-value checks (so a ``bool``,
+    whose type is not ``int``, is rejected), and each array is one
+    ``np.fromiter`` conversion, checked for finiteness and sign once.
+    """
+    try:
+        feats = [raw["features"] for raw in raw_items]
+        labels = [raw["label"] for raw in raw_items]
+    except (KeyError, TypeError):  # an item that is not an object or lacks a key
+        return None
+    if ({*map(type, feats)} != {list} or len({*map(len, feats)}) != 1
+            or not {*map(type, chain.from_iterable(feats))} <= _NUMBER_TYPES
+            or not {*map(type, labels)} <= _NUMBER_TYPES):
+        return None
+    texts = [(raw.get("q"), raw.get("t")) for raw in raw_items]
+    text_types = {*map(type, chain.from_iterable(texts))}
+    if not text_types <= _TEXT_TYPES:
+        return None
+    n, d = len(feats), len(feats[0])
+    try:
+        features = np.fromiter(chain.from_iterable(feats), np.float64, n * d).reshape(n, d)
+        grades = np.fromiter(labels, np.float64, n)
+    except OverflowError:  # a JSON integer beyond the float64 range
+        return None
+    if not (np.isfinite(features).all() and np.isfinite(grades).all() and (grades >= 0.0).all()):
+        return None
+    return features, grades, tuple(texts) if str in text_types else None
+
+
+def _raise_item_error(raw_items: list, where: str) -> NoReturn:
+    """Raise the error of the first item that breaks the contract, checking
+    item by item in the order the messages name."""
     dim: int | None = None
     for j, raw in enumerate(raw_items):
         iw = f"{where}, item {j}"
@@ -176,11 +226,9 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
             raise DatasetFormatError(f"{iw}: q must be a string")
         if t is not None and not isinstance(t, str):
             raise DatasetFormatError(f"{iw}: t must be a string")
-        rows.append(vec)
-        labels.append(label)
-        texts.append((q, t))
-    has_text = any(pair != (None, None) for pair in texts)
-    return QuerySession(qid, domain, ts, rows, labels, tuple(texts) if has_text else None)
+    # Decoded JSON never gets here: only values of a subclass of a JSON type
+    # (a float subclass, say) pass these checks and fail the exact-type scans.
+    raise DatasetFormatError(f"{where}: items must hold plain JSON values")
 
 
 def load_dataset(path, n_domains: int | None = None) -> list[QuerySession]:

@@ -71,8 +71,9 @@ def ndcg_at_k(scores: Sequence[float], labels: Sequence[float], k: int) -> float
 def as_scorer(model_or_fn: Model | Scorer) -> Scorer:
     """Adapt a Model (or any session -> scores callable) to a scorer.
 
-    A one-member Model scores through ``score_sessions``, so a NaN or
-    infinite score raises ``NonFiniteScoreError``.
+    A one-member Model scores through ``score_sessions``.  Either way a NaN
+    or infinite score raises ``NonFiniteScoreError``, and scores that are
+    not one per item raise ``ValueError``.
     """
     if isinstance(model_or_fn, Model):
         model = model_or_fn
@@ -82,8 +83,19 @@ def as_scorer(model_or_fn: Model | Scorer) -> Scorer:
         return lambda session: score_sessions(model, [session])[0]
     if callable(model_or_fn):
         fn = model_or_fn
-        return lambda session: np.asarray(fn(session), dtype=np.float64)
+        return lambda session: _checked(session, np.asarray(fn(session), dtype=np.float64))
     raise TypeError(f"cannot score with {type(model_or_fn).__name__}")
+
+
+def _checked(session: QuerySession, scores: np.ndarray, member: int = 0) -> np.ndarray:
+    """``scores`` when they are finite and one per item of ``session``."""
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScoreError(
+            f"session {session.query_id!r}: scores must be finite", member=member)
+    if scores.shape != session.grades.shape:
+        raise ValueError(f"session {session.query_id!r}: scores of shape "
+                         f"{scores.shape} for {session.grades.size} labels")
+    return scores
 
 
 def _length_chunks(sessions: Sequence[QuerySession]):
@@ -109,32 +121,25 @@ def _member_scores(
     Scoring is bound by the rows, not by per-call overhead, so the members
     of a stack score one at a time: stacking their rows measured slower.
     """
-    if isinstance(model_or_fn, Model):
-        models = ([model_or_fn] if len(model_or_fn.seeds) == 1 else
-                  [model_or_fn.member(m) for m in range(len(model_or_fn.seeds))])
-        scores: list[list[np.ndarray]] = [[None] * len(sessions) for _ in models]
-        finite = [True] * len(models)
-        for chunk in _length_chunks(sessions):
-            batch = [sessions[i] for i in chunk]
-            for m, member in enumerate(models):
-                scored = forward(member, batch, domain_logits=False)
-                finite[m] = finite[m] and bool(np.isfinite(scored.scores.values).all())
-                for i, v in zip(chunk, scored.session_scores()):
-                    scores[m][i] = v
-    else:
-        scorer = as_scorer(model_or_fn)
-        scores = [[scorer(session) for session in sessions]]
-        finite = [False]
-    for m, (member_scores, checked) in enumerate(zip(scores, finite)):
-        if checked:
-            continue  # finite, and a model's scores have its sessions' shapes
-        for session, values in zip(sessions, member_scores):
-            if not np.all(np.isfinite(values)):
-                raise NonFiniteScoreError(
-                    f"session {session.query_id!r}: scores must be finite", member=m)
-            if values.shape != session.grades.shape:
-                raise ValueError(f"session {session.query_id!r}: scores of shape "
-                                 f"{values.shape} for {session.grades.size} labels")
+    if not isinstance(model_or_fn, Model):
+        scorer = as_scorer(model_or_fn)  # checks each session's scores
+        return [[scorer(session) for session in sessions]]
+    models = ([model_or_fn] if len(model_or_fn.seeds) == 1 else
+              [model_or_fn.member(m) for m in range(len(model_or_fn.seeds))])
+    scores: list[list[np.ndarray]] = [[None] * len(sessions) for _ in models]
+    finite = [True] * len(models)
+    for chunk in _length_chunks(sessions):
+        batch = [sessions[i] for i in chunk]
+        for m, member in enumerate(models):
+            scored = forward(member, batch, domain_logits=False)
+            finite[m] = finite[m] and bool(np.isfinite(scored.scores.values).all())
+            for i, v in zip(chunk, scored.session_scores()):
+                scores[m][i] = v
+    # A model's scores have its sessions' shapes; a non-finite one is named.
+    for m, member_scores in enumerate(scores):
+        if not finite[m]:
+            for session, values in zip(sessions, member_scores):
+                _checked(session, values, member=m)
     return scores
 
 

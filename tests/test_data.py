@@ -1,6 +1,7 @@
 """Dataset IO, time splits, text features, normalization, and the
 synthetic two-domain generator."""
 
+import json
 import math
 import tempfile
 import zlib
@@ -16,6 +17,7 @@ from mdrank.data import (
     DatasetFormatError,
     QuerySession,
     SyntheticSpec,
+    _session_to_obj,
     add_text_similarity_features,
     generate_synthetic,
     load_dataset,
@@ -153,19 +155,50 @@ def test_load_reports_line_numbers(tmp_path):
         load_dataset(path)
 
 
+def _items_line(*items):
+    return '{"query_id":"a","domain":0,"ts":1,"items":[%s]}' % ",".join(items)
+
+
+_GOOD_ITEM = '{"features":[1.0,2],"label":1}'
+
+
 def test_load_validates_fields(tmp_path):
+    """Each bad line (the second of its file) gives its exact message; the
+    item cases pass the session checks, and the first bad item is named."""
     path = tmp_path / "bad.jsonl"
     cases = [
-        '{"domain":0,"ts":1,"items":[{"features":[1.0],"label":1}]}',          # no query_id
-        '{"query_id":"a","domain":-1,"ts":1,"items":[{"features":[1],"label":1}]}',
-        '{"query_id":"a","domain":0,"ts":1,"items":[{"features":[1],"label":-2}]}',
-        '{"query_id":"a","domain":0,"ts":1,"items":[{"features":[1],"label":1},'
-        '{"features":[1,2],"label":0}]}',                                      # ragged features
+        ('{"domain":0,"ts":1,"items":[{"features":[1.0],"label":1}]}',
+         ": missing field 'query_id'"),
+        ('{"query_id":"a","domain":-1,"ts":1,"items":[{"features":[1],"label":1}]}',
+         ": domain must be a non-negative integer"),
+        (_items_line('{"features":[1],"label":-2}'),
+         ", item 0: label must be finite and non-negative"),
+        (_items_line('{"features":[1],"label":1}', '{"features":[1,2],"label":0}'),
+         ", item 1: feature length 2 != 1 in same session"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,true],"label":0}'),
+         ", item 1: features must be a list of numbers"),
+        (_items_line('{"features":[[1.0],2],"label":0}', _GOOD_ITEM),
+         ", item 0: features must be a list of numbers"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":NaN}'),
+         ", item 1: label must be finite and non-negative"),
+        (_items_line('{"features":[1.0,2],"label":0,"q":7,"t":"title"}'),
+         ", item 0: q must be a string"),
+        (_items_line(*(_GOOD_ITEM,) * 3, '{"features":[1.0,2,3],"label":0}', _GOOD_ITEM),
+         ", item 3: feature length 3 != 2 in same session"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":-1}', _GOOD_ITEM,
+                     '{"features":[true,2],"label":0}'),
+         ", item 1: label must be finite and non-negative"),
     ]
-    for line in cases:
-        _write_lines(path, [line])
-        with pytest.raises(DatasetFormatError):
+    for line, message in cases:
+        _write_lines(path, [_items_line(_GOOD_ITEM), line])
+        with pytest.raises(DatasetFormatError) as caught:
             load_dataset(path)
+        assert str(caught.value) == f"{path}:2{message}"
+
+    _write_lines(path, [_items_line('{"features":[1.0],"label":-0.0}',
+                                    '{"features":[2.0],"label":0}')])
+    (session,) = load_dataset(path)
+    assert session.grades.tobytes() == np.array([-0.0, 0.0]).tobytes()
 
 
 @pytest.mark.parametrize("item, fragment", [
@@ -179,6 +212,137 @@ def test_load_rejects_integers_beyond_the_float_range(tmp_path, item, fragment):
     _write_lines(path, [line])
     with pytest.raises(DatasetFormatError, match=f":1, item 0: {fragment}"):
         load_dataset(path)
+
+
+def _parse_oracle(obj, where, n_domains=None):
+    """The item-by-item parser ``load_dataset`` used before it parsed items
+    as arrays: every check per item, in order, building the rows as it goes."""
+    if not isinstance(obj, dict):
+        raise DatasetFormatError(f"{where}: expected a JSON object per line")
+    for key in ("query_id", "domain", "ts", "items"):
+        if key not in obj:
+            raise DatasetFormatError(f"{where}: missing field {key!r}")
+    qid = obj["query_id"]
+    if not isinstance(qid, str):
+        raise DatasetFormatError(f"{where}: query_id must be a string")
+    domain = obj["domain"]
+    if not isinstance(domain, int) or isinstance(domain, bool) or domain < 0:
+        raise DatasetFormatError(f"{where}: domain must be a non-negative integer")
+    if n_domains is not None and domain >= n_domains:
+        raise DatasetFormatError(f"{where}: domain {domain} out of range [0, {n_domains})")
+    ts = obj["ts"]
+    if not isinstance(ts, int) or isinstance(ts, bool):
+        raise DatasetFormatError(f"{where}: ts must be an integer")
+    raw_items = obj["items"]
+    if not isinstance(raw_items, list) or len(raw_items) < 1:
+        raise DatasetFormatError(f"{where}: items must be a non-empty list")
+    if len(raw_items) > MAX_LIST_LENGTH:
+        raise DatasetFormatError(
+            f"{where}: {len(raw_items)} items exceeds the maximum list length {MAX_LIST_LENGTH}"
+        )
+    rows, labels, texts = [], [], []
+    dim = None
+    for j, raw in enumerate(raw_items):
+        iw = f"{where}, item {j}"
+        if not isinstance(raw, dict) or "features" not in raw or "label" not in raw:
+            raise DatasetFormatError(f"{iw}: each item needs 'features' and 'label'")
+        feats = raw["features"]
+        if not isinstance(feats, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
+        ):
+            raise DatasetFormatError(f"{iw}: features must be a list of numbers")
+        try:
+            vec = np.asarray(feats, dtype=np.float64)
+        except OverflowError:
+            vec = None
+        if vec is None or not np.all(np.isfinite(vec)):
+            raise DatasetFormatError(f"{iw}: features must be finite")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DatasetFormatError(f"{iw}: feature length {vec.size} != {dim} in same session")
+        label = raw["label"]
+        if isinstance(label, bool) or not isinstance(label, (int, float)):
+            raise DatasetFormatError(f"{iw}: label must be a number")
+        try:
+            label = float(label)
+        except OverflowError:
+            label = math.inf
+        if not math.isfinite(label) or label < 0.0:
+            raise DatasetFormatError(f"{iw}: label must be finite and non-negative")
+        q = raw.get("q")
+        t = raw.get("t")
+        if q is not None and not isinstance(q, str):
+            raise DatasetFormatError(f"{iw}: q must be a string")
+        if t is not None and not isinstance(t, str):
+            raise DatasetFormatError(f"{iw}: t must be a string")
+        rows.append(vec)
+        labels.append(label)
+        texts.append((q, t))
+    has_text = any(pair != (None, None) for pair in texts)
+    return QuerySession(qid, domain, ts, rows, labels, tuple(texts) if has_text else None)
+
+
+def _outcome(parse):
+    """``("ok", fields)`` of what ``parse()`` returns, or ``("error", message)``."""
+    try:
+        sessions = parse()
+    except DatasetFormatError as exc:
+        return "error", str(exc)
+    return "ok", [(s.query_id, s.domain, s.timestamp, s.features.shape, s.features.tobytes(),
+                   s.grades.shape, s.grades.tobytes(), s.texts) for s in sessions]
+
+
+# Values that replace a feature, a label, a text, a features list or an
+# item: some are well-formed numbers at the edge of float64, most are not.
+_MUTANTS = [True, False, None, "", "1.5", math.nan, math.inf, -math.inf, 2**70, 2**63 + 1,
+            10**400, -(10**400), -0.0, 5e-324, -5e-324, 0, 7, -1, -1.5, 1e308,
+            [], [1.0], [[1.0]], {}, {"features": [1.0], "label": 1.0}]
+
+
+@st.composite
+def _mutated_objects(draw):
+    """1-3 sessions as decoded JSON, with one or two item mutations."""
+    objs = [_session_to_obj(s) for s in draw(st.lists(_edge_sessions(), min_size=1, max_size=3))]
+    for _ in range(draw(st.integers(1, 2))):
+        items = draw(st.sampled_from(objs))["items"]
+        j = draw(st.integers(0, len(items) - 1))
+        kind = draw(st.sampled_from(["feature", "label", "q", "t", "features", "ragged",
+                                     "item", "drop"]))
+        value = draw(st.sampled_from(_MUTANTS))
+        item = items[j]
+        if kind == "item":
+            items[j] = value
+        elif not isinstance(item, dict):
+            continue
+        elif kind in ("label", "q", "t", "features"):
+            item[kind] = value
+        elif kind == "drop":
+            item.pop(draw(st.sampled_from(["features", "label"])), None)
+        elif isinstance(item.get("features"), list):
+            feats = item["features"]
+            if kind == "ragged":
+                if feats and draw(st.booleans()):
+                    feats.pop()
+                else:
+                    feats.append(value)
+            elif feats:
+                feats[draw(st.integers(0, len(feats) - 1))] = value
+    return objs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_objects())
+def test_array_parser_equals_the_item_by_item_parser(objs):
+    """``load_dataset`` gives the oracle's bytes, shapes and texts, or the
+    oracle's error message with its line and item number."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.jsonl"
+        lines = [json.dumps(obj) for obj in objs]
+        _write_lines(path, lines)
+        want = _outcome(lambda: [_parse_oracle(json.loads(line), f"{path}:{i}")
+                                 for i, line in enumerate(lines, start=1)])
+        assert _outcome(lambda: load_dataset(path)) == want
 
 
 def test_load_checks_domain_range_when_told(tmp_path):

@@ -1,6 +1,7 @@
 """NDCG@k and per-domain evaluation against brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,20 @@ def test_as_scorer_is_the_batched_scoring_path_on_one_session(rng):
     model.parameters["final.1.b"].values[:] = np.nan
     with pytest.raises(NonFiniteScoreError):
         scorer(sessions[0])
+
+
+def test_as_scorer_checks_a_callables_scores(rng):
+    session = make_session(rng, 3, 5, query_id="q3")
+    assert as_scorer(lambda s: [0.5, -1.0, 2.0])(session).tobytes() == \
+        np.array([0.5, -1.0, 2.0]).tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteScoreError, match="'q3': scores must be finite") as caught:
+            as_scorer(lambda s: np.full(3, bad))(session)
+        assert caught.value.member == 0
+    for shape in ((5,), (), (3, 1)):
+        with pytest.raises(ValueError, match=rf"'q3': scores of shape {re.escape(str(shape))} "
+                                             r"for 3 labels"):
+            as_scorer(lambda s: np.zeros(shape))(session)
 
 
 # ---------------------------------------------------------------------------
