@@ -9,6 +9,7 @@ rerunning a command rewrites byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,6 +22,7 @@ from .data import (
     DatasetFormatError,
     QuerySession,
     SyntheticSpec,
+    _check_types,
     generate_synthetic,
     load_dataset,
     normalize_features,
@@ -54,18 +56,43 @@ class DataError(RuntimeError):
 
 @dataclass(frozen=True)
 class InterleavePair:
+    """Two models to interleave, on the test sessions of ``domain`` (None:
+    all of them).  The config loader checks that ``a`` and ``b`` name
+    models of the config."""
+
     a: str
     b: str
     domain: int | None = None
 
+    def __post_init__(self):
+        _check_types(self, optional_ints=("domain",))
+
 
 @dataclass(frozen=True)
 class InterleaveSettings:
+    """The interleaving experiment.  An integer ``examination_eta``
+    becomes a float."""
+
     pairs: tuple[InterleavePair, ...] = ()
     n_impressions: int = 10_000
     seed: int = 0
     examination_eta: float = 1.0
     page_size: int | None = None
+
+    def __post_init__(self):
+        _check_types(self, ints=("n_impressions", "seed"), optional_ints=("page_size",),
+                     reals=("examination_eta",))
+        object.__setattr__(self, "examination_eta", float(self.examination_eta))
+        if self.n_impressions < 1:
+            raise ConfigError("InterleaveSettings: n_impressions must be >= 1")
+        if self.n_impressions > 2**32:
+            raise ConfigError("InterleaveSettings: n_impressions must be <= 2**32")
+        if self.seed < 0:
+            raise ConfigError("InterleaveSettings: seed must be >= 0")
+        if not (math.isfinite(self.examination_eta) and self.examination_eta >= 0.0):
+            raise ConfigError("InterleaveSettings: examination_eta must be finite and >= 0")
+        if self.page_size is not None and self.page_size < 1:
+            raise ConfigError("InterleaveSettings: page_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -87,37 +114,34 @@ def _expect(obj: dict, key: str, kind, where: str, default=None, required: bool 
             raise ConfigError(f"{where}: missing required key {key!r}")
         return default
     value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{where}: key {key!r} must be {getattr(kind, '__name__', kind)}")
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
     return value
 
 
-def _parse_model(name: str, obj: dict) -> VariantSpec:
+def _section(cls, obj, where: str, **given):
+    """The JSON object ``obj`` as a ``cls``, which checks every value, with
+    the caller's fields ``given``; ``where`` names ``obj`` in the error an
+    unknown key or a rejected value raises."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
+    unknown = set(obj) - (set(cls.__dataclass_fields__) - set(given))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    try:
+        return cls(**obj, **given)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _parse_model(name: str, obj) -> VariantSpec:
+    """``models.<name>``: the fields of a ModelConfig and ``train_domain``."""
     where = f"models.{name}"
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
-    known = {
-        "variant", "train_domain", "feature_dim", "n_domains", "trunk_hidden",
-        "token_dim", "transformer_layers", "heads", "final_hidden",
-        "classifier_hidden", "grl_lambda", "domain_loss_weight",
-    }
-    unknown = set(obj) - known
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    train_domain = obj.get("train_domain")
-    if train_domain is not None and (isinstance(train_domain, bool) or not isinstance(train_domain, int)):
-        raise ConfigError(f"{where}: train_domain must be an integer or null")
     fields = {key: value for key, value in obj.items() if key != "train_domain"}
-    try:
-        config = ModelConfig(**fields)
-    except (ConfigError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    if train_domain is not None and not 0 <= train_domain < config.n_domains:
-        raise ConfigError(f"{where}: train_domain {train_domain} out of range "
-                          f"[0, {config.n_domains})")
-    return VariantSpec(config=config, train_domain=train_domain)
+    return _section(VariantSpec, {"train_domain": obj.get("train_domain")}, where,
+                    config=_section(ModelConfig, fields, where))
 
 
 def _check_seeds(seeds, where: str) -> None:
@@ -126,6 +150,8 @@ def _check_seeds(seeds, where: str) -> None:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    """The experiment a JSON config describes.  Each object of it maps onto
+    its dataclass through ``_section``, which rejects unknown keys."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -151,73 +177,39 @@ def load_experiment_config(path) -> ExperimentConfig:
     normalize = bool(_expect(doc, "normalize", bool, str(path), default=False))
 
     dataset = _expect(doc, "dataset", dict, str(path), required=True)
+    if len(dataset) != 1 or not set(dataset) <= {"synthetic", "paths"}:
+        raise ConfigError(f"{path}: dataset needs either 'synthetic' or 'paths' and no "
+                          f"other key, got {sorted(dataset)}")
     synthetic: SyntheticSpec | None = None
     paths: dict[str, Path] | None = None
     if "synthetic" in dataset:
-        spec_obj = dataset["synthetic"]
-        if not isinstance(spec_obj, dict):
-            raise ConfigError(f"{path}: dataset.synthetic must be an object")
-        try:
-            synthetic = SyntheticSpec(**spec_obj)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: dataset.synthetic: {exc}") from exc
-    elif "paths" in dataset:
+        synthetic = _section(SyntheticSpec, dataset["synthetic"], f"{path}: dataset.synthetic")
+    else:
         raw = dataset["paths"]
         if not isinstance(raw, dict) or set(raw) != {"train", "valid", "test"}:
             raise ConfigError(f"{path}: dataset.paths needs exactly train/valid/test")
         if not all(isinstance(p, str) for p in raw.values()):
             raise ConfigError(f"{path}: dataset.paths values must be strings")
         paths = {split: Path(p) for split, p in raw.items()}
-    else:
-        raise ConfigError(f"{path}: dataset needs either 'synthetic' or 'paths'")
 
     models_obj = _expect(doc, "models", dict, str(path), required=True)
     if not models_obj:
         raise ConfigError(f"{path}: models must not be empty")
     models = {name: _parse_model(name, obj) for name, obj in models_obj.items()}
 
-    train_obj = _expect(doc, "train", dict, str(path), default={})
-    train_kinds = {"epochs": int, "batch_size": int, "learning_rate": float,
-                   "eval_every": int, "seed": int}
-    train_fields = {key: _expect(train_obj, key, train_kinds.get(key), f"{path}: train")
-                    for key in train_obj}
-    try:
-        train_config = TrainConfig(k=k, **train_fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: train: {exc}") from exc
+    train_config = _section(TrainConfig, doc.get("train", {}), f"{path}: train", k=k)
 
     inter_obj = _expect(doc, "interleave", dict, str(path), default={})
     inter_where = f"{path}: interleave"
     pairs = []
     for idx, raw in enumerate(_expect(inter_obj, "pairs", list, inter_where, default=[])):
-        where = f"{path}: interleave.pairs[{idx}]"
-        if not isinstance(raw, dict) or "a" not in raw or "b" not in raw:
-            raise ConfigError(f"{where}: needs keys 'a' and 'b'")
-        for side in ("a", "b"):
-            if not isinstance(raw[side], str) or raw[side] not in models:
-                raise ConfigError(f"{where}: unknown model {raw[side]!r}")
-        domain = raw.get("domain")
-        if domain is not None and (isinstance(domain, bool) or not isinstance(domain, int)):
-            raise ConfigError(f"{where}: domain must be an integer or null")
-        pairs.append(InterleavePair(a=raw["a"], b=raw["b"], domain=domain))
-    page_size = inter_obj.get("page_size")
-    interleave = InterleaveSettings(
-        pairs=tuple(pairs),
-        n_impressions=_expect(inter_obj, "n_impressions", int, inter_where, default=10_000),
-        seed=_expect(inter_obj, "seed", int, inter_where, default=0),
-        examination_eta=_expect(inter_obj, "examination_eta", float, inter_where, default=1.0),
-        page_size=None if page_size is None else _expect(inter_obj, "page_size", int, inter_where),
-    )
-    if interleave.n_impressions < 1:
-        raise ConfigError(f"{inter_where}: n_impressions must be >= 1")
-    if interleave.n_impressions > 2**32:
-        raise ConfigError(f"{inter_where}: n_impressions must be <= 2**32")
-    if interleave.seed < 0:
-        raise ConfigError(f"{inter_where}: seed must be >= 0")
-    if not (math.isfinite(interleave.examination_eta) and interleave.examination_eta >= 0.0):
-        raise ConfigError(f"{inter_where}: examination_eta must be finite and >= 0")
-    if interleave.page_size is not None and interleave.page_size < 1:
-        raise ConfigError(f"{inter_where}: page_size must be >= 1")
+        where = f"{inter_where}.pairs[{idx}]"
+        pair = _section(InterleavePair, raw, where)
+        for model in (pair.a, pair.b):
+            if not isinstance(model, str) or model not in models:
+                raise ConfigError(f"{where}: unknown model {model!r}")
+        pairs.append(pair)
+    interleave = _section(InterleaveSettings, {**inter_obj, "pairs": tuple(pairs)}, inter_where)
 
     return ExperimentConfig(
         out_dir=out_dir,
@@ -496,7 +488,9 @@ def cmd_protocol(config: ExperimentConfig, args) -> int:
 # argument surface
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``main`` reuses it."""
     parser = argparse.ArgumentParser(
         prog="mdrank",
         description="Multi-domain learning-to-rank experiments on session data.",

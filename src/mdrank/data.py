@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import zlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -41,9 +42,32 @@ class DatasetFormatError(ValueError):
     """A dataset file violates the one-session-per-line JSON contract."""
 
 
+class ConfigError(ValueError):
+    """A model or experiment configuration is invalid."""
+
+
 def _is_integer(value) -> bool:
     """A Python or numpy integer, not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_types(config, ints=(), optional_ints=(), reals=()) -> None:
+    """Raise a ConfigError naming the first field of the dataclass
+    ``config`` that does not hold its JSON type: an integer for ``ints``,
+    an integer or None for ``optional_ints``, and a number within the float
+    range for ``reals``.  A bool is none of them."""
+    owner = type(config).__name__
+    for name in ints:
+        if not _is_integer(getattr(config, name)):
+            raise ConfigError(f"{owner}: {name} must be an integer")
+    for name in optional_ints:
+        if not (getattr(config, name) is None or _is_integer(getattr(config, name))):
+            raise ConfigError(f"{owner}: {name} must be an integer or null")
+    for name in reals:
+        value = getattr(config, name)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or isinstance(value, int) and abs(value) > sys.float_info.max):
+            raise ConfigError(f"{owner}: {name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +139,7 @@ def write_dataset(sessions: Iterable[QuerySession], path) -> int:
     return n
 
 
-def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession:
+def _parse_session(obj: dict, where: str) -> QuerySession:
     """One decoded jsonl line as a session.
 
     Well-formed items parse as arrays (``_item_arrays``); the item-by-item
@@ -133,8 +157,6 @@ def _parse_session(obj: dict, where: str, n_domains: int | None) -> QuerySession
     domain = obj["domain"]
     if not isinstance(domain, int) or isinstance(domain, bool) or domain < 0:
         raise DatasetFormatError(f"{where}: domain must be a non-negative integer")
-    if n_domains is not None and domain >= n_domains:
-        raise DatasetFormatError(f"{where}: domain {domain} out of range [0, {n_domains})")
     ts = obj["ts"]
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise DatasetFormatError(f"{where}: ts must be an integer")
@@ -231,7 +253,7 @@ def _raise_item_error(raw_items: list, where: str) -> NoReturn:
     raise DatasetFormatError(f"{where}: items must hold plain JSON values")
 
 
-def load_dataset(path, n_domains: int | None = None) -> list[QuerySession]:
+def load_dataset(path) -> list[QuerySession]:
     """Parse a line-delimited JSON session file; errors carry line numbers."""
     sessions: list[QuerySession] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -243,7 +265,7 @@ def load_dataset(path, n_domains: int | None = None) -> list[QuerySession]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-            sessions.append(_parse_session(obj, where, n_domains))
+            sessions.append(_parse_session(obj, where))
     return sessions
 
 
@@ -408,17 +430,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_domains", "feature_dim", "seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"SyntheticSpec: {name} must be an integer")
+        _check_types(self, ints=("n_domains", "feature_dim", "seed"),
+                     reals=("shared_weight_scale", "domain_weight_scale", "domain_shift_scale",
+                            "label_noise"))
         if self.n_domains < 1:
-            raise ValueError("SyntheticSpec: n_domains must be >= 1")
+            raise ConfigError("SyntheticSpec: n_domains must be >= 1")
         if self.feature_dim < 1:
-            raise ValueError("SyntheticSpec: feature_dim must be >= 1")
+            raise ConfigError("SyntheticSpec: feature_dim must be >= 1")
         if self.seed < 0:
-            raise ValueError("SyntheticSpec: seed must be >= 0")
-        if set(self.sessions_per_domain) != set(_SPLIT_NAMES):
-            raise ValueError(
+            raise ConfigError("SyntheticSpec: seed must be >= 0")
+        if (not isinstance(self.sessions_per_domain, Mapping)
+                or set(self.sessions_per_domain) != set(_SPLIT_NAMES)):
+            raise ConfigError(
                 f"SyntheticSpec: sessions_per_domain needs exactly the keys {_SPLIT_NAMES}"
             )
         for split in _SPLIT_NAMES:
@@ -426,18 +449,18 @@ class SyntheticSpec:
         lengths = self.list_length
         if not (isinstance(lengths, (list, tuple)) and len(lengths) == 2
                 and all(map(_is_integer, lengths)) and 1 <= lengths[0] <= lengths[1]):
-            raise ValueError(f"SyntheticSpec: list_length must be integers 1 <= lo <= hi, "
-                             f"got {lengths!r}")
+            raise ConfigError(f"SyntheticSpec: list_length must be integers 1 <= lo <= hi, "
+                              f"got {lengths!r}")
         if lengths[1] > MAX_LIST_LENGTH:
-            raise ValueError(f"SyntheticSpec: list_length above {MAX_LIST_LENGTH}")
+            raise ConfigError(f"SyntheticSpec: list_length above {MAX_LIST_LENGTH}")
         object.__setattr__(self, "list_length", tuple(lengths))
         if not (0.0 <= self.label_noise < 1.0):
-            raise ValueError("SyntheticSpec: label_noise must lie in [0, 1)")
+            raise ConfigError("SyntheticSpec: label_noise must lie in [0, 1)")
         scales = (self.shared_weight_scale, self.domain_weight_scale, self.domain_shift_scale)
         if not all(math.isfinite(s) and s >= 0 for s in scales):
-            raise ValueError("SyntheticSpec: weight and shift scales must be finite and >= 0")
+            raise ConfigError("SyntheticSpec: weight and shift scales must be finite and >= 0")
         if self.shared_weight_scale == 0 and self.domain_weight_scale == 0:
-            raise ValueError("SyntheticSpec: at least one weight scale must be positive")
+            raise ConfigError("SyntheticSpec: at least one weight scale must be positive")
 
     def _counts(self, split: str) -> list[int]:
         raw = self.sessions_per_domain[split]
@@ -445,7 +468,7 @@ class SyntheticSpec:
             raw = [raw] * self.n_domains
         if not (isinstance(raw, (list, tuple)) and len(raw) == self.n_domains
                 and all(_is_integer(c) and c >= 0 for c in raw)):
-            raise ValueError(
+            raise ConfigError(
                 f"SyntheticSpec: {split!r} needs one count or {self.n_domains} per-domain "
                 "counts, each a non-negative integer"
             )

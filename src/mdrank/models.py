@@ -51,7 +51,7 @@ from .autodiff import (
     relu,
     take_rows,
 )
-from .data import QuerySession, _is_integer
+from .data import ConfigError, QuerySession, _check_types, _is_integer
 
 __all__ = [
     "Variant",
@@ -70,10 +70,7 @@ __all__ = [
 
 _FORMAT_NAME = "mdrank-model"
 _FORMAT_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """A model or experiment configuration is invalid."""
+_WIDTH_FIELDS = ("trunk_hidden", "final_hidden", "classifier_hidden")
 
 
 class ModelLoadError(ValueError):
@@ -97,6 +94,9 @@ class ModelConfig:
 
     ``grl_lambda`` only matters for ``domain_adversarial``;
     ``domain_loss_weight`` only for the two classifier-carrying variants.
+    Only the variant and the widths (to tuples of ints) are cast:
+    ``"heads": 1.9`` is not one head, and an integer ``grl_lambda`` stays
+    an integer.
     """
 
     variant: Variant
@@ -119,18 +119,16 @@ class ModelConfig:
             raise ConfigError(
                 f"ModelConfig: unknown variant {self.variant!r}; expected one of {names}"
             ) from None
-        for name in ("feature_dim", "n_domains", "token_dim", "transformer_layers", "heads"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigError(f"ModelConfig: {name} must be an integer")
-        for name in ("trunk_hidden", "final_hidden", "classifier_hidden"):
-            widths = tuple(getattr(self, name))
-            if not all(map(_is_integer, widths)):
+        _check_types(self, ints=("feature_dim", "n_domains", "token_dim", "transformer_layers",
+                                 "heads"), reals=("grl_lambda", "domain_loss_weight"))
+        for name in _WIDTH_FIELDS:
+            widths = getattr(self, name)
+            if not (isinstance(widths, (list, tuple)) and all(map(_is_integer, widths))):
                 raise ConfigError(f"ModelConfig: {name} must list integer widths")
             object.__setattr__(self, name, tuple(int(w) for w in widths))
-        if self.feature_dim < 1:
-            raise ConfigError("ModelConfig: feature_dim must be positive")
-        if self.n_domains < 1:
-            raise ConfigError("ModelConfig: n_domains must be positive")
+        for name in ("feature_dim", "n_domains", "token_dim", "transformer_layers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"ModelConfig: {name} must be positive")
         if self.variant is Variant.MULTI_HEAD and self.n_domains < 2:
             raise ConfigError("ModelConfig: multihead needs n_domains >= 2")
         if not self.trunk_hidden:
@@ -138,10 +136,6 @@ class ModelConfig:
         for w in (*self.trunk_hidden, *self.final_hidden, *self.classifier_hidden):
             if w < 1:
                 raise ConfigError("ModelConfig: layer widths must be positive")
-        if self.token_dim < 1:
-            raise ConfigError("ModelConfig: token_dim must be positive")
-        if self.transformer_layers < 1:
-            raise ConfigError("ModelConfig: transformer_layers must be positive")
         if self.heads < 1 or self.token_dim % self.heads != 0:
             raise ConfigError(
                 f"ModelConfig: token_dim {self.token_dim} not divisible by heads {self.heads}"
@@ -151,39 +145,19 @@ class ModelConfig:
                 raise ConfigError(f"ModelConfig: {name} must be finite and non-negative")
 
     def to_json_obj(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "feature_dim": self.feature_dim,
-            "n_domains": self.n_domains,
-            "trunk_hidden": list(self.trunk_hidden),
-            "token_dim": self.token_dim,
-            "transformer_layers": self.transformer_layers,
-            "heads": self.heads,
-            "final_hidden": list(self.final_hidden),
-            "classifier_hidden": list(self.classifier_hidden),
-            "grl_lambda": self.grl_lambda,
-            "domain_loss_weight": self.domain_loss_weight,
-        }
+        """The fields in declaration order, as JSON values."""
+        obj = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        obj["variant"] = self.variant.value
+        for name in _WIDTH_FIELDS:
+            obj[name] = list(obj[name])
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ModelConfig":
-        """The config a model file holds.  Values of the wrong JSON type are
-        rejected, never cast: ``"heads": 1.9`` does not load as one head."""
+        """The config a model file holds, which must name every field."""
         try:
-            fields = {name: obj[name] for name in cls.__dataclass_fields__}
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"invalid model config: {exc}") from exc
-        for name in ("trunk_hidden", "final_hidden", "classifier_hidden"):
-            if not isinstance(fields[name], list):
-                raise ConfigError(f"invalid model config: {name} must be a list of widths")
-        for name in ("grl_lambda", "domain_loss_weight"):
-            value = fields[name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"invalid model config: {name} must be a number, got {value!r}")
-        try:
-            return cls(**{**fields, "grl_lambda": float(fields["grl_lambda"]),
-                          "domain_loss_weight": float(fields["domain_loss_weight"])})
-        except (TypeError, ValueError, OverflowError) as exc:
+            return cls(**{name: obj[name] for name in cls.__dataclass_fields__})
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid model config: {exc}") from exc
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tape, backward
-from .data import QuerySession
+from .data import QuerySession, _check_types
 from .evaluation import EvalSummary, NonFiniteScoreError, evaluate
 from .losses import LossBreakdown, batch_loss
 from .models import ConfigError, Model, ModelConfig, Variant, build, stack
@@ -55,7 +55,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Optimization settings.  ``seed`` is the seed the ``train`` command
     builds its models with; ``train`` draws each member's batch order from
-    that member's own seed."""
+    that member's own seed.  An integer ``learning_rate`` becomes a float."""
 
     epochs: int = 3
     batch_size: int = 8
@@ -65,18 +65,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("TrainConfig: epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("TrainConfig: batch_size must be >= 1")
+        _check_types(self, ints=("epochs", "batch_size", "eval_every", "k", "seed"),
+                     reals=("learning_rate",))
+        object.__setattr__(self, "learning_rate", float(self.learning_rate))
+        for name in ("epochs", "batch_size", "eval_every", "k"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"TrainConfig: {name} must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError("TrainConfig: learning_rate must be finite and non-negative")
-        if self.eval_every < 1:
-            raise ValueError("TrainConfig: eval_every must be >= 1")
-        if self.k < 1:
-            raise ValueError("TrainConfig: k must be >= 1")
+            raise ConfigError("TrainConfig: learning_rate must be finite and non-negative")
         if self.seed < 0:
-            raise ValueError("TrainConfig: seed must be >= 0")
+            raise ConfigError("TrainConfig: seed must be >= 0")
 
 
 @dataclass
@@ -245,6 +243,13 @@ class VariantSpec:
 
     config: ModelConfig
     train_domain: int | None = None
+
+    def __post_init__(self):
+        _check_types(self, optional_ints=("train_domain",))
+        domain, n_domains = self.train_domain, self.config.n_domains
+        if domain is not None and not 0 <= domain < n_domains:
+            raise ConfigError(f"VariantSpec: train_domain {domain} out of range "
+                              f"[0, {n_domains})")
 
 
 @dataclass(frozen=True)

@@ -367,6 +367,13 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["train"].update(learning_rate=float("inf")), "learning_rate must be finite"),
         (lambda doc: doc["models"]["baseline_d1"].update(train_domain=2), "train_domain 2"),
         (lambda doc: doc["interleave"]["pairs"][0].update(a=[]), "unknown model"),
+        (lambda doc: doc["interleave"].update(n_impresions=20),
+         "interleave: unknown keys ['n_impresions']"),
+        (lambda doc: doc["interleave"]["pairs"][0].update(domian=1),
+         "interleave.pairs[0]: unknown keys ['domian']"),
+        (lambda doc: doc["dataset"].update(normalise=True), "got ['normalise', 'synthetic']"),
+        (lambda doc: doc["dataset"].update(paths={"train": "a", "valid": "b", "test": "c"}),
+         "got ['paths', 'synthetic']"),
     ],
 )
 def test_bad_configs_exit_config_error(tmp_path, capsys, mutate, fragment):
@@ -378,6 +385,34 @@ def test_bad_configs_exit_config_error(tmp_path, capsys, mutate, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+FLOAT_FIELDS = [
+    ("models", "multihead", "grl_lambda"),
+    ("models", "multihead", "domain_loss_weight"),
+    ("dataset", "synthetic", "shared_weight_scale"),
+    ("dataset", "synthetic", "domain_weight_scale"),
+    ("dataset", "synthetic", "domain_shift_scale"),
+    ("dataset", "synthetic", "label_noise"),
+    ("train", "learning_rate"),
+    ("interleave", "examination_eta"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, 10**400], ids=["true", "false", "huge"])
+@pytest.mark.parametrize("path", FLOAT_FIELDS, ids=[p[-1] for p in FLOAT_FIELDS])
+def test_float_field_takes_no_bool_or_huge_integer(tmp_path, capsys, path, value):
+    """A bool is no number, and a 401-digit integer no float: the config is
+    rejected when it is read, so no model file holds either."""
+    config = _write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    _node(doc, path[:-1])[path[-1]] = value
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("train", "evaluate"):
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{path[-1]} must be a number" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_json_exits_config_error(tmp_path, capsys):
@@ -505,6 +540,13 @@ def test_domain_without_training_sessions_exits_data_error(tmp_path, capsys):
         assert "no training sessions in domain 1" in capsys.readouterr().err
 
 
+def _node(doc, path):
+    """The value at ``path`` in a JSON document."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
 def _config_nodes(node, path=()):
     """Paths to every value below the top of a JSON document."""
     if path:
@@ -532,6 +574,9 @@ def _mutations(value):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_config_never_ends_in_a_traceback(data):
+    """A value of another type or range ends in a documented exit code, an
+    unknown key in any object of the config in exit 2; a config that
+    trains writes model files that load."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         doc = json.loads(_write_config(root).read_text())
@@ -541,19 +586,28 @@ def test_mutated_config_never_ends_in_a_traceback(data):
             doc["normalize"] = True
             doc["dataset"] = {"paths": {s: str(root / "out" / "data" / f"{s}.jsonl")
                                         for s in ("train", "valid", "test")}}
-        paths = [p for p in _config_nodes(doc) if p != ("out_dir",)]
-        path = data.draw(st.sampled_from(paths), label="path")
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = data.draw(st.sampled_from(_mutations(parent[path[-1]])), label="value")
+        if data.draw(st.sampled_from(["value", "key"]), label="mutation") == "key":
+            objects = [p for p in [(), *_config_nodes(doc)] if isinstance(_node(doc, p), dict)]
+            _node(doc, data.draw(st.sampled_from(objects), label="object"))["unknown_key"] = 0
+            allowed = (cli.EXIT_CONFIG,)
+        else:
+            paths = [p for p in _config_nodes(doc) if p != ("out_dir",)]
+            path = data.draw(st.sampled_from(paths), label="path")
+            parent = _node(doc, path[:-1])
+            parent[path[-1]] = data.draw(st.sampled_from(_mutations(parent[path[-1]])),
+                                         label="value")
+            allowed = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
         doc["out_dir"] = str(root / "run")
         config = root / "mutated.json"
         config.write_text(json.dumps(doc), encoding="utf-8")
+        codes = {}
         for command in ("generate", "train", "evaluate", "interleave", "protocol"):
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main([command, "--config", str(config)])
-            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes[command] = cli.main([command, "--config", str(config)])
+            assert codes[command] in allowed
+            if command == "evaluate" and codes["train"] == cli.EXIT_OK:
+                assert "invalid model config" not in err.getvalue()
 
 
 @pytest.fixture(scope="module")

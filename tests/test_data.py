@@ -214,7 +214,7 @@ def test_load_rejects_integers_beyond_the_float_range(tmp_path, item, fragment):
         load_dataset(path)
 
 
-def _parse_oracle(obj, where, n_domains=None):
+def _parse_oracle(obj, where):
     """The item-by-item parser ``load_dataset`` used before it parsed items
     as arrays: every check per item, in order, building the rows as it goes."""
     if not isinstance(obj, dict):
@@ -228,8 +228,6 @@ def _parse_oracle(obj, where, n_domains=None):
     domain = obj["domain"]
     if not isinstance(domain, int) or isinstance(domain, bool) or domain < 0:
         raise DatasetFormatError(f"{where}: domain must be a non-negative integer")
-    if n_domains is not None and domain >= n_domains:
-        raise DatasetFormatError(f"{where}: domain {domain} out of range [0, {n_domains})")
     ts = obj["ts"]
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise DatasetFormatError(f"{where}: ts must be an integer")
@@ -345,13 +343,13 @@ def test_array_parser_equals_the_item_by_item_parser(objs):
         assert _outcome(lambda: load_dataset(path)) == want
 
 
-def test_load_checks_domain_range_when_told(tmp_path):
+def test_load_leaves_the_domain_bound_to_the_caller(tmp_path):
+    """The file does not know how many domains a model has: the command
+    line checks the bound against its models."""
     line = '{"query_id":"a","domain":5,"ts":1,"items":[{"features":[1.0],"label":1.0}]}'
     path = tmp_path / "d.jsonl"
     _write_lines(path, [line])
-    assert load_dataset(path)[0].domain == 5  # fine without a bound
-    with pytest.raises(DatasetFormatError, match="out of range"):
-        load_dataset(path, n_domains=2)
+    assert load_dataset(path)[0].domain == 5
 
 
 def test_load_rejects_overlong_sessions(tmp_path):
