@@ -28,6 +28,7 @@ there, as a model run alone would not.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
@@ -56,6 +57,34 @@ __all__ = [
     "linear",
     "attention",
 ]
+
+# glibc's mallopt parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed memory for reuse instead of returning it.
+
+    Train steps and scoring passes free temporaries that the next call
+    allocates again.  By default glibc maps each block of 128 KiB or more
+    afresh and returns the freed top of the heap, so every call faults the
+    same pages in again.  Its dynamic policy raises both thresholds once a
+    large mapped block is freed, to at most 32 MiB (mmap) and 64 MiB
+    (trim); this sets those caps from the start, which turns the dynamic
+    policy off.  Without ``mallopt`` (macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_heap()
 
 # Additive logit penalty for padded attention keys.  Large enough that
 # exp() underflows to exactly 0.0, small enough to stay finite in float64.

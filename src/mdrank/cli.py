@@ -66,6 +66,8 @@ class InterleavePair:
 
     def __post_init__(self):
         _check_types(self, optional_ints=("domain",))
+        if self.domain is not None and self.domain < 0:
+            raise ConfigError("InterleavePair: domain must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .data import QuerySession
 from .evaluation import Scorer, ranked_indices, score_sessions
@@ -68,6 +67,10 @@ def sign_test_p(wins_a: int, wins_b: int) -> float:
     n = wins_a + wins_b
     if n == 0:
         return 1.0
+    # Imported here, not with the module: scipy.stats costs about 70 MiB and
+    # 0.9 s, and only a p-value needs it.
+    from scipy.stats import binom
+
     return float(min(1.0, 2.0 * binom.cdf(min(wins_a, wins_b), n, 0.5)))
 
 

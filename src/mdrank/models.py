@@ -71,6 +71,8 @@ __all__ = [
 _FORMAT_NAME = "mdrank-model"
 _FORMAT_VERSION = 1
 _WIDTH_FIELDS = ("trunk_hidden", "final_hidden", "classifier_hidden")
+# Parameters per member a config may ask for: 1 GiB of float64.
+_MAX_PARAMETERS = 2**27
 
 
 class ModelLoadError(ValueError):
@@ -96,7 +98,8 @@ class ModelConfig:
     ``domain_loss_weight`` only for the two classifier-carrying variants.
     Only the variant and the widths (to tuples of ints) are cast:
     ``"heads": 1.9`` is not one head, and an integer ``grl_lambda`` stays
-    an integer.
+    an integer.  A config of more than ``_MAX_PARAMETERS`` parameters per
+    member is rejected.
     """
 
     variant: Variant
@@ -143,6 +146,12 @@ class ModelConfig:
         for name in ("grl_lambda", "domain_loss_weight"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigError(f"ModelConfig: {name} must be finite and non-negative")
+        count = 0
+        for _, _, shape in _parameter_specs(self):
+            count += math.prod(shape)
+            if count > _MAX_PARAMETERS:
+                raise ConfigError(f"ModelConfig: {count} or more parameters per member, "
+                                  f"above the bound of {_MAX_PARAMETERS}")
 
     def to_json_obj(self) -> dict:
         """The fields in declaration order, as JSON values."""

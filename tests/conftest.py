@@ -1,8 +1,12 @@
 """Shared builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdrank
 from mdrank.autodiff import ShapeError, Tensor, _accumulate, _record
 from mdrank.data import QuerySession
 from mdrank.models import ModelConfig
@@ -24,6 +28,15 @@ def make_session(
         labels[int(rng.integers(n_items))] = 1.0
     return QuerySession(query_id=query_id, domain=domain, timestamp=timestamp,
                         features=features, grades=labels)
+
+
+def source_env() -> dict[str, str]:
+    """This process's environment with the mdrank package the suite
+    imported first on PYTHONPATH, for a subprocess to import it too."""
+    env = dict(os.environ)
+    checkout = str(Path(mdrank.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
+    return env
 
 
 def tiny_config(variant: str = "baseline", **overrides) -> ModelConfig:

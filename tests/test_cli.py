@@ -4,7 +4,6 @@ import contextlib
 import importlib
 import io
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -16,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mdrank
 from mdrank import cli
+from mdrank.models import _WIDTH_FIELDS
+from tests.conftest import source_env
 
 
 def _model(**overrides):
@@ -257,6 +257,28 @@ def test_interleave_end_to_end(tmp_path, capsys):
     assert csv[1].startswith("baseline_d0,multihead,0,")
 
 
+def test_only_interleave_loads_scipy_stats(tmp_path):
+    """scipy.stats (about 70 MiB) loads for a p-value only: not with the
+    package, and not for the commands that compute none."""
+    config = _write_config(tmp_path)
+    script = (
+        "import json, sys\n"
+        "import mdrank, mdrank.cli as cli\n"
+        "loaded = {'import': 'scipy.stats' in sys.modules}\n"
+        "for command in ('generate', 'train', 'evaluate', 'protocol', 'interleave'):\n"
+        f"    assert cli.main([command, '--config', {str(config)!r}]) == 0, command\n"
+        "    loaded[command] = 'scipy.stats' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, cwd=tmp_path, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": False, "generate": False, "train": False, "evaluate": False,
+        "protocol": False, "interleave": True,
+    }
+
+
 def test_interleave_without_pairs_exits_config_error(tmp_path, capsys):
     config = _write_config(tmp_path, interleave={})
     cli.main(["train", "--config", str(config)])
@@ -359,6 +381,8 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["dataset"]["synthetic"]["sessions_per_domain"].update(test=4.0),
          "non-negative integer"),
         (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[4.5]), "trunk_hidden"),
+        (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[10**12]),
+         "ModelConfig: 5000000000000 or more parameters per member, above the bound of 134217728"),
         (lambda doc: doc["dataset"]["synthetic"].update(list_length=5), "list_length"),
         (lambda doc: doc.update(dataset={"paths": {"train": 1, "valid": "v", "test": "t"}}),
          "dataset.paths values"),
@@ -371,6 +395,8 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
          "interleave: unknown keys ['n_impresions']"),
         (lambda doc: doc["interleave"]["pairs"][0].update(domian=1),
          "interleave.pairs[0]: unknown keys ['domian']"),
+        (lambda doc: doc["interleave"]["pairs"][0].update(domain=-1),
+         "interleave.pairs[0]: InterleavePair: domain must be >= 0"),
         (lambda doc: doc["dataset"].update(normalise=True), "got ['normalise', 'synthetic']"),
         (lambda doc: doc["dataset"].update(paths={"train": "a", "valid": "b", "test": "c"}),
          "got ['paths', 'synthetic']"),
@@ -575,8 +601,8 @@ def _mutations(value):
 @given(data=st.data())
 def test_mutated_config_never_ends_in_a_traceback(data):
     """A value of another type or range ends in a documented exit code, an
-    unknown key in any object of the config in exit 2; a config that
-    trains writes model files that load."""
+    unknown key in any object of the config or a layer width beyond memory
+    in exit 2; a config that trains writes model files that load."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         doc = json.loads(_write_config(root).read_text())
@@ -586,9 +612,16 @@ def test_mutated_config_never_ends_in_a_traceback(data):
             doc["normalize"] = True
             doc["dataset"] = {"paths": {s: str(root / "out" / "data" / f"{s}.jsonl")
                                         for s in ("train", "valid", "test")}}
-        if data.draw(st.sampled_from(["value", "key"]), label="mutation") == "key":
+        mutation = data.draw(st.sampled_from(["value", "key", "width"]), label="mutation")
+        if mutation == "key":
             objects = [p for p in [(), *_config_nodes(doc)] if isinstance(_node(doc, p), dict)]
             _node(doc, data.draw(st.sampled_from(objects), label="object"))["unknown_key"] = 0
+            allowed = (cli.EXIT_CONFIG,)
+        elif mutation == "width":
+            widths = [p for p in _config_nodes(doc) if len(p) > 1 and p[-2] in _WIDTH_FIELDS]
+            path = data.draw(st.sampled_from(widths), label="path")
+            _node(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from([10**12, 10**400]),
+                                                        label="width")
             allowed = (cli.EXIT_CONFIG,)
         else:
             paths = [p for p in _config_nodes(doc) if p != ("out_dir",)]
@@ -799,9 +832,7 @@ def test_console_script_runs(tmp_path):
         f"import sys\nfrom {module} import {attr}\nsys.exit({attr}())\n",
         encoding="utf-8",
     )
-    checkout = str(Path(mdrank.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
+    env = source_env()
     _check_console_command([sys.executable, str(launcher)], tmp_path / "launcher", env)
 
     installed = shutil.which("mdrank")

@@ -195,6 +195,25 @@ def test_sign_test_edge_cases():
         sign_test_p(-1, 3)
 
 
+def test_sign_test_is_scipys_binomial_tail_bit_for_bit():
+    """``2 * binom.cdf`` capped at 1, for every split of up to 300 queries
+    and for a few at 10**4, 10**6 and 2**32 queries."""
+    from scipy.stats import binom
+
+    def want(a, b):
+        return min(1.0, 2.0 * binom.cdf(min(a, b), a + b, 0.5))
+
+    a, b = np.array([(a, n - a) for n in range(301) for a in range(n + 1)]).T
+    expected = np.minimum(1.0, 2.0 * binom.cdf(np.minimum(a, b), a + b, 0.5))
+    assert expected[a + b == 300].min() < 1e-80 and expected.max() == 1.0
+    assert [sign_test_p(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected.tolist()
+    for n, ks in [(10**4, (0, 1, 4850, 4900, 4950, 4999, 5000)),
+                  (10**6, (0, 498_500, 499_000, 499_900, 499_999, 500_000)),
+                  (2**32, (0, 2**31 - 150_000, 2**31 - 50_000, 2**31 - 1, 2**31))]:
+        for k in ks:
+            assert sign_test_p(k, n - k) == sign_test_p(n - k, k) == want(k, n - k)
+
+
 # ---------------------------------------------------------------------------
 # full experiment
 

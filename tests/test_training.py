@@ -1,6 +1,9 @@
 """Training loop, checkpoint selection, and the multi-seed protocol."""
 
 import logging
+import platform
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -22,7 +25,7 @@ from mdrank.training import (
     run_protocol,
     train,
 )
-from tests.conftest import make_session, tiny_config
+from tests.conftest import make_session, source_env, tiny_config
 
 
 def _splits(seed=5, train=40, valid=12, test=16, feature_dim=5):
@@ -412,3 +415,53 @@ def test_protocol_logs_one_progress_record_per_variant(caplog):
         assert record.variant in record.getMessage()
     assert report.csv_rows() == quiet.csv_rows()
     assert report.table_text() == quiet.table_text()
+
+
+STEADY_RUN = """
+import resource
+from mdrank.data import SyntheticSpec, generate_synthetic
+from mdrank.interleaving import UserModel, run_interleaving
+from mdrank.models import ModelConfig, build, stack
+from mdrank.training import TrainConfig, train
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def spec(n, lengths):
+    return SyntheticSpec(n_domains=2, sessions_per_domain={"train": n, "valid": n // 2, "test": 1},
+                         feature_dim=8, domain_shift_scale=3.0, list_length=lengths, seed=3)
+
+short, long = generate_synthetic(spec(64, (10, 20))), generate_synthetic(spec(8, (100, 130)))
+config = ModelConfig(variant="domain_specialist", feature_dim=8, trunk_hidden=(24,),
+                     token_dim=8, final_hidden=(16,), classifier_hidden=(16,))
+model = stack([build(config, seed) for seed in (1, 2)])
+settings = TrainConfig(epochs=1, batch_size=8, eval_every=10**6)
+train(model, short.train, short.valid, settings)
+before = faults()
+train(model, short.train, short.valid, settings)
+epoch = faults() - before
+pair = (model.member(0), model.member(1), long.train, UserModel.position_decay(16), 1000)
+for _ in range(2):
+    run_interleaving(*pair)
+between = faults()
+for _ in range(5):
+    run_interleaving(*pair)
+print(epoch, faults() - between)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="glibc's malloc policy")
+def test_steady_work_reuses_freed_heap():
+    """Once an epoch has run, the next one's 16 stacked steps and its
+    validation over 64 sessions reuse the heap the first one freed; so do
+    five interleaving runs of 1,000 impressions over lists of 100-130 items
+    after two others, whose scoring arrays pass glibc's default mmap
+    threshold of 128 KiB.  Each takes fewer page faults than it has steps
+    or runs, where faulting freed pages in again costs hundreds or
+    thousands."""
+    proc = subprocess.run([sys.executable, "-c", STEADY_RUN], capture_output=True,
+                          text=True, timeout=300, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    epoch, interleaving = map(int, proc.stdout.split()[-2:])
+    assert epoch < 16 and interleaving < 5, (epoch, interleaving)
