@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    MAX_LIST_LENGTH,
     DatasetFormatError,
     QuerySession,
     SyntheticSpec,
     _check_types,
+    _is_integer,
     generate_synthetic,
     load_dataset,
     normalize_features,
@@ -57,7 +59,7 @@ class DataError(RuntimeError):
 @dataclass(frozen=True)
 class InterleavePair:
     """Two models to interleave, on the test sessions of ``domain`` (None:
-    all of them).  The config loader checks that ``a`` and ``b`` name
+    all of them).  ``ExperimentConfig`` checks that ``a`` and ``b`` name
     models of the config."""
 
     a: str
@@ -99,6 +101,10 @@ class InterleaveSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: its data, models and settings.  ``out_dir`` becomes
+    a Path, ``seeds`` a tuple and ``train.k`` is set to ``k``; each
+    interleave pair must name two of ``models``."""
+
     out_dir: Path
     dataset_synthetic: SyntheticSpec | None
     dataset_paths: dict[str, Path] | None
@@ -109,27 +115,40 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
     normalize: bool = False
 
+    def __post_init__(self):
+        _check_types(self, ints=("k",))
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ConfigError("ExperimentConfig: out_dir must be a string")
+        object.__setattr__(self, "out_dir", Path(self.out_dir))
+        if self.k < 1:
+            raise ConfigError("ExperimentConfig: k must be >= 1")
+        seeds = self.seeds
+        if not (isinstance(seeds, (list, tuple)) and seeds and all(map(_is_integer, seeds))
+                and min(seeds) >= 0 and len(set(seeds)) == len(seeds)):
+            raise ConfigError("ExperimentConfig: seeds must be distinct non-negative integers, "
+                              "at least one")
+        object.__setattr__(self, "seeds", tuple(seeds))
+        if not isinstance(self.normalize, bool):
+            raise ConfigError("ExperimentConfig: normalize must be true or false")
+        if not self.models:
+            raise ConfigError("ExperimentConfig: models must not be empty")
+        for idx, pair in enumerate(self.interleave.pairs):
+            for model in (pair.a, pair.b):
+                if not isinstance(model, str) or model not in self.models:
+                    raise ConfigError(f"ExperimentConfig: interleave.pairs[{idx}]: "
+                                      f"unknown model {model!r}")
+        object.__setattr__(self, "train", replace(self.train, k=self.k))
 
-def _expect(obj: dict, key: str, kind, where: str, default=None, required: bool = False):
-    if key not in obj:
-        if required:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
-    return value
 
-
-def _section(cls, obj, where: str, **given):
+def _section(cls, obj, where: str, keys: str = "keys", **given):
     """The JSON object ``obj`` as a ``cls``, which checks every value, with
-    the caller's fields ``given``; ``where`` names ``obj`` in the error an
-    unknown key or a rejected value raises."""
+    the caller's fields ``given``; ``where`` names ``obj`` (and ``keys`` its
+    keys) in the error an unknown key or a rejected value raises."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object")
     unknown = set(obj) - (set(cls.__dataclass_fields__) - set(given))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown {keys} {sorted(unknown)}")
     try:
         return cls(**obj, **given)
     except (TypeError, ValueError) as exc:
@@ -146,14 +165,10 @@ def _parse_model(name: str, obj) -> VariantSpec:
                     config=_section(ModelConfig, fields, where))
 
 
-def _check_seeds(seeds, where: str) -> None:
-    if min(seeds) < 0 or len(set(seeds)) != len(seeds):
-        raise ConfigError(f"{where} must be distinct non-negative integers")
-
-
 def load_experiment_config(path) -> ExperimentConfig:
-    """The experiment a JSON config describes.  Each object of it maps onto
-    its dataclass through ``_section``, which rejects unknown keys."""
+    """The experiment a JSON config describes.  Each object of it, the top
+    level too, maps onto its dataclass through ``_section``, which rejects
+    unknown keys; the dataclasses check the values."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -165,20 +180,12 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    known = {"out_dir", "k", "seeds", "normalize", "dataset", "models", "train", "interleave"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
+    sections = {key: doc.pop(key, {}) for key in ("dataset", "models", "train", "interleave")}
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: {key} must be an object")
 
-    out_dir = Path(_expect(doc, "out_dir", str, str(path), required=True))
-    k = _expect(doc, "k", int, str(path), default=16)
-    seeds_raw = _expect(doc, "seeds", list, str(path), default=[1, 2, 3, 4, 5])
-    if not seeds_raw or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds_raw):
-        raise ConfigError(f"{path}: seeds must be a non-empty list of integers")
-    _check_seeds(seeds_raw, f"{path}: seeds")
-    normalize = bool(_expect(doc, "normalize", bool, str(path), default=False))
-
-    dataset = _expect(doc, "dataset", dict, str(path), required=True)
+    dataset = sections["dataset"]
     if len(dataset) != 1 or not set(dataset) <= {"synthetic", "paths"}:
         raise ConfigError(f"{path}: dataset needs either 'synthetic' or 'paths' and no "
                           f"other key, got {sorted(dataset)}")
@@ -194,35 +201,20 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: dataset.paths values must be strings")
         paths = {split: Path(p) for split, p in raw.items()}
 
-    models_obj = _expect(doc, "models", dict, str(path), required=True)
-    if not models_obj:
-        raise ConfigError(f"{path}: models must not be empty")
-    models = {name: _parse_model(name, obj) for name, obj in models_obj.items()}
-
-    train_config = _section(TrainConfig, doc.get("train", {}), f"{path}: train", k=k)
-
-    inter_obj = _expect(doc, "interleave", dict, str(path), default={})
+    models = {name: _parse_model(name, obj) for name, obj in sections["models"].items()}
+    inter_obj = sections["interleave"]
     inter_where = f"{path}: interleave"
-    pairs = []
-    for idx, raw in enumerate(_expect(inter_obj, "pairs", list, inter_where, default=[])):
-        where = f"{inter_where}.pairs[{idx}]"
-        pair = _section(InterleavePair, raw, where)
-        for model in (pair.a, pair.b):
-            if not isinstance(model, str) or model not in models:
-                raise ConfigError(f"{where}: unknown model {model!r}")
-        pairs.append(pair)
-    interleave = _section(InterleaveSettings, {**inter_obj, "pairs": tuple(pairs)}, inter_where)
-
-    return ExperimentConfig(
-        out_dir=out_dir,
-        dataset_synthetic=synthetic,
-        dataset_paths=paths,
-        models=models,
-        train=train_config,
-        interleave=interleave,
-        k=k,
-        seeds=tuple(seeds_raw),
-        normalize=normalize,
+    raw_pairs = inter_obj.get("pairs", [])
+    if not isinstance(raw_pairs, list):
+        raise ConfigError(f"{inter_where}: pairs must be a list")
+    pairs = tuple(_section(InterleavePair, raw, f"{inter_where}.pairs[{idx}]")
+                  for idx, raw in enumerate(raw_pairs))
+    # The train section has no key k: ExperimentConfig sets train.k to k.
+    return _section(
+        ExperimentConfig, doc, str(path), keys="top-level keys",
+        dataset_synthetic=synthetic, dataset_paths=paths, models=models,
+        train=_section(TrainConfig, sections["train"], f"{path}: train", k=TrainConfig.k),
+        interleave=_section(InterleaveSettings, {**inter_obj, "pairs": pairs}, inter_where),
     )
 
 
@@ -330,14 +322,12 @@ def cmd_generate(config: ExperimentConfig, args) -> int:
 def cmd_train(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     splits = _resolve_splits(config, names)
-    seed = args.seed[0] if args.seed else config.train.seed
-    train_config = replace(config.train, seed=seed, k=args.k or config.k)
     for name in names:
         spec = config.models[name]
         data = _training_data(config, splits, name)
-        model = build(spec.config, seed)
+        model = build(spec.config, config.train.seed)
         try:
-            best, history = train(model, data.train, data.valid, train_config)
+            best, history = train(model, data.train, data.valid, config.train)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{name}: {exc}") from exc
         model_path = _model_path(config, name)
@@ -353,7 +343,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
             (r.valid_ndcg for r in reversed(history) if r.valid_ndcg is not None), None
         )
         shown = "n/a" if final_ndcg is None else f"{final_ndcg:.4f}"
-        print(f"trained {name} (seed {seed}): final valid NDCG@{train_config.k} {shown}")
+        print(f"trained {name} (seed {config.train.seed}): final valid NDCG@{config.k} {shown}")
     return EXIT_OK
 
 
@@ -379,13 +369,12 @@ def _load_model_file(config: ExperimentConfig, name: str):
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     splits = _resolve_splits(config, names)
-    k = args.k or config.k
     results: dict[str, dict[int, tuple[float, int]]] = {}
     for name in names:
         spec = config.models[name]
         model = _load_model_file(config, name)
         data = splits.restrict(spec.train_domain)
-        summary = evaluate(model, data.test, k)
+        summary = evaluate(model, data.test, config.k)
         results[name] = {
             d: (summary.per_domain[d], summary.per_domain_sessions[d])
             for d in summary.per_domain
@@ -397,7 +386,7 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
         if domain in results[name]
     }
 
-    header = f"{'model':<24}{'domain':<8}{'sessions':>10}{'NDCG@' + str(k):>12}{'gain':>10}"
+    header = f"{'model':<24}{'domain':<8}{'sessions':>10}{'NDCG@' + str(config.k):>12}{'gain':>10}"
     lines = [header]
     csv_rows = ["model,domain,sessions,ndcg,gain_pct"]
     for name in names:
@@ -424,9 +413,9 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
     settings = config.interleave
     names = list(dict.fromkeys(name for pair in settings.pairs for name in (pair.a, pair.b)))
     splits = _resolve_splits(config, names)
-    k = settings.page_size or args.k or config.k
-    try:
-        user = UserModel.position_decay(k, settings.examination_eta)
+    k = settings.page_size or config.k
+    try:  # a page is never longer than a session
+        user = UserModel.position_decay(min(k, MAX_LIST_LENGTH), settings.examination_eta)
     except OverflowError as exc:  # rank ** eta leaves the float range
         raise ConfigError(f"interleave: examination_eta over {k} positions: {exc}") from exc
     lines = [
@@ -468,12 +457,10 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
 def cmd_protocol(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     splits = _resolve_splits(config, names)
-    seeds = tuple(args.seed) if args.seed else config.seeds
-    k = args.k or config.k
     for name in names:
         _training_data(config, splits, name)
     variants = {name: config.models[name] for name in names}
-    report = run_protocol(variants, splits, seeds, replace(config.train, k=k), k=k)
+    report = run_protocol(variants, splits, config.seeds, config.train, k=config.k)
     _write_text(config.out_dir / "reports" / "protocol.txt", report.table_text())
     _write_text(
         config.out_dir / "reports" / "protocol.csv", "\n".join(report.csv_rows()) + "\n"
@@ -519,16 +506,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_flags(config: ExperimentConfig, args) -> ExperimentConfig:
+    """``config`` with the values of the flags given, which pass the checks
+    config values pass; ``--seed`` sets ``seeds`` and ``train.seed`` (its
+    first value)."""
+    for flag, value, fields in (
+        ("--out", args.out, lambda c, v: {"out_dir": v}),
+        ("--k", args.k, lambda c, v: {"k": v}),
+        ("--seed", args.seed, lambda c, v: {"seeds": v, "train": replace(c.train, seed=v[0])}),
+    ):
+        if value is not None:
+            try:
+                config = replace(config, **fields(config, value))
+            except ConfigError as exc:
+                raise ConfigError(f"{flag}: {exc}") from exc
+    return config
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_experiment_config(args.config)
-        if args.out:
-            config = replace(config, out_dir=Path(args.out))
-        if args.k is not None and args.k < 1:
-            raise ConfigError("--k must be >= 1")
-        if args.seed is not None:
-            _check_seeds(args.seed, "--seed values")
+        config = _apply_flags(load_experiment_config(args.config), args)
         handler = {
             "generate": cmd_generate,
             "train": cmd_train,

@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 MAX_LIST_LENGTH = 130
+# Floats a config may ask for: 1 GiB of float64, the bound on a model's
+# parameters per member and on a synthetic spec's per-domain weights.
+_MAX_FLOATS = 2**27
 
 _SPLIT_NAMES = ("train", "valid", "test")
 _SPLIT_WINDOW = 1_000_000
@@ -415,6 +418,8 @@ class SyntheticSpec:
 
     ``sessions_per_domain`` maps each split name to either one count shared
     by every domain or a per-domain list (supporting imbalanced domains).
+    ``n_domains * feature_dim``, the size of the hidden per-domain weights,
+    is at most ``_MAX_FLOATS``, the bound a model's parameters have too.
     """
 
     n_domains: int = 2
@@ -437,6 +442,10 @@ class SyntheticSpec:
             raise ConfigError("SyntheticSpec: n_domains must be >= 1")
         if self.feature_dim < 1:
             raise ConfigError("SyntheticSpec: feature_dim must be >= 1")
+        if self.n_domains * self.feature_dim > _MAX_FLOATS:
+            raise ConfigError(f"SyntheticSpec: n_domains * feature_dim is "
+                              f"{self.n_domains * self.feature_dim}, above the bound of "
+                              f"{_MAX_FLOATS}")
         if self.seed < 0:
             raise ConfigError("SyntheticSpec: seed must be >= 0")
         if (not isinstance(self.sessions_per_domain, Mapping)
@@ -445,7 +454,15 @@ class SyntheticSpec:
                 f"SyntheticSpec: sessions_per_domain needs exactly the keys {_SPLIT_NAMES}"
             )
         for split in _SPLIT_NAMES:
-            self._counts(split)
+            raw = self.sessions_per_domain[split]
+            shared = _is_integer(raw)  # checked once, not once per domain
+            counts = [raw] if shared else raw
+            if not (isinstance(counts, (list, tuple)) and (shared or len(counts) == self.n_domains)
+                    and all(_is_integer(c) and c >= 0 for c in counts)):
+                raise ConfigError(
+                    f"SyntheticSpec: {split!r} needs one count or {self.n_domains} per-domain "
+                    "counts, each a non-negative integer"
+                )
         lengths = self.list_length
         if not (isinstance(lengths, (list, tuple)) and len(lengths) == 2
                 and all(map(_is_integer, lengths)) and 1 <= lengths[0] <= lengths[1]):
@@ -463,16 +480,9 @@ class SyntheticSpec:
             raise ConfigError("SyntheticSpec: at least one weight scale must be positive")
 
     def _counts(self, split: str) -> list[int]:
+        """The session count of each domain in ``split``."""
         raw = self.sessions_per_domain[split]
-        if _is_integer(raw):
-            raw = [raw] * self.n_domains
-        if not (isinstance(raw, (list, tuple)) and len(raw) == self.n_domains
-                and all(_is_integer(c) and c >= 0 for c in raw)):
-            raise ConfigError(
-                f"SyntheticSpec: {split!r} needs one count or {self.n_domains} per-domain "
-                "counts, each a non-negative integer"
-            )
-        return [int(c) for c in raw]
+        return [int(raw)] * self.n_domains if _is_integer(raw) else [int(c) for c in raw]
 
 
 @dataclass

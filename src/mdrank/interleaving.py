@@ -263,8 +263,9 @@ def run_interleaving(
     feeding the sign test.  A NaN or infinite score from either ranker
     raises ``NonFiniteScoreError``.
 
-    ``relevance`` defaults to the items' labels clipped to [0, 1]; every
-    vector must have one finite value in [0, 1] per item.
+    The examination curve needs a probability for each position of the
+    longest page.  ``relevance`` defaults to the items' labels clipped to
+    [0, 1]; every vector must have one finite value in [0, 1] per item.
     ``mirror_coins`` inverts every coin outcome; running (B, A) with the
     same seed and mirrored coins reproduces the (A, B) experiment exactly
     with the team labels swapped.
@@ -288,9 +289,11 @@ def run_interleaving(
         raise ValueError(f"run_interleaving: seed must be >= 0, got {seed}")
     if k < 1:
         raise ValueError("run_interleaving: k must be >= 1")
-    if k > len(user.examination):
+    lengths = np.array([s.grades.size for s in sessions])
+    width = min(k, int(lengths.max()))  # the longest page
+    if width > len(user.examination):
         raise ValueError(
-            f"run_interleaving: page size {k} exceeds the examination curve "
+            f"run_interleaving: page size {width} exceeds the examination curve "
             f"({len(user.examination)} positions)"
         )
     if relevance is not None:
@@ -315,8 +318,6 @@ def run_interleaving(
         for a, b in zip(score_sessions(model_a, sessions), score_sessions(model_b, sessions))
     ]
 
-    lengths = np.array([s.grades.size for s in sessions])
-    width = min(k, int(lengths.max()))
     session_of = np.arange(n_impressions) % len(sessions)
     shown = np.minimum(lengths, k)[session_of]
     coins, draws = _impression_streams(seed, n_impressions, (width + 1) // 2, width)

@@ -51,7 +51,7 @@ from .autodiff import (
     relu,
     take_rows,
 )
-from .data import ConfigError, QuerySession, _check_types, _is_integer
+from .data import _MAX_FLOATS, ConfigError, QuerySession, _check_types, _is_integer
 
 __all__ = [
     "Variant",
@@ -71,8 +71,9 @@ __all__ = [
 _FORMAT_NAME = "mdrank-model"
 _FORMAT_VERSION = 1
 _WIDTH_FIELDS = ("trunk_hidden", "final_hidden", "classifier_hidden")
-# Parameters per member a config may ask for: 1 GiB of float64.
-_MAX_PARAMETERS = 2**27
+# Parameter tensors per member a config may ask for; a build makes one
+# Python object, and a train step several calls, per tensor.
+_MAX_TENSORS = 2**14
 
 
 class ModelLoadError(ValueError):
@@ -98,8 +99,8 @@ class ModelConfig:
     ``domain_loss_weight`` only for the two classifier-carrying variants.
     Only the variant and the widths (to tuples of ints) are cast:
     ``"heads": 1.9`` is not one head, and an integer ``grl_lambda`` stays
-    an integer.  A config of more than ``_MAX_PARAMETERS`` parameters per
-    member is rejected.
+    an integer.  A config of more than ``_MAX_FLOATS`` parameters or
+    ``_MAX_TENSORS`` parameter tensors per member is rejected.
     """
 
     variant: Variant
@@ -146,12 +147,13 @@ class ModelConfig:
         for name in ("grl_lambda", "domain_loss_weight"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigError(f"ModelConfig: {name} must be finite and non-negative")
-        count = 0
-        for _, _, shape in _parameter_specs(self):
-            count += math.prod(shape)
-            if count > _MAX_PARAMETERS:
-                raise ConfigError(f"ModelConfig: {count} or more parameters per member, "
-                                  f"above the bound of {_MAX_PARAMETERS}")
+        parameters, tensors = _parameter_count(self)
+        if parameters > _MAX_FLOATS:
+            raise ConfigError(f"ModelConfig: {parameters} or more parameters per member, "
+                              f"above the bound of {_MAX_FLOATS}")
+        if tensors > _MAX_TENSORS:
+            raise ConfigError(f"ModelConfig: {tensors} parameter tensors per member, "
+                              f"above the bound of {_MAX_TENSORS}")
 
     def to_json_obj(self) -> dict:
         """The fields in declaration order, as JSON values."""
@@ -271,34 +273,65 @@ def _dense_specs(prefix: str, dims: tuple[int, ...]) -> list[tuple[str, str, tup
     return specs
 
 
+def _transformer_specs(p: str, d: int) -> list[tuple[str, str, tuple[int, ...]]]:
+    return [
+        (f"{p}.norm1.gain", "ln_gain", (d,)),
+        (f"{p}.norm1.bias", "ln_bias", (d,)),
+        *[(f"{p}.{name}", "weight", (d, d)) for name in ("wq", "wk", "wv")],
+        *_dense_specs(f"{p}.attn_out", (d, d)),
+        (f"{p}.norm2.gain", "ln_gain", (d,)),
+        (f"{p}.norm2.bias", "ln_bias", (d,)),
+        *_dense_specs(f"{p}.ffn", (d, d, d)),
+    ]
+
+
+def _parameter_blocks(config: ModelConfig):
+    """The parameters in build order as ``(copies, specs)`` blocks:
+    ``specs(i)`` lists the (name, kind, shape) of copy i, and every copy
+    has the shapes of copy 0."""
+    h, d = config.trunk_hidden[-1], config.token_dim
+    final_dims = (1 + d, *config.final_hidden, 1)
+    blocks = [
+        (1, lambda _: [*_dense_specs("trunk", (config.feature_dim, *config.trunk_hidden)),
+                       *_dense_specs("score", (h, 1)), *_dense_specs("token", (h + 1, d))]),
+        (config.transformer_layers, lambda l: _transformer_specs(f"transformer.{l}", d)),
+    ]
+    if config.variant is Variant.MULTI_HEAD:
+        blocks.append((config.n_domains, lambda dom: _dense_specs(f"head.{dom}", final_dims)))
+    else:
+        blocks.append((1, lambda _: _dense_specs("final", final_dims)))
+    if config.variant.has_classifier:
+        dims = (h, *config.classifier_hidden, config.n_domains)
+        blocks.append((1, lambda _: _dense_specs("classifier", dims)))
+    return blocks
+
+
 def _parameter_specs(config: ModelConfig):
     """(name, kind, shape) for every parameter, in build order, lazily: a
     payload that lacks one is rejected without listing the rest."""
-    trunk_dims = (config.feature_dim, *config.trunk_hidden)
-    yield from _dense_specs("trunk", trunk_dims)
-    h = config.trunk_hidden[-1]
-    d = config.token_dim
-    yield from _dense_specs("score", (h, 1))
-    yield from _dense_specs("token", (h + 1, d))
-    for l in range(config.transformer_layers):
-        p = f"transformer.{l}"
-        yield f"{p}.norm1.gain", "ln_gain", (d,)
-        yield f"{p}.norm1.bias", "ln_bias", (d,)
-        yield f"{p}.wq", "weight", (d, d)
-        yield f"{p}.wk", "weight", (d, d)
-        yield f"{p}.wv", "weight", (d, d)
-        yield from _dense_specs(f"{p}.attn_out", (d, d))
-        yield f"{p}.norm2.gain", "ln_gain", (d,)
-        yield f"{p}.norm2.bias", "ln_bias", (d,)
-        yield from _dense_specs(f"{p}.ffn", (d, d, d))
-    final_dims = (1 + d, *config.final_hidden, 1)
-    if config.variant is Variant.MULTI_HEAD:
-        for dom in range(config.n_domains):
-            yield from _dense_specs(f"head.{dom}", final_dims)
-    else:
-        yield from _dense_specs("final", final_dims)
-    if config.variant.has_classifier:
-        yield from _dense_specs("classifier", (h, *config.classifier_hidden, config.n_domains))
+    for copies, specs in _parameter_blocks(config):
+        for i in range(copies):
+            yield from specs(i)
+
+
+def _parameter_count(config: ModelConfig, bound: int = _MAX_FLOATS) -> tuple[int, int]:
+    """(parameters, tensors) per member, from one copy of each block.  Past
+    ``bound`` parameters, the count is the running total at the first
+    tensor that passes it, where a walk over ``_parameter_specs`` would
+    stop."""
+    parameters = tensors = 0
+    for copies, specs in _parameter_blocks(config):
+        sizes = [math.prod(shape) for _, _, shape in specs(0)]
+        block = sum(sizes)
+        if parameters + copies * block > bound:
+            parameters += (bound - parameters) // block * block  # the copies that fit
+            for size in sizes:
+                parameters += size
+                if parameters > bound:
+                    return parameters, tensors
+        parameters += copies * block
+        tensors += copies * len(sizes)
+    return parameters, tensors
 
 
 def build(config: ModelConfig, seed: int) -> Model:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,23 @@ def test_only_interleave_loads_scipy_stats(tmp_path):
     }
 
 
+def test_page_longer_than_every_session_reads_as_the_longest(tmp_path, capsys):
+    """A page holds at most a session's items, and sessions hold at most
+    130: a page size of 10**12 interleaves as one of 130."""
+    config = _write_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    reports = {}
+    for page_size in (130, 10**12):
+        doc = json.loads(config.read_text())
+        doc["interleave"]["page_size"] = page_size
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        start = time.monotonic()
+        assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_OK
+        assert time.monotonic() - start < 5.0
+        reports[page_size] = (tmp_path / "out" / "reports" / "interleave.csv").read_bytes()
+    assert reports[10**12] == reports[130]
+
+
 def test_interleave_without_pairs_exits_config_error(tmp_path, capsys):
     config = _write_config(tmp_path, interleave={})
     cli.main(["train", "--config", str(config)])
@@ -547,13 +565,31 @@ def test_uniform_width_mismatch_exits_config_error(tmp_path, capsys, command):
 def test_k_flag_must_be_positive(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["evaluate", "--config", str(config), "--k", "0"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --k: ")
 
 
 @pytest.mark.parametrize("seeds", [["-3"], ["4", "4"]])
 def test_bad_seed_flag_exits_config_error(tmp_path, capsys, seeds):
     config = _write_config(tmp_path)
-    assert cli.main(["protocol", "--config", str(config), "--seed", *seeds]) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --seed")
+    for command in ("protocol", "train"):
+        assert cli.main([command, "--config", str(config), "--seed", *seeds]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --seed")
+    assert not (tmp_path / "out").exists()
+
+
+def test_k_and_seed_flags_reach_training(tmp_path, capsys):
+    """``--k`` sets the cutoff training validates with, and ``--seed`` the
+    seed the train command builds with."""
+    config = _write_config(tmp_path)
+    args = ["train", "--config", str(config), "--variant", "baseline_d0", "--k", "3"]
+    assert cli.main([*args, "--seed", "5", "9"]) == cli.EXIT_OK
+    assert "trained baseline_d0 (seed 5): final valid NDCG@3 " in capsys.readouterr().out
+    doc = json.loads(config.read_text())
+    doc["k"], doc["train"]["seed"] = 3, 5
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    first = (tmp_path / "out" / "models" / "baseline_d0.model.json").read_bytes()
+    assert cli.main(args[:5]) == cli.EXIT_OK
+    assert (tmp_path / "out" / "models" / "baseline_d0.model.json").read_bytes() == first
 
 
 def test_domain_without_training_sessions_exits_data_error(tmp_path, capsys):
@@ -597,12 +633,16 @@ def _mutations(value):
     return out
 
 
+SIZE_FIELDS = ("transformer_layers", "heads", "n_domains", "feature_dim", "k", "page_size")
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_config_never_ends_in_a_traceback(data):
     """A value of another type or range ends in a documented exit code, an
     unknown key in any object of the config or a layer width beyond memory
-    in exit 2; a config that trains writes model files that load."""
+    in exit 2, and a size of 10**12 in one within seconds; a config that
+    trains writes model files that load."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         doc = json.loads(_write_config(root).read_text())
@@ -612,7 +652,7 @@ def test_mutated_config_never_ends_in_a_traceback(data):
             doc["normalize"] = True
             doc["dataset"] = {"paths": {s: str(root / "out" / "data" / f"{s}.jsonl")
                                         for s in ("train", "valid", "test")}}
-        mutation = data.draw(st.sampled_from(["value", "key", "width"]), label="mutation")
+        mutation = data.draw(st.sampled_from(["value", "key", "width", "size"]), label="mutation")
         if mutation == "key":
             objects = [p for p in [(), *_config_nodes(doc)] if isinstance(_node(doc, p), dict)]
             _node(doc, data.draw(st.sampled_from(objects), label="object"))["unknown_key"] = 0
@@ -623,6 +663,11 @@ def test_mutated_config_never_ends_in_a_traceback(data):
             _node(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from([10**12, 10**400]),
                                                         label="width")
             allowed = (cli.EXIT_CONFIG,)
+        elif mutation == "size":
+            paths = [p for p in [("k",), *_config_nodes(doc)] if p[-1] in SIZE_FIELDS]
+            path = data.draw(st.sampled_from(paths), label="path")
+            _node(doc, path[:-1])[path[-1]] = 10**12
+            allowed = (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGED)
         else:
             paths = [p for p in _config_nodes(doc) if p != ("out_dir",)]
             path = data.draw(st.sampled_from(paths), label="path")
@@ -636,8 +681,10 @@ def test_mutated_config_never_ends_in_a_traceback(data):
         codes = {}
         for command in ("generate", "train", "evaluate", "interleave", "protocol"):
             err = io.StringIO()
+            start = time.monotonic()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 codes[command] = cli.main([command, "--config", str(config)])
+            assert time.monotonic() - start < 5.0, command
             assert codes[command] in allowed
             if command == "evaluate" and codes["train"] == cli.EXIT_OK:
                 assert "invalid model config" not in err.getvalue()

@@ -4,6 +4,7 @@ synthetic two-domain generator."""
 import json
 import math
 import tempfile
+import tracemalloc
 import zlib
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from mdrank.data import (
     MAX_LIST_LENGTH,
+    ConfigError,
     DatasetFormatError,
     QuerySession,
     SyntheticSpec,
@@ -564,6 +566,28 @@ def test_generator_validates_spec():
         _tiny_spec(list_length=(5, 3))
     with pytest.raises(ValueError):
         _tiny_spec(sessions_per_domain={"train": 5})
+
+
+@pytest.mark.parametrize("n_domains, feature_dim", [(10**12, 4), (2, 10**12), (2**26, 3)])
+def test_spec_beyond_the_float_bound_is_rejected(n_domains, feature_dim):
+    size = n_domains * feature_dim
+    with pytest.raises(ConfigError, match=f"feature_dim is {size}, above the bound of 134217728"):
+        _tiny_spec(n_domains=n_domains, feature_dim=feature_dim)
+
+
+def test_shared_count_is_checked_once_not_per_domain():
+    """A spec at the float bound checks its shared counts without a list
+    ``n_domains`` long (128 MiB here)."""
+    tracemalloc.start()
+    try:
+        spec = _tiny_spec(n_domains=2**24, feature_dim=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.n_domains * spec.feature_dim == 2**27
+    assert peak < 2**20, peak
+    with pytest.raises(ConfigError, match="'valid' needs one count or 2 per-domain counts"):
+        _tiny_spec(sessions_per_domain={"train": 5, "valid": -1, "test": 5})
 
 
 def _oracle_ndcg(ds, weights_of_domain, k=16):

@@ -408,6 +408,16 @@ def test_bad_relevance_is_rejected_naming_the_session():
         run(rel, n_impressions=2)
 
 
+def test_examination_curve_needs_the_longest_page_only():
+    """Pages of six items need six positions of the curve, whatever k is."""
+    sessions = _sessions(np.random.default_rng(48), 3)
+    scorer, reverse = _feature_sum_scorer, lambda s: -_feature_sum_scorer(s)
+    run = lambda user, k: run_interleaving(scorer, reverse, sessions, user, 40, seed=1, k=k)
+    assert run(UserModel.position_decay(6), 10**12) == run(UserModel.position_decay(9), 6)
+    with pytest.raises(ValueError, match="page size 6 exceeds the examination curve"):
+        run(UserModel.position_decay(5), 10**12)
+
+
 def test_scores_must_be_one_per_item():
     sessions = _sessions(np.random.default_rng(47), 2)
     short = lambda s: np.zeros(s.grades.size - 1)

@@ -1,10 +1,13 @@
 """Model construction, forward semantics, and serialization tests."""
 
 import json
+import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdrank.autodiff import ShapeError, Tape, backward
 from mdrank.data import QuerySession
@@ -14,6 +17,8 @@ from mdrank.models import (
     ModelConfig,
     ModelLoadError,
     Variant,
+    _parameter_count,
+    _parameter_specs,
     build,
     count_parameters,
     forward,
@@ -65,6 +70,72 @@ def test_parameter_counts_match_closed_form(variant, n_domains):
     assert count_parameters(model, deployed=True) <= count_parameters(model)
     # the count really is the number of stored scalars
     assert total == sum(t.values.size for t in model.parameters.values())
+
+
+def _walk(cfg: ModelConfig, bound=math.inf):
+    """(parameters, tensors) by a walk over every tensor of
+    ``_parameter_specs``, stopped at the first that takes the parameter
+    count past ``bound``."""
+    parameters = tensors = 0
+    for _, _, shape in _parameter_specs(cfg):
+        parameters += math.prod(shape)
+        if parameters > bound:
+            break
+        tensors += 1
+    return parameters, tensors
+
+
+@st.composite
+def _model_configs(draw):
+    variant = draw(st.sampled_from([v.value for v in Variant]))
+    heads = draw(st.integers(1, 3))
+    widths = st.lists(st.integers(1, 7), max_size=3)
+    return ModelConfig(
+        variant=variant,
+        feature_dim=draw(st.integers(1, 7)),
+        n_domains=draw(st.integers(2 if variant == "multihead" else 1, 6)),
+        trunk_hidden=draw(widths.filter(bool)),
+        token_dim=heads * draw(st.integers(1, 3)),
+        transformer_layers=draw(st.integers(1, 4)),
+        heads=heads,
+        final_hidden=draw(widths),
+        classifier_hidden=draw(widths),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_model_configs(), data=st.data())
+def test_closed_form_count_equals_the_walk(cfg, data):
+    """Counted once per block and multiplied, the size of a config equals
+    the per-tensor walk and the layer-size arithmetic; past a bound, it
+    stops where the walk stops."""
+    parameters, tensors = _walk(cfg)
+    assert _parameter_count(cfg) == (parameters, tensors)
+    assert parameters == _expected_counts(cfg)[0]
+    assert parameters == count_parameters(build(cfg, seed=0))
+    bound = data.draw(st.integers(0, parameters - 1), label="bound")
+    assert _parameter_count(cfg, bound)[0] == _walk(cfg, bound)[0]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # 51 parameters before the 13 one-parameter tensors of each layer
+    (dict(transformer_layers=10**12, token_dim=1, heads=1),
+     "134217729 or more parameters per member, above the bound of 134217728"),
+    # 6 tensors before the layers, 4 after them
+    (dict(transformer_layers=10**6, token_dim=1, heads=1),
+     "13000010 parameter tensors per member, above the bound of 16384"),
+    # 199 parameters before the heads of 25, 5, 5 and 1 parameters
+    (dict(variant="multihead", n_domains=10**12), "134217733 or more parameters per member"),
+    (dict(variant="multihead", n_domains=10**4), "40019 parameter tensors per member"),
+    # 199 + 36 + 24 + 4 parameters before the classifier's (4, 10**12) weight
+    (dict(variant="domain_specialist", n_domains=10**12),
+     "4000000000263 or more parameters per member"),
+])
+def test_repeated_blocks_past_a_bound_are_rejected_at_once(overrides, message):
+    start = time.monotonic()
+    with pytest.raises(ConfigError, match=message):
+        tiny_config(**overrides)
+    assert time.monotonic() - start < 1.0
 
 
 @pytest.mark.parametrize("n_domains", [2, 3, 5])

@@ -436,7 +436,8 @@ config = ModelConfig(variant="domain_specialist", feature_dim=8, trunk_hidden=(2
                      token_dim=8, final_hidden=(16,), classifier_hidden=(16,))
 model = stack([build(config, seed) for seed in (1, 2)])
 settings = TrainConfig(epochs=1, batch_size=8, eval_every=10**6)
-train(model, short.train, short.valid, settings)
+for _ in range(2):
+    train(model, short.train, short.valid, settings)
 before = faults()
 train(model, short.train, short.valid, settings)
 epoch = faults() - before
@@ -453,8 +454,8 @@ print(epoch, faults() - between)
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="glibc's malloc policy")
 def test_steady_work_reuses_freed_heap():
-    """Once an epoch has run, the next one's 16 stacked steps and its
-    validation over 64 sessions reuse the heap the first one freed; so do
+    """Once two epochs have run, the next one's 16 stacked steps and its
+    validation over 64 sessions reuse the heap they freed; so do
     five interleaving runs of 1,000 impressions over lists of 100-130 items
     after two others, whose scoring arrays pass glibc's default mmap
     threshold of 128 KiB.  Each takes fewer page faults than it has steps
