@@ -61,6 +61,8 @@ __all__ = [
 # glibc's mallopt parameter numbers.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+# added to the variance in layer_norm, so a constant row stays finite
+_LN_EPS = 1e-5
 
 
 def _keep_freed_heap() -> None:
@@ -494,8 +496,7 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
-               members=None) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, members=None) -> Tensor:
     """Normalize each row of a 2-d tensor to zero mean and unit variance,
     then apply a learned elementwise scale and shift (``(S, d)`` with
     ``members``, member m's rows using row m)."""
@@ -509,7 +510,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
         )
     mu = _row_mean(x.values)
     var = _row_mean((x.values - mu) ** 2)
-    r = 1.0 / np.sqrt(var + eps)
+    r = 1.0 / np.sqrt(var + _LN_EPS)
     n = (x.values - mu) * r
     gv, bv = gain.values, bias.values
     values = blocks.ufunc(np.multiply, n, gv)

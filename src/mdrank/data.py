@@ -419,7 +419,9 @@ class SyntheticSpec:
     ``sessions_per_domain`` maps each split name to either one count shared
     by every domain or a per-domain list (supporting imbalanced domains).
     ``n_domains * feature_dim``, the size of the hidden per-domain weights,
-    is at most ``_MAX_FLOATS``, the bound a model's parameters have too.
+    is at most ``_MAX_FLOATS``, the bound a model's parameters have too,
+    and so is the size of the largest feature matrices the spec can ask
+    for: all sessions times ``list_length[1]`` times ``feature_dim``.
     """
 
     n_domains: int = 2
@@ -471,6 +473,12 @@ class SyntheticSpec:
         if lengths[1] > MAX_LIST_LENGTH:
             raise ConfigError(f"SyntheticSpec: list_length above {MAX_LIST_LENGTH}")
         object.__setattr__(self, "list_length", tuple(lengths))
+        sessions = sum(raw * self.n_domains if _is_integer(raw) else sum(raw)
+                       for raw in self.sessions_per_domain.values())
+        if sessions * lengths[1] * self.feature_dim > _MAX_FLOATS:
+            raise ConfigError(f"SyntheticSpec: sessions * list_length[1] * feature_dim is "
+                              f"{sessions * lengths[1] * self.feature_dim} ({sessions} "
+                              f"sessions), above the bound of {_MAX_FLOATS}")
         if not (0.0 <= self.label_noise < 1.0):
             raise ConfigError("SyntheticSpec: label_noise must lie in [0, 1)")
         scales = (self.shared_weight_scale, self.domain_weight_scale, self.domain_shift_scale)

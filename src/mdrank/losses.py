@@ -5,19 +5,19 @@ The ranking loss is softmax cross-entropy between the score distribution
 and the normalized label distribution, per session.  Sessions whose labels
 are all zero carry no ranking signal: the ranking term leaves them out of
 its average (and is None, a skip signal, when no session is left) while the
-domain term still counts them.  Both losses take stacked scores cut into
-sessions by ``lengths`` and record one tape node each.  For a stack of
-models, ``members`` splits the sessions into the members' consecutive
-batches, and each loss is one value per member, computed exactly as for
-that member alone.
+domain term still counts them.  ``listwise_loss`` and ``domain_loss``
+score one session; ``batch_loss`` scores a batch in one forward pass and
+takes its layout from it (``ScoredBatch`` ``lengths``, ``members`` and
+``rows``), so each loss records one tape node over the batch.  For a stack
+of models each loss is one value per member, computed exactly as for that
+member alone; a lone model's losses are scalars, as every op of its forward
+pass runs on one block.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,43 +28,12 @@ from .models import Model, forward
 __all__ = ["LossBreakdown", "listwise_loss", "domain_loss", "batch_loss"]
 
 
-class _Layout(NamedTuple):
-    """A batch's sessions and member batches, worked out once for both
-    losses: session lengths, each session's first row, sessions per member,
-    each member's first session, and each member's row count (None without
-    ``members``, so the loss ops get no member blocks)."""
+def listwise_loss(scores, labels: Sequence[float]) -> Tensor | None:
+    """Cross-entropy between softmax(scores) and labels/sum(labels) over
+    one session.
 
-    lens: np.ndarray
-    starts: np.ndarray
-    counts: list[int]
-    first: list[int]
-    rows: list[int] | None
-
-
-def _layout(lens: np.ndarray, members) -> _Layout:
-    """The layout of sessions of checked lengths ``lens``, of which
-    ``members[m]`` consecutive ones belong to member m (default: one member
-    holds every session)."""
-    starts = np.cumsum(lens) - lens
-    if members is None:
-        return _Layout(lens, starts, [lens.size], [0], None)
-    counts = [int(c) for c in members]
-    if not counts or min(counts) < 1 or sum(counts) != lens.size:
-        raise ValueError(f"member batches {counts} do not split {lens.size} sessions")
-    first = [0, *itertools.accumulate(counts)][:-1]
-    return _Layout(lens, starts, counts, first, np.add.reduceat(lens, first).tolist())
-
-
-def listwise_loss(scores, labels: Sequence[float], lengths=None,
-                  members=None) -> Tensor | None:
-    """Cross-entropy between softmax(scores) and labels/sum(labels) within
-    each session, averaged over the sessions with a positive label.
-
-    ``scores`` is an (n,) or (n, 1) vector; ``lengths`` cuts it into
-    consecutive sessions (default: one session).  Returns a scalar tensor,
-    or None when every label is zero (nothing can be ranked).  With
-    ``members`` it returns one loss per member, each averaged over its own
-    sessions; a member without a positive label gets no gradient.
+    ``scores`` is an (n,) or (n, 1) vector.  Returns a scalar tensor, or
+    None when every label is zero (nothing can be ranked).
     """
     t = scores if isinstance(scores, Tensor) else Tensor(scores)
     if not (t.values.ndim == 1 or t.values.ndim == 2 and t.shape[1] == 1):
@@ -74,36 +43,33 @@ def listwise_loss(scores, labels: Sequence[float], lengths=None,
         raise ValueError(
             f"listwise_loss: {lab.size} labels for {t.values.size} scores"
         )
-    return _listwise_loss(t, lab, _layout(_segments(
-        [lab.size] if lengths is None else lengths, lab.size, "listwise_loss"), members))[0]
+    lens = _segments([lab.size], lab.size, "listwise_loss")
+    return _listwise_loss(t, lab, lens, (1,), None)[0]
 
 
-def _listwise_loss(t: Tensor, lab: np.ndarray,
-                   layout: _Layout) -> tuple[Tensor | None, list[int]]:
-    """``listwise_loss`` on a checked layout, and each member's count of
-    sessions with a positive label."""
+def _listwise_loss(t: Tensor, lab: np.ndarray, lens: np.ndarray, members: Sequence[int],
+                   rows) -> tuple[Tensor | None, list[int]]:
+    """The ranking loss of sessions of checked lengths ``lens``, averaged
+    over the sessions with a positive label of each member (``members[m]``
+    consecutive sessions, ``rows`` as ``forward`` passed them to its ops),
+    and each member's count of those sessions.  A member without one gets
+    no gradient."""
     if np.any(lab < 0) or not np.all(np.isfinite(lab)):
         raise ValueError("listwise_loss: labels must be finite and non-negative")
-    lens = layout.lens
-    totals = np.add.reduceat(lab, layout.starts)
+    totals = np.add.reduceat(lab, np.cumsum(lens) - lens)
     used = totals > 0.0
-    used_count = np.add.reduceat(used, layout.first, dtype=np.int64)
+    used_count = np.add.reduceat(used, np.cumsum(members) - members, dtype=np.int64)
     if not used.any():
         return None, used_count.tolist()
     norm = np.repeat(np.where(used, totals, 1.0) * np.repeat(np.maximum(used_count, 1),
-                                                             layout.counts), lens)
-    loss = segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, layout.rows)
+                                                             members), lens)
+    loss = segment_cross_entropy(t, (lab / norm).reshape(t.shape), lens, rows)
     return loss, used_count.tolist()
 
 
-def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Tensor:
-    """Cross-entropy of each item's logits against its session's domain id,
-    averaged over each session's items, then over sessions (one value per
-    member with ``members``).
-
-    ``domain`` is one id, or one per session of ``lengths`` (default: all
-    rows form one session).
-    """
+def domain_loss(domain_logits: Tensor, domain) -> Tensor:
+    """Cross-entropy of each item's logits against the session's domain
+    id, averaged over the items of one session."""
     if not isinstance(domain_logits, Tensor):
         domain_logits = Tensor(domain_logits)
     if domain_logits.values.ndim != 2:
@@ -111,21 +77,22 @@ def domain_loss(domain_logits: Tensor, domain, lengths=None, members=None) -> Te
             f"domain_loss: logits must be (items, n_domains), got {domain_logits.shape}"
         )
     n = domain_logits.shape[0]
-    lens = _segments([n] if lengths is None else lengths, n, "domain_loss")
-    return _domain_loss(domain_logits, domain, _layout(lens, members))
+    return _domain_loss(domain_logits, domain, _segments([n], n, "domain_loss"), (1,), None)
 
 
-def _domain_loss(domain_logits: Tensor, domain, layout: _Layout) -> Tensor:
-    """``domain_loss`` on a checked layout."""
+def _domain_loss(domain_logits: Tensor, domain, lens: np.ndarray, members: Sequence[int],
+                 rows) -> Tensor:
+    """``domain_loss`` of each session (``domain`` is one id, or one per
+    session), averaged over each member's sessions, laid out as for
+    ``_listwise_loss``."""
     n, k = domain_logits.shape
-    lens, counts = layout.lens, layout.counts
     doms = np.broadcast_to(np.asarray(domain, dtype=np.int64), lens.shape)
     if np.any(doms < 0) or np.any(doms >= k):
         raise ValueError(f"domain_loss: domain {doms.tolist()} out of range [0, {k})")
     target = np.zeros((n, k))
     target[np.arange(n), np.repeat(doms, lens)] = 1.0 / np.repeat(
-        lens * np.repeat(counts, counts), lens)
-    return cross_entropy(domain_logits, target, axis=1, members=layout.rows)
+        lens * np.repeat(members, members), lens)
+    return cross_entropy(domain_logits, target, axis=1, members=rows)
 
 
 @dataclass
@@ -150,9 +117,9 @@ def batch_loss(
 
     The ranking term averages over sessions with at least one positive
     label; the domain term (classifier variants only) averages over every
-    session.  Returns the breakdown plus the loss tensor to backpropagate,
-    one loss per member of the model, which is None when nothing in the
-    batch contributes.
+    session.  Returns the breakdown plus the loss tensor to backpropagate:
+    a scalar for a lone model, one loss per member of a stack, and None
+    when nothing in the batch contributes.
 
     A stack of several members gives one breakdown per member; ``members``
     splits the sessions into the members' batches.  A member whose batch
@@ -162,27 +129,26 @@ def batch_loss(
     if not sessions:
         raise ValueError("batch_loss: empty batch")
     cfg = model.config
-    n_members = len(model.seeds)
     scored = forward(model, sessions, members=members)
-    layout = _layout(scored.lengths, scored.members)  # forward checked the lengths
+    layout = scored.lengths, scored.members, scored.rows  # as forward checked them
     labels = np.concatenate([s.labels() for s in sessions])
-    rank, used = _listwise_loss(scored.scores, labels, layout)
-    pieces: list[Tensor] = []
-    if rank is not None:
-        pieces.append(rank)
-    dom = None
+    rank, used = _listwise_loss(scored.scores, labels, *layout)
+    dom = weighted = None
     if cfg.variant.has_classifier:
-        dom = _domain_loss(scored.domain_logits, [s.domain for s in sessions], layout)
-        pieces.append(scale(dom, cfg.domain_loss_weight))
-
+        dom = _domain_loss(scored.domain_logits, [s.domain for s in sessions], *layout)
+        weighted = scale(dom, cfg.domain_loss_weight)
+    pieces = [t for t in (rank, weighted) if t is not None]
     loss = None if not pieces else pieces[0] if len(pieces) == 1 else add(*pieces)
+    # one value per member; a lone model's losses are scalars
+    rank_v, dom_v, loss_v, weighted_v = (None if t is None else t.values.reshape(-1)
+                                         for t in (rank, dom, loss, weighted))
     breakdowns = []
-    for m in range(n_members):
-        total = loss.values[m] if used[m] else 0.0 if dom is None else pieces[-1].values[m]
+    for m, n_used in enumerate(used):
+        total = loss_v[m] if n_used else 0.0 if dom is None else weighted_v[m]
         breakdowns.append(LossBreakdown(
-            ranking_loss=float(rank.values[m]) if used[m] else 0.0,
-            domain_loss=None if dom is None else float(dom.values[m]),
+            ranking_loss=float(rank_v[m]) if n_used else 0.0,
+            domain_loss=None if dom is None else float(dom_v[m]),
             total=float(total),
-            sessions_used=used[m],
+            sessions_used=n_used,
         ))
-    return (breakdowns if n_members > 1 else breakdowns[0]), loss
+    return (breakdowns if len(breakdowns) > 1 else breakdowns[0]), loss

@@ -179,7 +179,9 @@ class ScoredBatch:
     ``scores`` is ``(N, 1)`` and ``domain_logits`` ``(N, n_domains)`` (None
     without a classifier, or when not asked for); ``lengths[b]`` rows belong
     to session b, and ``members[m]`` consecutive sessions to member m of the
-    model.  The tensors stay attached to the active tape so losses can
+    model.  ``rows[m]`` counts member m's rows, as every op of the forward
+    pass was given them (None for a lone model, whose ops run on one
+    block).  The tensors stay attached to the active tape so losses can
     backpropagate through them.
     """
 
@@ -187,6 +189,7 @@ class ScoredBatch:
     domain_logits: Tensor | None
     lengths: np.ndarray
     members: tuple[int, ...]
+    rows: tuple[int, ...] | None
 
     def session_scores(self) -> list[np.ndarray]:
         """Final scores per session, as detached 1-d arrays."""
@@ -467,7 +470,8 @@ def forward(
             clf_in = gradient_reversal(h, cfg.grl_lambda)
         logits_t = _mlp(clf_in, model, "classifier", len(cfg.classifier_hidden) + 1, rows)
 
-    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths, members=members)
+    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths, members=members,
+                       rows=rows)
 
 
 def count_parameters(model: Model, deployed: bool = False) -> int:

@@ -45,6 +45,8 @@ __all__ = [
 
 
 _log = logging.getLogger(__name__)
+# Adam's moment decay rates and the term that keeps its step finite
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -87,7 +89,7 @@ class HistoryRecord:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the usual defaults.
+    """Adaptive-moment optimizer with the usual fixed decay rates and eps.
 
     The moments ``m`` and ``v`` are arrays parallel to the model's
     parameter arena (one row per member of a stack), and ``t`` counts each
@@ -99,13 +101,9 @@ class Adam:
     moments.  A member that no gradient reaches does not step.
     """
 
-    def __init__(self, model: Model, learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, model: Model, learning_rate: float):
         self.model = model
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         n = len(model.seeds)
         self.t = [0] * n
         self.m = np.zeros_like(model.values)
@@ -128,14 +126,14 @@ class Adam:
             mask = np.repeat(touched, self._sizes, axis=1)
             self.t = [t + int(stepped) for t, stepped in zip(self.t, touched.any(axis=1))]
         # a member that never stepped is masked out; t = 1 keeps it finite
-        b1c = np.array([1.0 - self.beta1 ** max(t, 1) for t in self.t])[:, None]
-        b2c = np.array([1.0 - self.beta2 ** max(t, 1) for t in self.t])[:, None]
+        b1c = np.array([1.0 - _BETA1 ** max(t, 1) for t in self.t])[:, None]
+        b2c = np.array([1.0 - _BETA2 ** max(t, 1) for t in self.t])[:, None]
         m, v = (m_rows, v_rows) if mask is None else (m_rows.copy(), v_rows.copy())
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        update = self.lr * (m / b1c) / (np.sqrt(v / b2c) + _EPS)
         if mask is None:
             values -= update
         else:

@@ -149,6 +149,23 @@ def test_evaluate_reports_all_models(tmp_path, capsys):
     assert (tmp_path / "out" / "reports" / "evaluate.txt").exists()
 
 
+def test_evaluate_without_a_baseline_reports_no_gain(tmp_path, capsys):
+    """With no per-domain baseline among the models evaluated, every gain
+    prints as ``-`` and leaves its csv cell empty."""
+    config = _write_config(tmp_path)
+    args = ["--config", str(config), "--variant", "multihead"]
+    assert cli.main(["train", *args]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["evaluate", *args]) == cli.EXIT_OK
+    rows = [row for row in capsys.readouterr().out.splitlines() if row.startswith("multihead")]
+    assert [row.split()[:2] for row in rows] == [["multihead", "0"], ["multihead", "1"]]
+    assert all(row.split()[-1] == "-" for row in rows)
+    csv = (tmp_path / "out" / "reports" / "evaluate.csv").read_text().splitlines()
+    assert csv[0] == "model,domain,sessions,ndcg,gain_pct"
+    assert [row.split(",")[:2] for row in csv[1:]] == [["multihead", "0"], ["multihead", "1"]]
+    assert all(row.endswith(",") for row in csv[1:])
+
+
 def test_evaluate_without_models_exits_data_error(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_DATA
@@ -402,6 +419,8 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
         (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[10**12]),
          "ModelConfig: 5000000000000 or more parameters per member, above the bound of 134217728"),
         (lambda doc: doc["dataset"]["synthetic"].update(list_length=5), "list_length"),
+        (lambda doc: doc["dataset"]["synthetic"]["sessions_per_domain"].update(train=10**12),
+         "(2000000000014 sessions), above the bound of 134217728"),
         (lambda doc: doc.update(dataset={"paths": {"train": 1, "valid": "v", "test": "t"}}),
          "dataset.paths values"),
         (lambda doc: doc["models"]["multihead"].update(grl_lambda=float("nan")), "grl_lambda"),

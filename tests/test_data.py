@@ -1,6 +1,7 @@
 """Dataset IO, time splits, text features, normalization, and the
 synthetic two-domain generator."""
 
+import copy
 import json
 import math
 import tempfile
@@ -309,7 +310,9 @@ def _mutated_objects(draw):
         j = draw(st.integers(0, len(items) - 1))
         kind = draw(st.sampled_from(["feature", "label", "q", "t", "features", "ragged",
                                      "item", "drop"]))
-        value = draw(st.sampled_from(_MUTANTS))
+        # a fresh copy: a shared mutant would carry edits into later examples,
+        # and a mutant put into itself would be a cycle no JSON text can hold
+        value = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
         item = items[j]
         if kind == "item":
             items[j] = value
@@ -576,11 +579,14 @@ def test_spec_beyond_the_float_bound_is_rejected(n_domains, feature_dim):
 
 
 def test_shared_count_is_checked_once_not_per_domain():
-    """A spec at the float bound checks its shared counts without a list
-    ``n_domains`` long (128 MiB here)."""
+    """A spec at the float bound checks its shared counts, and the data
+    they ask for, without a list ``n_domains`` long (128 MiB here)."""
     tracemalloc.start()
     try:
-        spec = _tiny_spec(n_domains=2**24, feature_dim=8)
+        with pytest.raises(ConfigError, match=r"\(1006632960 sessions\), above the bound of "):
+            _tiny_spec(n_domains=2**24, feature_dim=8)
+        spec = _tiny_spec(n_domains=2**24, feature_dim=8,
+                          sessions_per_domain={"train": 0, "valid": 0, "test": 0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -588,6 +594,25 @@ def test_shared_count_is_checked_once_not_per_domain():
     assert peak < 2**20, peak
     with pytest.raises(ConfigError, match="'valid' needs one count or 2 per-domain counts"):
         _tiny_spec(sessions_per_domain={"train": 5, "valid": -1, "test": 5})
+
+
+def test_spec_asking_for_more_data_than_the_float_bound_is_rejected():
+    """Every session at the longest list length, times ``feature_dim``,
+    stays within the bound, so a spec cannot generate until memory runs
+    out; a spec exactly at the bound is accepted (and not generated)."""
+    with pytest.raises(ConfigError, match=r"sessions \* list_length\[1\] \* feature_dim is "
+                       r"2080000000004160 \(2000000000004 sessions\), above the bound of "
+                       r"134217728"):
+        SyntheticSpec(sessions_per_domain={"train": 10**12, "valid": 1, "test": 1})
+    at_bound = dict(n_domains=2, feature_dim=2**10, list_length=(1, 2**7))
+    for counts in ({"train": 2**9, "valid": 0, "test": 0},
+                   {"train": [2**9, 2**9], "valid": [0, 0], "test": [0, 0]}):
+        spec = SyntheticSpec(sessions_per_domain=counts, **at_bound)
+        assert 2**10 * spec.list_length[1] * spec.feature_dim == 2**27
+    with pytest.raises(ConfigError, match=r"is 134348800 \(1025 sessions\)"):
+        SyntheticSpec(sessions_per_domain={"train": 2**9, "valid": [0, 1], "test": 0},
+                      **at_bound)
+    SyntheticSpec()  # the default spec asks for 2,080,000 floats
 
 
 def _oracle_ndcg(ds, weights_of_domain, k=16):

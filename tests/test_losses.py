@@ -8,7 +8,7 @@ import pytest
 from mdrank.autodiff import Tape, Tensor, backward, grad_check, scale
 from mdrank.data import QuerySession
 from mdrank.losses import batch_loss, domain_loss, listwise_loss
-from mdrank.models import build, forward
+from mdrank.models import build, forward, stack
 from tests.conftest import make_session, tiny_config
 
 SHARED_PREFIXES = ("trunk.", "score.", "token.", "transformer.")
@@ -287,6 +287,26 @@ def test_batch_tape_records_one_node_per_loss_term(rng, variant):
     assert not {"reshape", "log_softmax", "mul_const"} & set(ops)
     assert ops.count("segment_cross_entropy") == 1
     assert ops.count("cross_entropy") == (1 if model.config.variant.has_classifier else 0)
+
+
+@pytest.mark.parametrize(
+    "variant", ["baseline", "multihead", "domain_adversarial", "domain_specialist"]
+)
+def test_lone_model_losses_run_on_one_block(rng, variant):
+    """A lone model's loss ops get no member blocks, like every op of its
+    forward pass: each loss is a scalar, equal bit for bit to the loss of
+    each member of a stack of the same model."""
+    model = build(tiny_config(variant), seed=4)
+    batch = [make_session(rng, 5, feature_dim=5, domain=i % 2, query_id=f"q{i}")
+             for i in range(4)]
+    with Tape() as tape:
+        breakdown, loss = batch_loss(model, batch)
+    assert loss.shape == ()
+    assert all(node.out.shape == () for node in tape.nodes if "cross_entropy" in node.op)
+    breakdowns, stacked = batch_loss(stack([model, model.copy()]), batch + batch, [4, 4])
+    assert stacked.shape == (2,)
+    assert stacked.values.tobytes() == np.repeat(loss.values, 2).tobytes()
+    assert breakdowns == [breakdown, breakdown]
 
 
 def test_batch_loss_averages_over_contributing_sessions(rng):

@@ -22,6 +22,7 @@ from mdrank.training import (
     TrainConfig,
     TrainingDiverged,
     VariantSpec,
+    gain_pct,
     run_protocol,
     train,
 )
@@ -319,10 +320,10 @@ def _protocol_variants():
     }
 
 
-def _tiny_protocol(workers=None) -> EvalReport:
+def _tiny_protocol(workers=None, seeds=(21, 22)) -> EvalReport:
     splits = _splits(train=24, valid=10, test=12)
     cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.01, eval_every=6, k=4, seed=0)
-    return run_protocol(_protocol_variants(), splits, seeds=(21, 22), train_config=cfg, k=4,
+    return run_protocol(_protocol_variants(), splits, seeds=seeds, train_config=cfg, k=4,
                         workers=workers)
 
 
@@ -369,6 +370,26 @@ def test_protocol_parallel_workers_match_serial():
     parallel = _tiny_protocol(workers=2)
     assert serial.table_text() == parallel.table_text()
     assert serial.csv_rows() == parallel.csv_rows()
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_one_seed_protocol_reports_that_seed_of_a_stacked_run(seed):
+    """A seed trained alone reports bit for bit the test NDCG it reports as
+    one member of a stack."""
+    stacked = {(run.variant, run.seed): run for run in _tiny_protocol().runs}
+    alone = _tiny_protocol(seeds=(seed,))
+    assert alone.seeds == (seed,)
+    assert [run.variant for run in alone.runs] == list(_protocol_variants())
+    for run in alone.runs:
+        assert run.seed == seed
+        assert run.per_domain == stacked[run.variant, seed].per_domain
+        assert run.overall == stacked[run.variant, seed].overall
+
+
+def test_gain_needs_a_nonzero_base():
+    assert gain_pct(0.6, 0.5) == pytest.approx(20.0, abs=1e-12)
+    assert gain_pct(0.5, 0.0) is None
+    assert gain_pct(0.5, None) is None
 
 
 def test_protocol_rejects_duplicate_seeds():
