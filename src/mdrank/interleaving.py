@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import QuerySession
+from .data import QuerySession, _is_integer
 from .evaluation import Scorer, ranked_indices, score_sessions
 from .models import Model
 
@@ -60,18 +60,43 @@ class InterleaveReport:
     inconclusive: bool
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int: an int or numpy integer, never a bool."""
+    if not _is_integer(value):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def sign_test_p(wins_a: int, wins_b: int) -> float:
-    """Two-sided exact binomial sign test against a fair coin."""
+    """Two-sided exact binomial sign test against a fair coin:
+    ``min(1, 2 * binom.cdf(min(wins_a, wins_b), wins_a + wins_b, 0.5))`` bit
+    for bit.  The counts are integers, not bools, at least 0, and sum to at
+    most 2**53, so that float64 holds every count exactly."""
+    wins_a = _integer("sign_test_p: wins_a", wins_a)
+    wins_b = _integer("sign_test_p: wins_b", wins_b)
     if wins_a < 0 or wins_b < 0:
         raise ValueError("sign_test_p: negative win counts")
     n = wins_a + wins_b
+    if n > 2**53:
+        raise ValueError(f"sign_test_p: {n} queries exceed 2**53")
     if n == 0:
         return 1.0
-    # Imported here, not with the module: scipy.stats costs about 70 MiB and
-    # 0.9 s, and only a p-value needs it.
-    from scipy.stats import binom
+    k = min(wins_a, wins_b)
+    # binom.cdf(k, n, p) computes np.clip(_binom_cdf(floor(k), n, p), 0, 1),
+    # and k < n skips its edge cases.  The ufunc alone loads 66 scipy modules
+    # and about 22 MiB; scipy.stats loads 490 and about 70 MiB.  A scipy that
+    # does not have the private name takes the public route.
+    try:
+        from scipy.special._ufuncs import _binom_cdf
+    except ImportError:
+        from scipy.stats import binom
 
-    return float(min(1.0, 2.0 * binom.cdf(min(wins_a, wins_b), n, 0.5)))
+        cdf = binom.cdf(k, n, 0.5)
+    else:
+        cdf = np.clip(_binom_cdf(float(k), float(n), 0.5), 0.0, 1.0)
+    if not np.isfinite(cdf):
+        raise FloatingPointError(f"sign_test_p: binomial cdf of {k} in {n} is {cdf}")
+    return float(min(1.0, 2.0 * cdf))
 
 
 # numpy's SeedSequence and PCG64 as array operations over impressions.  They
@@ -277,16 +302,19 @@ def run_interleaving(
     and its purchase draws ``default_rng(SeedSequence([seed, i, 1])).random(...)``
     bit for bit, so the report equals, exactly, that of drafting and
     buying page by page, position by position, on those generators.
-    ``seed`` may be any non-negative integer; ``n_impressions`` is at most
-    2**32, which keeps each impression index one SeedSequence word.
+    ``seed``, ``n_impressions`` and ``k`` are integers, not bools.  ``seed``
+    may be any non-negative integer; ``n_impressions`` is at most 2**32,
+    which keeps each impression index one SeedSequence word.
     """
     if not sessions:
         raise ValueError("run_interleaving: no sessions")
+    n_impressions = _integer("run_interleaving: n_impressions", n_impressions)
     if not 1 <= n_impressions <= 2**32:
         raise ValueError("run_interleaving: n_impressions must lie in [1, 2**32]")
-    seed = operator.index(seed)
+    seed = _integer("run_interleaving: seed", seed)
     if seed < 0:
         raise ValueError(f"run_interleaving: seed must be >= 0, got {seed}")
+    k = _integer("run_interleaving: k", k)
     if k < 1:
         raise ValueError("run_interleaving: k must be >= 1")
     lengths = np.array([s.grades.size for s in sessions])

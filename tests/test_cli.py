@@ -275,25 +275,28 @@ def test_interleave_end_to_end(tmp_path, capsys):
     assert csv[1].startswith("baseline_d0,multihead,0,")
 
 
-def test_only_interleave_loads_scipy_stats(tmp_path):
-    """scipy.stats (about 70 MiB) loads for a p-value only: not with the
-    package, and not for the commands that compute none."""
+def test_no_command_loads_scipy_stats_and_only_interleave_loads_the_ufuncs(tmp_path):
+    """The sign test's binomial ufunc (about 22 MiB with its package) loads
+    for a p-value only: not with the package, and not for the commands that
+    compute none.  No command loads scipy.stats (about 70 MiB)."""
     config = _write_config(tmp_path)
     script = (
         "import json, sys\n"
         "import mdrank, mdrank.cli as cli\n"
-        "loaded = {'import': 'scipy.stats' in sys.modules}\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('scipy.special._ufuncs', 'scipy.stats')]\n"
+        "seen = {'import': loaded()}\n"
         "for command in ('generate', 'train', 'evaluate', 'protocol', 'interleave'):\n"
         f"    assert cli.main([command, '--config', {str(config)!r}]) == 0, command\n"
-        "    loaded[command] = 'scipy.stats' in sys.modules\n"
-        "print(json.dumps(loaded))\n"
+        "    seen[command] = loaded()\n"
+        "print(json.dumps(seen))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=300, cwd=tmp_path, env=source_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": False, "generate": False, "train": False, "evaluate": False,
-        "protocol": False, "interleave": True,
+        "import": [False, False], "generate": [False, False], "train": [False, False],
+        "evaluate": [False, False], "protocol": [False, False], "interleave": [True, False],
     }
 
 

@@ -1,5 +1,8 @@
 """Team-draft interleaving, user simulation, and the sign test."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -214,6 +217,105 @@ def test_sign_test_is_scipys_binomial_tail_bit_for_bit():
             assert sign_test_p(k, n - k) == sign_test_p(n - k, k) == want(k, n - k)
 
 
+def _public_route(monkeypatch):
+    """Make ``sign_test_p``'s import of the private ufunc fail, as on a scipy
+    without it, so that it takes ``scipy.stats.binom``."""
+    import scipy.stats  # noqa: F401  -- loaded before the ufunc module is hidden
+
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
+
+
+def test_binom_cdf_calls_the_ufunc_sign_test_p_calls(monkeypatch):
+    """``binom.cdf`` reaches ``scipy.special._ufuncs._binom_cdf``, the ufunc
+    ``sign_test_p`` calls; a scipy that reroutes it fails here."""
+    import scipy.special._ufuncs as ufuncs
+    from scipy.stats import _discrete_distns, binom
+
+    assert _discrete_distns.scu is ufuncs
+    calls = []
+    real = ufuncs._binom_cdf
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ufuncs, "_binom_cdf", counted)
+    assert binom.cdf(3, 10, 0.5) == real(3.0, 10.0, 0.5)
+    assert len(calls) == 1
+    assert sign_test_p(3, 7) == min(1.0, 2.0 * real(3.0, 10.0, 0.5))
+    assert len(calls) == 2
+
+
+def test_sign_test_public_route_gives_the_same_p_values(monkeypatch):
+    """Without the private ufunc, ``scipy.stats.binom`` gives every p-value
+    of up to 300 queries unchanged."""
+    splits = [(a, n - a) for n in range(301) for a in range(n + 1)]
+    private = [sign_test_p(a, b) for a, b in splits]
+    _public_route(monkeypatch)
+    assert [sign_test_p(a, b) for a, b in splits] == private
+    with pytest.raises(ImportError):
+        from scipy.special._ufuncs import _binom_cdf  # noqa: F401
+
+
+@st.composite
+def _splits(draw):
+    """Win counts summing to at most 2**53, half of them within a few
+    standard deviations of an even split."""
+    n = draw(st.integers(0, 2**53))
+    if draw(st.booleans()):
+        a = n // 2 - draw(st.integers(0, min(n // 2, 4 * math.isqrt(n) + 1)))
+    else:
+        a = draw(st.integers(0, n))
+    return (a, n - a) if draw(st.booleans()) else (n - a, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_splits())
+@example((0, 2**53))
+@example((2**52, 2**52))
+@example((2**52 - 10**8, 2**52 + 10**8))
+def test_sign_test_routes_agree_up_to_2_53(split):
+    private = sign_test_p(*split)
+    with pytest.MonkeyPatch.context() as mp:
+        _public_route(mp)
+        public = sign_test_p(*split)
+    assert private == public
+    assert 0.0 <= private <= 1.0
+
+
+@pytest.mark.parametrize("a, b", [
+    (float("nan"), 1), (1, 2.5), (10.0, 3), (True, 3), (3, False), ("3", 1), (None, 0),
+])
+def test_sign_test_takes_integer_counts_only(a, b):
+    with pytest.raises(TypeError, match="must be an integer"):
+        sign_test_p(a, b)
+
+
+@pytest.mark.parametrize("a, b", [
+    (3, -1), (2**53, 1), (2**63, 2**63),
+    (128723967901106566, 128723967901771755),  # a nan cdf in float64
+])
+def test_sign_test_rejects_negative_and_inexact_counts(a, b):
+    with pytest.raises(ValueError):
+        sign_test_p(a, b)
+
+
+def test_sign_test_takes_numpy_integers_and_2_53_queries():
+    assert sign_test_p(np.int64(3), np.uint32(7)) == sign_test_p(3, 7)
+    assert sign_test_p(2**53, 0) == sign_test_p(0, 2**53) == 0.0
+
+
+@pytest.mark.parametrize("public", [False, True])
+def test_sign_test_never_returns_a_p_value_from_a_nan_cdf(monkeypatch, public):
+    import scipy.special._ufuncs as ufuncs
+
+    if public:
+        _public_route(monkeypatch)
+    monkeypatch.setattr(ufuncs, "_binom_cdf", lambda *args: np.float64(np.nan))
+    with pytest.raises(FloatingPointError):
+        sign_test_p(3, 7)
+
+
 # ---------------------------------------------------------------------------
 # full experiment
 
@@ -341,6 +443,14 @@ def test_run_interleaving_validates_arguments():
     with pytest.raises(TypeError):
         run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10,
                          seed=1.5, k=4)
+    for n_impressions in (10.0, 10.5):
+        with pytest.raises(TypeError, match="n_impressions"):
+            run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user,
+                             n_impressions, k=4)
+    for k in (2.5, True):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            run_interleaving(_feature_sum_scorer, _feature_sum_scorer, sessions, user, 10,
+                             k=k)
 
 
 @pytest.mark.parametrize("bad_value", [np.nan, np.inf, -np.inf])
