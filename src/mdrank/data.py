@@ -9,10 +9,10 @@ import math
 import numbers
 import sys
 import zlib
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import NoReturn
 
 import numpy as np
 
@@ -145,9 +145,10 @@ def write_dataset(sessions: Iterable[QuerySession], path) -> int:
 def _parse_session(obj: dict, where: str) -> QuerySession:
     """One decoded jsonl line as a session.
 
-    Well-formed items parse as arrays (``_item_arrays``); the item-by-item
-    checks of ``_raise_item_error`` run only on items those reject, to name
-    the first bad one.
+    The items parse as arrays (``_item_arrays``).  Its checks hold for a
+    list only if they hold for every item, so once a prefix of a rejected
+    list fails, every longer one fails: bisecting the prefixes finds the
+    first bad item, and the message of the prefix it ends is that item's.
     """
     if not isinstance(obj, dict):
         raise DatasetFormatError(f"{where}: expected a JSON object per line")
@@ -171,8 +172,10 @@ def _parse_session(obj: dict, where: str) -> QuerySession:
             f"{where}: {len(raw_items)} items exceeds the maximum list length {MAX_LIST_LENGTH}"
         )
     parsed = _item_arrays(raw_items)
-    if parsed is None:
-        _raise_item_error(raw_items, where)
+    if isinstance(parsed, str):
+        j = bisect_left(range(len(raw_items)), True,
+                        key=lambda i: isinstance(_item_arrays(raw_items[:i + 1]), str))
+        raise DatasetFormatError(f"{where}, item {j}: {_item_arrays(raw_items[:j + 1])}")
     return QuerySession(qid, domain, ts, *parsed)
 
 
@@ -180,95 +183,68 @@ _NUMBER_TYPES = {int, float}
 _TEXT_TYPES = {str, type(None)}
 
 
-def _item_arrays(raw_items: list) -> tuple[np.ndarray, np.ndarray, tuple | None] | None:
+def _item_arrays(raw_items: list) -> tuple[np.ndarray, np.ndarray, tuple | None] | str:
     """The items' ``(n, d)`` features and ``(n,)`` labels as float64 arrays
-    with their ``(q, t)`` pairs (None when no item has text), or None when
-    an item breaks the contract.
+    with their ``(q, t)`` pairs (None when no item has text), or the message
+    of the first check an item fails.
 
-    Set scans of exact types replace the per-value checks (so a ``bool``,
-    whose type is not ``int``, is rejected), and each array is one
-    ``np.fromiter`` conversion, checked for finiteness and sign once.
+    The checks run in the order of their messages: keys, feature types,
+    finiteness and length, label type and range, ``q``, ``t``.  Set scans of
+    exact types replace per-value checks (so a ``bool``, whose type is not
+    ``int``, is rejected), and each array is one ``np.fromiter`` conversion.
     """
     try:
         feats = [raw["features"] for raw in raw_items]
         labels = [raw["label"] for raw in raw_items]
     except (KeyError, TypeError):  # an item that is not an object or lacks a key
-        return None
-    if ({*map(type, feats)} != {list} or len({*map(len, feats)}) != 1
-            or not {*map(type, chain.from_iterable(feats))} <= _NUMBER_TYPES
-            or not {*map(type, labels)} <= _NUMBER_TYPES):
-        return None
+        return "each item needs 'features' and 'label'"
+    if ({*map(type, feats)} != {list}
+            or not {*map(type, chain.from_iterable(feats))} <= _NUMBER_TYPES):
+        return "features must be a list of numbers"
+    widths = [*map(len, feats)]
+    # finiteness first, on the flat chain: an item may fail both checks
+    try:
+        flat = np.fromiter(chain.from_iterable(feats), np.float64, sum(widths))
+    except OverflowError:  # a JSON integer beyond the float64 range
+        return "features must be finite"
+    if not np.isfinite(flat).all():
+        return "features must be finite"
+    d = widths[0]
+    if widths.count(d) != len(widths):
+        return f"feature length {next(w for w in widths if w != d)} != {d} in same session"
+    if not {*map(type, labels)} <= _NUMBER_TYPES:
+        return "label must be a number"
+    try:
+        grades = np.fromiter(labels, np.float64, len(labels))
+    except OverflowError:  # a JSON integer beyond the float64 range
+        return "label must be finite and non-negative"
+    if not (np.isfinite(grades).all() and (grades >= 0.0).all()):
+        return "label must be finite and non-negative"
     texts = [(raw.get("q"), raw.get("t")) for raw in raw_items]
     text_types = {*map(type, chain.from_iterable(texts))}
-    if not text_types <= _TEXT_TYPES:
-        return None
-    n, d = len(feats), len(feats[0])
-    try:
-        features = np.fromiter(chain.from_iterable(feats), np.float64, n * d).reshape(n, d)
-        grades = np.fromiter(labels, np.float64, n)
-    except OverflowError:  # a JSON integer beyond the float64 range
-        return None
-    if not (np.isfinite(features).all() and np.isfinite(grades).all() and (grades >= 0.0).all()):
-        return None
-    return features, grades, tuple(texts) if str in text_types else None
-
-
-def _raise_item_error(raw_items: list, where: str) -> NoReturn:
-    """Raise the error of the first item that breaks the contract, checking
-    item by item in the order the messages name."""
-    dim: int | None = None
-    for j, raw in enumerate(raw_items):
-        iw = f"{where}, item {j}"
-        if not isinstance(raw, dict) or "features" not in raw or "label" not in raw:
-            raise DatasetFormatError(f"{iw}: each item needs 'features' and 'label'")
-        feats = raw["features"]
-        if not isinstance(feats, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in feats
-        ):
-            raise DatasetFormatError(f"{iw}: features must be a list of numbers")
-        try:
-            vec = np.asarray(feats, dtype=np.float64)
-        except OverflowError:  # a JSON integer beyond the float64 range
-            vec = None
-        if vec is None or not np.all(np.isfinite(vec)):
-            raise DatasetFormatError(f"{iw}: features must be finite")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DatasetFormatError(f"{iw}: feature length {vec.size} != {dim} in same session")
-        label = raw["label"]
-        if isinstance(label, bool) or not isinstance(label, (int, float)):
-            raise DatasetFormatError(f"{iw}: label must be a number")
-        try:
-            label = float(label)
-        except OverflowError:  # a JSON integer beyond the float64 range
-            label = math.inf
-        if not math.isfinite(label) or label < 0.0:
-            raise DatasetFormatError(f"{iw}: label must be finite and non-negative")
-        q = raw.get("q")
-        t = raw.get("t")
-        if q is not None and not isinstance(q, str):
-            raise DatasetFormatError(f"{iw}: q must be a string")
-        if t is not None and not isinstance(t, str):
-            raise DatasetFormatError(f"{iw}: t must be a string")
-    # Decoded JSON never gets here: only values of a subclass of a JSON type
-    # (a float subclass, say) pass these checks and fail the exact-type scans.
-    raise DatasetFormatError(f"{where}: items must hold plain JSON values")
+    if not text_types <= _TEXT_TYPES:  # one scan of both; split only on failure
+        bad_q = not {type(q) for q, _ in texts} <= _TEXT_TYPES
+        return "q must be a string" if bad_q else "t must be a string"
+    return flat.reshape(len(widths), d), grades, tuple(texts) if str in text_types else None
 
 
 def load_dataset(path) -> list[QuerySession]:
     """Parse a line-delimited JSON session file; errors carry line numbers."""
     sessions: list[QuerySession] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-            sessions.append(_parse_session(obj, where))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+                sessions.append(_parse_session(obj, where))
+        except UnicodeDecodeError as exc:
+            # no line number: the reader decodes ahead in chunks, so lineno may lag
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return sessions
 
 

@@ -149,7 +149,7 @@ class ModelConfig:
                 raise ConfigError(f"ModelConfig: {name} must be finite and non-negative")
         parameters, tensors = _parameter_count(self)
         if parameters > _MAX_FLOATS:
-            raise ConfigError(f"ModelConfig: {parameters} or more parameters per member, "
+            raise ConfigError(f"ModelConfig: {parameters} parameters per member, "
                               f"above the bound of {_MAX_FLOATS}")
         if tensors > _MAX_TENSORS:
             raise ConfigError(f"ModelConfig: {tensors} parameter tensors per member, "
@@ -317,22 +317,12 @@ def _parameter_specs(config: ModelConfig):
             yield from specs(i)
 
 
-def _parameter_count(config: ModelConfig, bound: int = _MAX_FLOATS) -> tuple[int, int]:
-    """(parameters, tensors) per member, from one copy of each block.  Past
-    ``bound`` parameters, the count is the running total at the first
-    tensor that passes it, where a walk over ``_parameter_specs`` would
-    stop."""
+def _parameter_count(config: ModelConfig) -> tuple[int, int]:
+    """(parameters, tensors) per member, from one copy of each block."""
     parameters = tensors = 0
     for copies, specs in _parameter_blocks(config):
         sizes = [math.prod(shape) for _, _, shape in specs(0)]
-        block = sum(sizes)
-        if parameters + copies * block > bound:
-            parameters += (bound - parameters) // block * block  # the copies that fit
-            for size in sizes:
-                parameters += size
-                if parameters > bound:
-                    return parameters, tensors
-        parameters += copies * block
+        parameters += copies * sum(sizes)
         tensors += copies * len(sizes)
     return parameters, tensors
 

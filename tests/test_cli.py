@@ -374,6 +374,43 @@ def test_malformed_dataset_file_exits_data_error(tmp_path, capsys):
     assert "bad.jsonl:1" in capsys.readouterr().err
 
 
+def test_dataset_file_not_in_utf8_exits_data_error(tmp_path, capsys):
+    """The reader decodes ahead in chunks, so the message names the file
+    and no line."""
+    line = b'{"query_id":"a","domain":0,"ts":1,"items":[{"features":[1,2,3,4,5],"label":1}]}\n'
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(line * 3 + b"\xff\xfe{bad\n")
+    config = _write_config(
+        tmp_path, dataset={"paths": {s: str(bad) for s in ("train", "valid", "test")}},
+    )
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_config_file_not_in_utf8_exits_config_error(tmp_path, capsys):
+    config = tmp_path / "latin1.json"
+    config.write_bytes(b"\xff\xfe{bad")
+    assert cli.main(["generate", "--config", str(config)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {config}:") and "0xff" in err
+
+
+def test_dataset_path_that_is_a_directory_exits_data_error(tmp_path, capsys):
+    config = _write_config(
+        tmp_path, dataset={"paths": {s: str(tmp_path) for s in ("train", "valid", "test")}},
+    )
+    assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+def test_out_dir_under_a_file_exits_data_error(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    config = _write_config(tmp_path, out_dir=str(tmp_path / "file" / "out"))
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: [Errno 20] Not a directory")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_training_exits_code_four(tmp_path, capsys):
     config = _write_config(
@@ -420,7 +457,7 @@ def test_divergent_training_exits_code_four(tmp_path, capsys):
          "non-negative integer"),
         (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[4.5]), "trunk_hidden"),
         (lambda doc: doc["models"]["multihead"].update(trunk_hidden=[10**12]),
-         "ModelConfig: 5000000000000 or more parameters per member, above the bound of 134217728"),
+         "ModelConfig: 11000000000191 parameters per member, above the bound of 134217728"),
         (lambda doc: doc["dataset"]["synthetic"].update(list_length=5), "list_length"),
         (lambda doc: doc["dataset"]["synthetic"]["sessions_per_domain"].update(train=10**12),
          "(2000000000014 sessions), above the bound of 134217728"),

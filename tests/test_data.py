@@ -191,6 +191,30 @@ def test_load_validates_fields(tmp_path):
         (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":-1}', _GOOD_ITEM,
                      '{"features":[true,2],"label":0}'),
          ", item 1: label must be finite and non-negative"),
+        # an item that fails two checks gets the message of the earlier one,
+        # and a later item that fails an earlier check does not move the blame
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,NaN,3],"label":0}'),
+         ", item 1: features must be finite"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2,1%s],"label":0}' % ("0" * 400)),
+         ", item 1: features must be finite"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":"1","q":7}'),
+         ", item 1: label must be a number"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":0,"q":7,"t":8}'),
+         ", item 1: q must be a string"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":0,"t":false}',
+                     '{"features":[1.0,2],"label":0,"q":1}'),
+         ", item 1: t must be a string"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":null}', _GOOD_ITEM,
+                     '{"features":{},"label":0}'),
+         ", item 1: label must be a number"),
+        (_items_line(_GOOD_ITEM, _GOOD_ITEM, '[1.0,2]'),
+         ", item 2: each item needs 'features' and 'label'"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2]}'),
+         ", item 1: each item needs 'features' and 'label'"),
+        (_items_line(_GOOD_ITEM, '{"features":[1.0,2],"label":1%s}' % ("0" * 400)),
+         ", item 1: label must be finite and non-negative"),
+        (_items_line('{"features":[],"label":0}', '{"features":[1.0],"label":0}'),
+         ", item 1: feature length 1 != 0 in same session"),
     ]
     for line, message in cases:
         _write_lines(path, [_items_line(_GOOD_ITEM), line])
@@ -202,6 +226,10 @@ def test_load_validates_fields(tmp_path):
                                     '{"features":[2.0],"label":0}')])
     (session,) = load_dataset(path)
     assert session.grades.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+    _write_lines(path, [_items_line('{"features":[],"label":0}', '{"features":[],"label":1}')])
+    (session,) = load_dataset(path)
+    assert session.features.shape == (2, 0)
 
 
 @pytest.mark.parametrize("item, fragment", [
