@@ -9,6 +9,11 @@ and keeps two lines of its output: the ``context:`` line and the final
 JSON result line.  Both go, per workload, into ``BENCH_<tag>.json`` at
 the root of the checkout.  The tag defaults to the short git commit.
 
+The runs share one fresh bytecode cache (``PYTHONPYCACHEPREFIX``) in a
+temporary directory outside the checkout, as ``pairs.py`` gives each side,
+so the ``__pycache__`` the tree holds does not enter the figures.  A short
+run of each workload, whose output is dropped, fills the cache first.
+
 A speed claim compares two such files written on the same machine, one
 for the parent commit and one for the change.
 """
@@ -19,7 +24,10 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+from pairs import WARM_UP_SECONDS, cache_env, cache_prefixes
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -33,12 +41,13 @@ def short_commit() -> str:
     return proc.stdout.strip()
 
 
-def run_workload(command: list[str], workload: str, seconds: float) -> dict:
-    """The context and result of one ``--trace 0`` run of ``workload``."""
+def run_workload(command: list[str], workload: str, seconds: float, pycache: Path) -> dict:
+    """The context and result of one ``--trace 0`` run of ``workload``, with
+    its bytecode cache in ``pycache``."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, capture_output=True, text=True, env=cache_env(pycache),
     )
     lines = proc.stdout.splitlines()
     contexts = [line for line in lines if line.startswith("context: ")]
@@ -57,13 +66,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     tag = args.tag or short_commit()
     command = [sys.executable if part == "python3" else part for part in bench["command"]]
-    record = {
-        "tag": tag,
-        "workloads": {
-            w["name"]: run_workload(command, w["name"], bench["run_seconds"])
-            for w in bench["workloads"]
-        },
-    }
+    with tempfile.TemporaryDirectory(prefix="record-pycache-") as tmp:
+        pycache = cache_prefixes({"checkout": ROOT}, Path(tmp))["checkout"]
+        record = {"tag": tag, "workloads": {}}
+        for w in bench["workloads"]:
+            run_workload(command, w["name"], WARM_UP_SECONDS, pycache)
+            record["workloads"][w["name"]] = run_workload(command, w["name"],
+                                                          bench["run_seconds"], pycache)
     out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out.name}")

@@ -335,15 +335,24 @@ _ONE_BLOCK = _OneBlock()
 
 def _blocks(members, n_rows: int, where: str) -> _OneBlock | _MemberBlocks:
     """The layout of ``members``, the row counts of consecutive member
-    blocks; without ``members`` one block holds every row."""
-    return _ONE_BLOCK if members is None else _member_blocks(tuple(members), n_rows, where)
+    blocks; without ``members`` one block holds every row.  ``where`` names
+    the op in the error a layout that does not split the rows raises."""
+    if members is None:
+        return _ONE_BLOCK
+    try:
+        return _member_blocks(tuple(members), n_rows)
+    except ShapeError as exc:
+        raise ShapeError(f"{where}: {exc}") from None
 
 
-@functools.lru_cache(maxsize=1024)  # a layout is built once, not once per op
-def _member_blocks(counts: tuple, n_rows: int, where: str) -> _MemberBlocks:
+# A layout is built once per step, not once per op.  A step uses one layout
+# for its member rows, plus one per domain present in a mixed multihead
+# batch; batches vary, so older layouts are rarely met again.
+@functools.lru_cache(maxsize=32)
+def _member_blocks(counts: tuple, n_rows: int) -> _MemberBlocks:
     counts = [int(c) for c in counts]
     if not counts or min(counts) < 0 or sum(counts) != n_rows:
-        raise ShapeError(f"{where}: member blocks {counts} do not split {n_rows} rows")
+        raise ShapeError(f"member blocks {counts} do not split {n_rows} rows")
     return _MemberBlocks(counts)
 
 
@@ -545,7 +554,7 @@ def take_rows(x: Tensor, rows) -> Tensor:
     """The rows of a 2-d tensor at the distinct indices ``rows``, in order."""
     idx = np.asarray(rows, dtype=np.intp)
     if (x.values.ndim != 2 or idx.ndim != 1 or idx.size == 0 or idx.min() < 0
-            or idx.max() >= x.shape[0] or np.unique(idx).size != idx.size):
+            or idx.max() >= x.shape[0] or np.bincount(idx).max() > 1):
         raise ShapeError(f"take_rows: need distinct row indices into shape {x.shape}")
     out = Tensor(x.values[idx], x.requires_grad)
 

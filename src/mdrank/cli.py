@@ -286,8 +286,15 @@ def _model_path(config: ExperimentConfig, name: str) -> Path:
     return config.out_dir / "models" / f"{name}.model.json"
 
 
+def _make_dirs(config: ExperimentConfig, *names: str) -> None:
+    """Create the output directories a command writes, before its work, so
+    that an unwritable ``out_dir`` fails the command before any load or
+    training step."""
+    for name in names:
+        (config.out_dir / name).mkdir(parents=True, exist_ok=True)
+
+
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 
 
@@ -305,9 +312,9 @@ def _domain_counts(sessions) -> dict[int, int]:
 def cmd_generate(config: ExperimentConfig, args) -> int:
     if config.dataset_synthetic is None:
         raise ConfigError("generate: config has no dataset.synthetic section")
+    _make_dirs(config, "data")
     ds = generate_synthetic(config.dataset_synthetic)
     data_dir = config.out_dir / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
     print(f"{'split':<8}{'domain':<8}{'sessions':>10}")
     for split, sessions in (("train", ds.train), ("valid", ds.valid), ("test", ds.test)):
         written = write_dataset(sessions, data_dir / f"{split}.jsonl")
@@ -321,6 +328,7 @@ def cmd_generate(config: ExperimentConfig, args) -> int:
 
 def cmd_train(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
+    _make_dirs(config, "models", "history")
     splits = _resolve_splits(config, names)
     for name in names:
         spec = config.models[name]
@@ -330,9 +338,7 @@ def cmd_train(config: ExperimentConfig, args) -> int:
             best, history = train(model, data.train, data.valid, config.train)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{name}: {exc}") from exc
-        model_path = _model_path(config, name)
-        model_path.parent.mkdir(parents=True, exist_ok=True)
-        model_path.write_bytes(save(best))
+        _model_path(config, name).write_bytes(save(best))
         rows = ["step,ranking_loss,domain_loss,total_loss,valid_ndcg"]
         for rec in history:
             dom = "" if rec.domain_loss is None else f"{rec.domain_loss:.10f}"
@@ -368,6 +374,7 @@ def _load_model_file(config: ExperimentConfig, name: str):
 
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
+    _make_dirs(config, "reports")
     splits = _resolve_splits(config, names)
     results: dict[str, dict[int, tuple[float, int]]] = {}
     for name in names:
@@ -412,6 +419,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
         raise ConfigError("interleave: config has no interleave.pairs")
     settings = config.interleave
     names = list(dict.fromkeys(name for pair in settings.pairs for name in (pair.a, pair.b)))
+    _make_dirs(config, "reports")
     splits = _resolve_splits(config, names)
     k = settings.page_size or config.k
     try:  # a page is never longer than a session
@@ -456,6 +464,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
 
 def cmd_protocol(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
+    _make_dirs(config, "reports")
     splits = _resolve_splits(config, names)
     for name in names:
         _training_data(config, splits, name)

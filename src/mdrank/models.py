@@ -442,7 +442,7 @@ def forward(
     else:
         # each domain's rows run through its head, member by member
         row_domain = np.repeat(domains, lengths)
-        present = np.unique(domains)
+        present = np.flatnonzero(np.bincount(domains))
         row_sets = [np.flatnonzero(row_domain == d) for d in present]
         head_rows = [None] * len(row_sets)
         if rows is not None:

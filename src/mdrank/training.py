@@ -16,7 +16,6 @@ import math
 import os
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -382,6 +381,29 @@ def _run_variant(args):
             time.perf_counter() - start)
 
 
+# The two statistics below take sorted values and give the bits of
+# np.median and np.percentile (method "linear"), which load numpy.ma.
+
+
+def _median(ordered: Sequence[float]) -> float:
+    """The median of the sorted values, as ``np.median`` computes it."""
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """The ``q`` quantile of the sorted values, as ``np.percentile(…, 100 * q)``
+    computes it: numpy's ``_lerp`` between the neighbours of ``(n - 1) * q``."""
+    pos = (len(ordered) - 1) * q
+    i = math.floor(pos)
+    t = pos - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 def run_protocol(
     variants: Mapping[str, VariantSpec],
     splits: DataSplits,
@@ -420,7 +442,11 @@ def run_protocol(
 
     jobs = [(name, spec, splits, train_config, tuple(seeds), k) for name, spec in variants.items()]
     runs: list[RunRecord] = []
-    pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs))) if workers > 1 else None
+    pool = None
+    if workers > 1:  # imported here: a one-worker run never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
     with pool or contextlib.nullcontext():
         for name, (tests, steps, best_valid, seconds) in zip(
                 variants, pool.map(_run_variant, jobs) if pool else map(_run_variant, jobs)):
@@ -438,13 +464,14 @@ def run_protocol(
     for run in runs:
         for domain, value in run.per_domain.items():
             cells.setdefault((run.variant, domain), []).append(value)
-    medians = {key: float(np.median(values)) for key, values in cells.items()}
+    ordered = {key: sorted(values) for key, values in cells.items()}
+    medians = {key: _median(values) for key, values in ordered.items()}
     baseline_of_domain = baseline_names(variants)
     order = {name: i for i, name in enumerate(variants)}
 
     stats: list[VariantDomainStats] = []
     for name, domain in sorted(cells, key=lambda key: (order[key[0]], key[1])):
-        arr = np.asarray(cells[name, domain])
+        values = ordered[name, domain]
         median = medians[name, domain]
         stats.append(
             VariantDomainStats(
@@ -452,10 +479,10 @@ def run_protocol(
                 domain=domain,
                 values=tuple(cells[name, domain]),
                 median=median,
-                q1=float(np.percentile(arr, 25)),
-                q3=float(np.percentile(arr, 75)),
-                minimum=float(arr.min()),
-                maximum=float(arr.max()),
+                q1=_quantile(values, 0.25),
+                q3=_quantile(values, 0.75),
+                minimum=float(values[0]),
+                maximum=float(values[-1]),
                 gain_pct=gain_pct(median, medians.get((baseline_of_domain.get(domain), domain))),
             )
         )

@@ -269,7 +269,7 @@ def test_take_and_put_rows_round_trip():
     assert np.array_equal(parts[0].values, x.values[[3, 1]])
     assert np.array_equal(y.values, x.values)
     assert np.array_equal(x.grad, np.arange(12.0).reshape(4, 3))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^take_rows: need distinct row indices into shape \(4, 3\)$"):
         take_rows(x, [1, 1])
     with pytest.raises(ShapeError):
         put_rows(parts, [[3, 1], [0, 0]], 4)

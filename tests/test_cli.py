@@ -278,25 +278,34 @@ def test_interleave_end_to_end(tmp_path, capsys):
 def test_no_command_loads_scipy_stats_and_only_interleave_loads_the_ufuncs(tmp_path):
     """The sign test's binomial ufunc (about 22 MiB with its package) loads
     for a p-value only: not with the package, and not for the commands that
-    compute none.  No command loads scipy.stats (about 70 MiB)."""
+    compute none.  No command loads scipy.stats (about 70 MiB).  At one
+    worker no command loads the process pool (multiprocessing and
+    concurrent.futures), and only the ufunc's package loads numpy.ma, which
+    np.unique, np.median and np.percentile would load."""
     config = _write_config(tmp_path)
+    modules = ("scipy.special._ufuncs", "scipy.stats", "numpy.ma", "multiprocessing",
+               "concurrent.futures")
     script = (
         "import json, sys\n"
         "import mdrank, mdrank.cli as cli\n"
         "def loaded():\n"
-        "    return [m in sys.modules for m in ('scipy.special._ufuncs', 'scipy.stats')]\n"
+        f"    return [m in sys.modules for m in {modules!r}]\n"
         "seen = {'import': loaded()}\n"
         "for command in ('generate', 'train', 'evaluate', 'protocol', 'interleave'):\n"
         f"    assert cli.main([command, '--config', {str(config)!r}]) == 0, command\n"
         "    seen[command] = loaded()\n"
         "print(json.dumps(seen))\n"
     )
+    env = source_env()
+    env.pop("MDRANK_WORKERS", None)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=300, cwd=tmp_path, env=source_env())
+                          timeout=300, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
+    none = [False] * len(modules)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
-        "import": [False, False], "generate": [False, False], "train": [False, False],
-        "evaluate": [False, False], "protocol": [False, False], "interleave": [True, False],
+        "import": none, "generate": none, "train": none, "evaluate": none, "protocol": none,
+        # scipy.special loads numpy.ma and concurrent.futures itself
+        "interleave": [True, False, True, False, True],
     }
 
 
@@ -403,10 +412,20 @@ def test_dataset_path_that_is_a_directory_exits_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data error: [Errno 21] Is a directory")
 
 
-@pytest.mark.parametrize("command", ["generate", "train"])
-def test_out_dir_under_a_file_exits_data_error(tmp_path, capsys, command):
+@pytest.mark.parametrize("command, work", [("generate", "generate_synthetic"),
+                                           ("train", "train"), ("protocol", "run_protocol")],
+                         ids=["generate", "train", "protocol"])
+def test_out_dir_under_a_file_exits_data_error(tmp_path, capsys, monkeypatch, command, work):
+    """Each command creates the directories it writes before its work, so an
+    ``out_dir`` that cannot be created ends in exit 3 with nothing generated
+    or trained."""
     (tmp_path / "file").write_text("", encoding="utf-8")
     config = _write_config(tmp_path, out_dir=str(tmp_path / "file" / "out"))
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, never)
     assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("data error: [Errno 20] Not a directory")
 

@@ -8,12 +8,13 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdrank.autodiff import Tape, backward
 from mdrank.data import SyntheticSpec, generate_synthetic
 from mdrank.evaluation import evaluate
 from mdrank.losses import batch_loss
+from mdrank import training
 from mdrank.models import ConfigError, build, load, save, stack
 from mdrank.training import (
     Adam,
@@ -438,6 +439,23 @@ def test_protocol_logs_one_progress_record_per_variant(caplog):
     assert report.table_text() == quiet.table_text()
 
 
+_SAMPLES = st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 0.5, 1.0])),
+                    min_size=1, max_size=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SAMPLES)
+@example([0.1, 0.9])  # numpy's lerp from the upper end: 0.9 - 0.8 * 0.25, not 0.1 + 0.8 * 0.75
+def test_median_and_quartiles_equal_numpys(values):
+    """The protocol's statistics over sorted seed values give the values of
+    np.median and np.percentile, which it does not call: they load
+    numpy.ma."""
+    ordered = sorted(values)
+    assert training._median(ordered) == np.median(values)
+    assert training._quantile(ordered, 0.25) == np.percentile(values, 25)
+    assert training._quantile(ordered, 0.75) == np.percentile(values, 75)
+
+
 STEADY_RUN = """
 import resource
 from mdrank.data import SyntheticSpec, generate_synthetic
@@ -447,6 +465,13 @@ from mdrank.training import TrainConfig, train
 
 def faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+def touch_headroom():
+    # 4 MiB in blocks below any mmap threshold, touched and freed: a heap
+    # that keeps freed memory keeps them as touched pages above its
+    # high-water mark, and one that trims returns them at once
+    blocks = [b"\\1" * (32 << 10) for _ in range(128)]
+    del blocks
 
 def spec(n, lengths):
     return SyntheticSpec(n_domains=2, sessions_per_domain={"train": n, "valid": n // 2, "test": 1},
@@ -459,12 +484,14 @@ model = stack([build(config, seed) for seed in (1, 2)])
 settings = TrainConfig(epochs=1, batch_size=8, eval_every=10**6)
 for _ in range(2):
     train(model, short.train, short.valid, settings)
+touch_headroom()
 before = faults()
 train(model, short.train, short.valid, settings)
 epoch = faults() - before
 pair = (model.member(0), model.member(1), long.train, UserModel.position_decay(16), 1000)
 for _ in range(2):
     run_interleaving(*pair)
+touch_headroom()
 between = faults()
 for _ in range(5):
     run_interleaving(*pair)
@@ -476,12 +503,19 @@ print(epoch, faults() - between)
                     reason="glibc's malloc policy")
 def test_steady_work_reuses_freed_heap():
     """Once two epochs have run, the next one's 16 stacked steps and its
-    validation over 64 sessions reuse the heap they freed; so do
-    five interleaving runs of 1,000 impressions over lists of 100-130 items
-    after two others, whose scoring arrays pass glibc's default mmap
-    threshold of 128 KiB.  Each takes fewer page faults than it has steps
-    or runs, where faulting freed pages in again costs hundreds or
-    thousands."""
+    validation over 64 sessions reuse the heap they freed; so do five
+    interleaving runs of 1,000 impressions over lists of 100-130 items
+    after two others.  Each takes fewer page faults than it has steps or
+    runs, where faulting freed pages in again costs hundreds or thousands.
+
+    Which run first reaches a few dozen pages above the heap's high-water
+    mark depends on the heap's layout, which moves with the environment
+    and the hash seed.  Such a first touch is not a freed page faulted in
+    again, so 4 MiB of touched, freed heap lie above the mark before each
+    measured stretch.  Without the heap policy glibc trims them at once,
+    and the epoch takes about 460 faults and the interleaving runs 6-40;
+    with the mmap threshold set alone, which fixes the trim threshold at
+    glibc's 128 KiB, about 440 and 3,500."""
     proc = subprocess.run([sys.executable, "-c", STEADY_RUN], capture_output=True,
                           text=True, timeout=300, env=source_env())
     assert proc.returncode == 0, proc.stderr
