@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from mdrank import training
 from mdrank.autodiff import Tape, backward
 from mdrank.data import SyntheticSpec, generate_synthetic
 from mdrank.evaluation import evaluate
 from mdrank.losses import batch_loss
-from mdrank import training
 from mdrank.models import ConfigError, build, load, save, stack
 from mdrank.training import (
     Adam,
@@ -469,7 +469,8 @@ def faults():
 def touch_headroom():
     # 4 MiB in blocks below any mmap threshold, touched and freed: a heap
     # that keeps freed memory keeps them as touched pages above its
-    # high-water mark, and one that trims returns them at once
+    # high-water mark, and glibc's default policy, whose trim threshold
+    # stays below 4 MiB here, returns them with the top of the heap
     blocks = [b"\\1" * (32 << 10) for _ in range(128)]
     del blocks
 
@@ -512,10 +513,10 @@ def test_steady_work_reuses_freed_heap():
     mark depends on the heap's layout, which moves with the environment
     and the hash seed.  Such a first touch is not a freed page faulted in
     again, so 4 MiB of touched, freed heap lie above the mark before each
-    measured stretch.  Without the heap policy glibc trims them at once,
-    and the epoch takes about 460 faults and the interleaving runs 6-40;
-    with the mmap threshold set alone, which fixes the trim threshold at
-    glibc's 128 KiB, about 440 and 3,500."""
+    measured stretch.  Without the heap policy glibc returns them with the
+    top of the heap, and the epoch takes about 460 faults and the
+    interleaving runs 6-40; with the mmap threshold set alone, which fixes
+    the trim threshold at glibc's 128 KiB, about 440 and 3,500."""
     proc = subprocess.run([sys.executable, "-c", STEADY_RUN], capture_output=True,
                           text=True, timeout=300, env=source_env())
     assert proc.returncode == 0, proc.stderr
