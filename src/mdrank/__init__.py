@@ -15,12 +15,10 @@ from .data import (
     QuerySession,
     SyntheticDataset,
     SyntheticSpec,
-    add_text_similarity_features,
     generate_synthetic,
     load_dataset,
     normalize_features,
     split_by_time,
-    text_similarity,
     write_dataset,
 )
 from .evaluation import EvalSummary, as_scorer, evaluate, ndcg_at_k
@@ -63,12 +61,10 @@ __all__ = [
     "QuerySession",
     "SyntheticDataset",
     "SyntheticSpec",
-    "add_text_similarity_features",
     "generate_synthetic",
     "load_dataset",
     "normalize_features",
     "split_by_time",
-    "text_similarity",
     "write_dataset",
     "EvalSummary",
     "as_scorer",

@@ -9,7 +9,11 @@ needs no special handling.
 Operations called while no tape is active still compute values (useful for
 inference and finite differences) but record nothing.  The active tape is
 per thread (a ``contextvars`` variable), so a thread scoring without a tape
-never records onto another thread's tape.
+never records onto another thread's tape.  Each op's forward arithmetic is
+one kernel on plain arrays (``_linear``, ``_layer_norm``, ``_attention``,
+...), which the op calls.  ``_ARRAY_OPS`` holds the kernels under the ops'
+names and signatures, without the ops' checks, tensors or records; an
+untaped ``models.forward`` runs it.
 
 Member blocks: the ops that hold parameters (``linear``, ``layer_norm``,
 ``attention``) and the loss sums (``cross_entropy``,
@@ -34,6 +38,7 @@ import itertools
 import math
 from collections.abc import Callable, Sequence
 from contextvars import ContextVar
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -363,7 +368,7 @@ def _member_blocks(counts: tuple, n_rows: int) -> _MemberBlocks:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.values + b.values, a.requires_grad or b.requires_grad)
+    out = Tensor(np.add(a.values, b.values), a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g)
@@ -371,6 +376,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     _record("add", out, bwd)
     return out
+
+
+def _linear(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, blocks) -> np.ndarray:
+    values = blocks.matmul(xv, wv)
+    blocks.ufunc(np.add, values, bv, out=values)
+    return values
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, members=None) -> Tensor:
@@ -385,9 +396,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, members=None) -> Tensor:
     blocks = _blocks(members, xv.shape[0], "linear")
     if wv.shape[:-1] != (*blocks.lead, xv.shape[1]) or bv.shape != (*blocks.lead, wv.shape[-1]):
         raise ShapeError(f"linear: incompatible shapes {x.shape}, {w.shape} and {b.shape}")
-    values = blocks.matmul(xv, wv)
-    blocks.ufunc(np.add, values, bv, out=values)
-    out = Tensor(values, x.requires_grad or w.requires_grad or b.requires_grad)
+    out = Tensor(_linear(xv, wv, bv, blocks), x.requires_grad or w.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(b, blocks.sums(g), blocks.present)
@@ -410,13 +419,16 @@ def scale(x: Tensor, c: float) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.values > 0.0
+def _relu(xv: np.ndarray) -> np.ndarray:
     # np.maximum (not np.where) so NaN inputs propagate instead of clipping to 0
-    out = Tensor(np.maximum(x.values, 0.0), x.requires_grad)
+    return np.maximum(xv, 0.0)
+
+
+def relu(x: Tensor) -> Tensor:
+    out = Tensor(_relu(x.values), x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
-        _accumulate(x, np.where(mask, g, 0.0))
+        _accumulate(x, np.where(x.values > 0.0, g, 0.0))
 
     _record("relu", out, bwd)
     return out
@@ -505,6 +517,17 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
+def _layer_norm(xv: np.ndarray, gv: np.ndarray, bv: np.ndarray, blocks):
+    """The normalized rows scaled and shifted, the normalized rows, and the
+    reciprocal of each row's deviation."""
+    centred = xv - _row_mean(xv)
+    r = 1.0 / np.sqrt(_row_mean(centred**2) + _LN_EPS)
+    n = centred * r
+    values = blocks.ufunc(np.multiply, n, gv)
+    blocks.ufunc(np.add, values, bv, out=values)
+    return values, n, r
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, members=None) -> Tensor:
     """Normalize each row of a 2-d tensor to zero mean and unit variance,
     then apply a learned elementwise scale and shift (``(S, d)`` with
@@ -517,13 +540,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, members=None) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} do not match width {d}"
         )
-    mu = _row_mean(x.values)
-    var = _row_mean((x.values - mu) ** 2)
-    r = 1.0 / np.sqrt(var + _LN_EPS)
-    n = (x.values - mu) * r
-    gv, bv = gain.values, bias.values
-    values = blocks.ufunc(np.multiply, n, gv)
-    blocks.ufunc(np.add, values, bv, out=values)
+    gv = gain.values
+    values, n, r = _layer_norm(x.values, gv, bias.values, blocks)
     out = Tensor(values, x.requires_grad or gain.requires_grad or bias.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
@@ -536,11 +554,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, members=None) -> Tensor:
     return out
 
 
+def _concat_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate((a, b), axis=1)
+
+
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
     na = a.shape[1]
-    out = Tensor(np.hstack([a.values, b.values]), a.requires_grad or b.requires_grad)
+    out = Tensor(_concat_cols(a.values, b.values), a.requires_grad or b.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         _accumulate(a, g[:, :na])
@@ -550,13 +572,17 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _take_rows(xv: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    return xv[idx]
+
+
 def take_rows(x: Tensor, rows) -> Tensor:
     """The rows of a 2-d tensor at the distinct indices ``rows``, in order."""
     idx = np.asarray(rows, dtype=np.intp)
     if (x.values.ndim != 2 or idx.ndim != 1 or idx.size == 0 or idx.min() < 0
             or idx.max() >= x.shape[0] or np.bincount(idx).max() > 1):
         raise ShapeError(f"take_rows: need distinct row indices into shape {x.shape}")
-    out = Tensor(x.values[idx], x.requires_grad)
+    out = Tensor(_take_rows(x.values, idx), x.requires_grad)
 
     def bwd(g: np.ndarray) -> None:
         if x.requires_grad:
@@ -566,6 +592,13 @@ def take_rows(x: Tensor, rows) -> Tensor:
 
     _record("take_rows", out, bwd)
     return out
+
+
+def _put_rows(parts: Sequence[np.ndarray], idxs: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
+    values = np.empty((n_rows, parts[0].shape[-1]))
+    for part, idx in zip(parts, idxs):
+        values[idx] = part
+    return values
 
 
 def put_rows(parts: Sequence[Tensor], rows: Sequence, n_rows: int) -> Tensor:
@@ -582,10 +615,8 @@ def put_rows(parts: Sequence[Tensor], rows: Sequence, n_rows: int) -> Tensor:
                              f"{idx.size} rows of width {cols}")
     if not np.array_equal(np.sort(np.concatenate(idxs)), np.arange(n_rows)):
         raise ShapeError(f"put_rows: row sets do not partition {n_rows} rows")
-    values = np.empty((n_rows, cols))
-    for part, idx in zip(parts, idxs):
-        values[idx] = part.values
-    out = Tensor(values, any(part.requires_grad for part in parts))
+    out = Tensor(_put_rows([part.values for part in parts], idxs, n_rows),
+                 any(part.requires_grad for part in parts))
 
     def bwd(g: np.ndarray) -> None:
         for part, idx in zip(parts, idxs):
@@ -661,6 +692,31 @@ def _attention_core(qkv: np.ndarray, lens: np.ndarray, heads: int):
     return (o[seg, pos] if ragged else o.reshape(n, d)), back
 
 
+def _attention(xv: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+               lens: np.ndarray, heads: int, blocks):
+    """The attention rows of ``xv``, the stacked projection ``w_all``, and
+    the rule mapping the rows' gradient to the gradient of ``xv @ w_all``."""
+    n, d = xv.shape
+    w_all = np.concatenate([wq, wk, wv], axis=-1)
+    groups = blocks.span_groups(lens)
+    qkv = blocks.matmul(xv, w_all)
+    if len(groups) == 1:  # one padded layout holds every row
+        values, back = _attention_core(qkv, groups[0][1], heads)
+        return values, w_all, back
+    values, backs = np.empty((n, d)), []
+    for rows, group_lens in groups:
+        values[rows], group_back = _attention_core(qkv[rows], group_lens, heads)
+        backs.append(group_back)
+
+    def back(g: np.ndarray) -> np.ndarray:
+        dqkv = np.empty((n, 3 * d))
+        for (rows, _), group_back in zip(groups, backs):
+            dqkv[rows] = group_back(g[rows])
+        return dqkv
+
+    return values, w_all, back
+
+
 def attention(
     tokens: Tensor,
     wq: Tensor,
@@ -698,19 +754,11 @@ def attention(
         raise ShapeError(f"attention: width {d} is not divisible by {heads} heads")
     lens = _segments(lengths, n, "attention")
     xv = tokens.values
-    w_all = np.concatenate([wq.values, wk.values, wv.values], axis=-1)
+    values, w_all, back = _attention(xv, wq.values, wk.values, wv.values, lens, heads, blocks)
     requires_grad = tokens.requires_grad or wq.requires_grad or wk.requires_grad or wv.requires_grad
-    groups = blocks.span_groups(lens)
-    qkv = blocks.matmul(xv, w_all)
-    values, backs = np.empty((n, d)), []
-    for rows, group_lens in groups:
-        values[rows], back = _attention_core(qkv[rows], group_lens, heads)
-        backs.append(back)
 
     def bwd(g: np.ndarray) -> None:
-        dqkv = np.empty((n, 3 * d))
-        for (rows, _), back in zip(groups, backs):
-            dqkv[rows] = back(g[rows])
+        dqkv = back(g)
         _accumulate(tokens, blocks.matmul(dqkv, w_all, transposed=True))
         dw_all = blocks.outer(xv, dqkv)
         _accumulate(wq, dw_all[..., :d], blocks.present)
@@ -720,6 +768,44 @@ def attention(
     out = Tensor(values, requires_grad)
     _record("attention", out, bwd)
     return out
+
+
+# ---------------------------------------------------------------------------
+# op sets
+
+
+def _taping() -> bool:
+    """Whether a tape is active in this thread."""
+    return _active_tape.get() is not None
+
+
+def _array_linear(x, w, b, members=None):
+    return _linear(x, w, b, _blocks(members, x.shape[0], "linear"))
+
+
+def _array_layer_norm(x, gain, bias, members=None):
+    return _layer_norm(x, gain, bias, _blocks(members, x.shape[0], "layer_norm"))[0]
+
+
+def _array_attention(tokens, wq, wk, wv, lengths, heads=1, members=None):
+    blocks = _blocks(members, tokens.shape[0], "attention")
+    return _attention(tokens, wq, wk, wv, lengths, heads, blocks)[0]
+
+
+# The ops a forward pass calls, by name: the Tensor ops, and the same ops on
+# plain arrays.  An array op has its Tensor op's signature and runs its
+# kernel alone: no operand check, Tensor, backward rule or record, so its
+# caller checks the operands.
+_TENSOR_OPS = SimpleNamespace(
+    add=add, linear=linear, relu=relu, concat_cols=concat_cols, layer_norm=layer_norm,
+    attention=attention, take_rows=take_rows, put_rows=put_rows,
+    gradient_reversal=gradient_reversal,
+)
+_ARRAY_OPS = SimpleNamespace(
+    add=np.add, linear=_array_linear, relu=_relu, concat_cols=_concat_cols,
+    layer_norm=_array_layer_norm, attention=_array_attention, take_rows=_take_rows,
+    put_rows=_put_rows, gradient_reversal=lambda x, lam=1.0: x,
+)
 
 
 # ---------------------------------------------------------------------------

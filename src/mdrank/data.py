@@ -1,5 +1,5 @@
-"""Session data: line-delimited JSON IO, time-based splits, text-similarity
-features, feature normalization, and a seeded synthetic two-domain generator.
+"""Session data: line-delimited JSON IO, time-based splits, feature
+normalization, and a seeded synthetic two-domain generator.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import sys
-import zlib
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
@@ -22,8 +21,6 @@ __all__ = [
     "load_dataset",
     "write_dataset",
     "split_by_time",
-    "text_similarity",
-    "add_text_similarity_features",
     "FeatureStats",
     "normalize_features",
     "SyntheticSpec",
@@ -264,66 +261,6 @@ def split_by_time(
         else:
             test.append(s)
     return train, valid, test
-
-
-# ---------------------------------------------------------------------------
-# text similarity features
-
-
-def _trigram_counts(text: str, n_buckets: int) -> np.ndarray:
-    counts = np.zeros(n_buckets, dtype=np.float64)
-    if len(text) >= 3:
-        grams = [text[i : i + 3] for i in range(len(text) - 2)]
-    elif text:
-        grams = [text]
-    else:
-        grams = []
-    for g in grams:
-        counts[zlib.crc32(g.encode("utf-8")) % n_buckets] += 1.0
-    return counts
-
-
-def text_similarity(query: str, title: str, n_buckets: int = 64) -> np.ndarray:
-    """Cheap stand-in for a learned sentence encoder: hashed character-trigram
-    cosine similarity plus token-set Jaccard, returned as a feature vector.
-
-    Both components live in [0, 1]; an empty string yields 0 similarity.
-    """
-    if n_buckets < 1:
-        raise ValueError("text_similarity: n_buckets must be positive")
-    a = _trigram_counts(query, n_buckets)
-    b = _trigram_counts(title, n_buckets)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        cosine = 0.0
-    elif np.array_equal(a, b):
-        cosine = 1.0
-    else:
-        cosine = min(1.0, max(0.0, float(a @ b) / (na * nb)))
-    qt = set(query.split())
-    tt = set(title.split())
-    union = qt | tt
-    jaccard = len(qt & tt) / len(union) if union else 0.0
-    return np.array([cosine, jaccard], dtype=np.float64)
-
-
-def add_text_similarity_features(
-    sessions: Sequence[QuerySession], n_buckets: int = 64
-) -> list[QuerySession]:
-    """Append the text-similarity vector to every row's features.
-
-    Rows without both text fields get zeros, keeping feature width uniform.
-    Input sessions are not mutated.
-    """
-    out: list[QuerySession] = []
-    for s in sessions:
-        extra = np.zeros((s.features.shape[0], 2), dtype=np.float64)
-        for j, (q, t) in enumerate(s.texts or ()):
-            if q is not None and t is not None:
-                extra[j] = text_similarity(q, t, n_buckets)
-        out.append(replace(s, features=np.hstack([s.features, extra])))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,8 +118,8 @@ def _member_scores(
     """Scores of every session per member (a callable is one member),
     checked as ``score_sessions`` documents.
 
-    Scoring is bound by the rows, not by per-call overhead, so the members
-    of a stack score one at a time: stacking their rows measured slower.
+    The members of a stack score one at a time: stacking their rows
+    measured slower.
     """
     if not isinstance(model_or_fn, Model):
         scorer = as_scorer(model_or_fn)  # checks each session's scores
@@ -216,7 +216,7 @@ def _ndcg_rows(scores: Sequence[np.ndarray], labels: Sequence[np.ndarray], k: in
         lab = _padded(lab, pad, 0.0)
     depth = min(k, span)
     rows = np.arange(n)[:, None]
-    ranked = lab[rows, np.argsort(key, axis=1, kind="stable")[:, :depth]]
+    ranked = lab[rows, key.argsort(axis=1, kind="stable")[:, :depth]]
     ideal = np.sort(ideal, axis=1)[:, : -depth - 1 : -1]
     if pad is not None:
         ideal = np.where(pad[:, :depth], 0.0, ideal)
@@ -251,21 +251,20 @@ def evaluate(
     for session, lab in zip(sessions, labels):
         if not lab.size:
             raise ValueError(f"session {session.query_id!r}: no items to rank")
-    summaries = []
+    # the values of the evaluable sessions, member by member
+    values, keep = iter(()), []
     if sessions:
-        values, evaluable = _ndcg_rows([v for member in scores for v in member],
-                                       labels * len(scores), k)
-        keep = evaluable.reshape(len(scores), -1)
-        ends = np.cumsum(keep.sum(axis=1)).tolist()
-        values = [values[start:end] for start, end in zip([0, *ends], ends)]
+        ndcg, evaluable = _ndcg_rows([v for member in scores for v in member],
+                                     labels * len(scores), k)
+        values, keep = iter(ndcg.tolist()), evaluable.tolist()
+    summaries = []
     for m in range(len(scores)):
         sums: dict[int, float] = {}
         counts: dict[int, int] = {}
-        if sessions:
-            domains = [s.domain for s, kept in zip(sessions, keep[m].tolist()) if kept]
-            for domain, value in zip(domains, values[m].tolist()):
-                sums[domain] = sums.get(domain, 0.0) + value
-                counts[domain] = counts.get(domain, 0) + 1
+        for session, kept in zip(sessions, keep[m * len(sessions) :]):
+            if kept:
+                sums[session.domain] = sums.get(session.domain, 0.0) + next(values)
+                counts[session.domain] = counts.get(session.domain, 0) + 1
         per_domain = {d: sums[d] / counts[d] for d in sorted(sums)}
         total_sessions = sum(counts.values())
         overall = sum(sums.values()) / total_sessions if total_sessions else None

@@ -30,6 +30,8 @@ would alone.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -38,19 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    ShapeError,
-    add,
-    attention,
-    concat_cols,
-    gradient_reversal,
-    layer_norm,
-    linear,
-    put_rows,
-    relu,
-    take_rows,
-)
+from .autodiff import _ARRAY_OPS, _TENSOR_OPS, ShapeError, Tensor, _taping
 from .data import _MAX_FLOATS, ConfigError, QuerySession, _check_types, _is_integer
 
 __all__ = [
@@ -194,7 +184,7 @@ class ScoredBatch:
     def session_scores(self) -> list[np.ndarray]:
         """Final scores per session, as detached 1-d arrays."""
         flat = self.scores.values[:, 0].copy()
-        ends = np.cumsum(self.lengths).tolist()
+        ends = list(itertools.accumulate(self.lengths.tolist()))
         return [flat[start:end] for start, end in zip([0, *ends], ends)]
 
 
@@ -363,13 +353,33 @@ def stack(models: Sequence[Model]) -> Model:
     return Model(config, params, [m.seeds[0] for m in models])
 
 
-def _mlp(x: Tensor, model: Model, prefix: str, n_layers: int, rows) -> Tensor:
-    p = model.parameters
+@functools.lru_cache(maxsize=32)
+def _parameter_shapes(config: ModelConfig, n_members: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a stack of ``n_members``, by name."""
+    lead = () if n_members == 1 else (n_members,)
+    return {name: (*lead, *shape) for name, _, shape in _parameter_specs(config)}
+
+
+def _parameter_arrays(model: Model) -> dict[str, np.ndarray]:
+    """Every parameter's values by name, once their shapes are checked
+    against the config: the array ops broadcast where the Tensor ops would
+    raise."""
+    arrays = {name: t.values for name, t in model.parameters.items()}
+    shapes = _parameter_shapes(model.config, len(model.seeds))
+    if {name: a.shape for name, a in arrays.items()} != shapes:
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ShapeError(f"forward: parameter {name} has shape {arrays[name].shape}, "
+                                 f"expected {shape}")
+    return arrays
+
+
+def _mlp(ops, p: dict, x, prefix: str, n_layers: int, rows):
     out = x
     for i in range(n_layers):
-        out = linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], rows)
+        out = ops.linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], rows)
         if i < n_layers - 1:
-            out = relu(out)
+            out = ops.relu(out)
     return out
 
 
@@ -382,8 +392,11 @@ def forward(
     A stack of several members needs ``members``: the sessions are then
     the consecutive batches of its members, ``members[m]`` sessions for
     member m.  Call inside an active Tape to make the returned tensors
-    differentiable.  ``domain_logits=False`` skips the domain classifier,
-    whose logits only feed the training loss.
+    differentiable: the pass then runs the Tensor ops, which record on the
+    tape.  Without a tape it runs their array kernels on the parameters'
+    values, whose shapes it checks once, and wraps only the outputs.
+    ``domain_logits=False`` skips the domain classifier, whose logits only
+    feed the training loss.
     """
     cfg = model.config
     n_members = len(model.seeds)
@@ -408,18 +421,21 @@ def forward(
     if n_members > 1:
         ends = np.cumsum(lengths)[np.cumsum(members) - 1].tolist()
         rows = tuple(end - start for start, end in zip([0, *ends], ends))
-    p = model.parameters
+    taped = _taping()
+    ops, p = (_TENSOR_OPS, model.parameters) if taped else (_ARRAY_OPS, _parameter_arrays(model))
 
-    h = Tensor(np.concatenate([s.features for s in sessions]))
+    h = np.concatenate([s.features for s in sessions])
+    if taped:
+        h = Tensor(h)
     for i in range(len(cfg.trunk_hidden)):
-        h = relu(linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"], rows))
-    s = linear(h, p["score.0.w"], p["score.0.b"], rows)
+        h = ops.relu(ops.linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"], rows))
+    s = ops.linear(h, p["score.0.w"], p["score.0.b"], rows)
 
-    t = linear(concat_cols(h, s), p["token.0.w"], p["token.0.b"], rows)
+    t = ops.linear(ops.concat_cols(h, s), p["token.0.w"], p["token.0.b"], rows)
     for l in range(cfg.transformer_layers):
         pre = f"transformer.{l}"
-        attended = attention(
-            layer_norm(t, p[f"{pre}.norm1.gain"], p[f"{pre}.norm1.bias"], members=rows),
+        attended = ops.attention(
+            ops.layer_norm(t, p[f"{pre}.norm1.gain"], p[f"{pre}.norm1.bias"], members=rows),
             p[f"{pre}.wq"],
             p[f"{pre}.wk"],
             p[f"{pre}.wv"],
@@ -427,18 +443,19 @@ def forward(
             heads=cfg.heads,
             members=rows,
         )
-        t = add(t, linear(attended, p[f"{pre}.attn_out.0.w"], p[f"{pre}.attn_out.0.b"], rows))
-        ff = layer_norm(t, p[f"{pre}.norm2.gain"], p[f"{pre}.norm2.bias"], members=rows)
-        ff = linear(relu(linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"], rows)),
-                    p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"], rows)
-        t = add(t, ff)
+        t = ops.add(t, ops.linear(attended, p[f"{pre}.attn_out.0.w"],
+                                  p[f"{pre}.attn_out.0.b"], rows))
+        ff = ops.layer_norm(t, p[f"{pre}.norm2.gain"], p[f"{pre}.norm2.bias"], members=rows)
+        ff = ops.linear(ops.relu(ops.linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"], rows)),
+                        p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"], rows)
+        t = ops.add(t, ff)
 
-    final_in = concat_cols(s, t)
+    final_in = ops.concat_cols(s, t)
     n_final = len(cfg.final_hidden) + 1
     if cfg.variant is not Variant.MULTI_HEAD:
-        y = _mlp(final_in, model, "final", n_final, rows)
+        y = _mlp(ops, p, final_in, "final", n_final, rows)
     elif (domains == domains[0]).all():
-        y = _mlp(final_in, model, f"head.{domains[0]}", n_final, rows)
+        y = _mlp(ops, p, final_in, f"head.{domains[0]}", n_final, rows)
     else:
         # each domain's rows run through its head, member by member
         row_domain = np.repeat(domains, lengths)
@@ -449,16 +466,19 @@ def forward(
             row_member = np.repeat(np.arange(n_members), rows)
             head_rows = [np.bincount(row_member[r], minlength=n_members).tolist()
                          for r in row_sets]
-        parts = [_mlp(take_rows(final_in, r), model, f"head.{d}", n_final, hr)
+        parts = [_mlp(ops, p, ops.take_rows(final_in, r), f"head.{d}", n_final, hr)
                  for d, r, hr in zip(present, row_sets, head_rows)]
-        y = put_rows(parts, row_sets, row_domain.size)
+        y = ops.put_rows(parts, row_sets, row_domain.size)
 
-    logits_t: Tensor | None = None
+    logits_t = None
     if domain_logits and cfg.variant.has_classifier:
         clf_in = h
         if cfg.variant is Variant.DOMAIN_ADVERSARIAL:
-            clf_in = gradient_reversal(h, cfg.grl_lambda)
-        logits_t = _mlp(clf_in, model, "classifier", len(cfg.classifier_hidden) + 1, rows)
+            clf_in = ops.gradient_reversal(h, cfg.grl_lambda)
+        logits_t = _mlp(ops, p, clf_in, "classifier", len(cfg.classifier_hidden) + 1, rows)
+    if not taped:
+        y = Tensor(y)
+        logits_t = None if logits_t is None else Tensor(logits_t)
 
     return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths, members=members,
                        rows=rows)

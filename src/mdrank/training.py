@@ -444,9 +444,13 @@ def run_protocol(
     runs: list[RunRecord] = []
     pool = None
     if workers > 1:  # imported here: a one-worker run never loads the process pool
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+        # spawned, not forked: a forked child may inherit a lock that one of
+        # this process's BLAS threads held
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
+                                   mp_context=multiprocessing.get_context("spawn"))
     with pool or contextlib.nullcontext():
         for name, (tests, steps, best_valid, seconds) in zip(
                 variants, pool.map(_run_variant, jobs) if pool else map(_run_variant, jobs)):

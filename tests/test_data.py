@@ -1,4 +1,4 @@
-"""Dataset IO, time splits, text features, normalization, and the
+"""Dataset IO, time splits, normalization, and the
 synthetic two-domain generator."""
 
 import copy
@@ -6,7 +6,6 @@ import json
 import math
 import tempfile
 import tracemalloc
-import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,12 +20,10 @@ from mdrank.data import (
     QuerySession,
     SyntheticSpec,
     _session_to_obj,
-    add_text_similarity_features,
     generate_synthetic,
     load_dataset,
     normalize_features,
     split_by_time,
-    text_similarity,
     write_dataset,
 )
 from mdrank.evaluation import ndcg_at_k
@@ -427,63 +424,6 @@ def test_split_by_time_is_a_disjoint_cover(rng):
 def test_split_by_time_rejects_inverted_boundaries(rng):
     with pytest.raises(ValueError):
         split_by_time(_random_sessions(rng, 3), train_end=10, valid_end=10)
-
-
-# ---------------------------------------------------------------------------
-# hashed text similarity
-
-
-def _trigram_oracle(text, n_buckets=64):
-    counts = [0] * n_buckets
-    for i in range(len(text) - 2):
-        counts[zlib.crc32(text[i : i + 3].encode("utf-8")) % n_buckets] += 1
-    return counts
-
-
-def test_text_similarity_identical_strings():
-    vec = text_similarity("shoes", "shoes")
-    assert vec.shape == (2,)
-    assert vec[0] == 1.0
-    assert vec[1] == 1.0
-
-
-def test_text_similarity_empty_string():
-    assert np.array_equal(text_similarity("", "anything"), [0.0, 0.0])
-    assert np.array_equal(text_similarity("", ""), [0.0, 0.0])
-
-
-def test_text_similarity_matches_trigram_oracle():
-    q, t = "red shoe", "blue shoe"
-    a = np.array(_trigram_oracle(q), dtype=float)
-    b = np.array(_trigram_oracle(t), dtype=float)
-    want_cos = float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-    got = text_similarity(q, t)
-    assert abs(got[0] - want_cos) < 1e-12
-    # token sets {red, shoe} and {blue, shoe}: one common of three total
-    assert abs(got[1] - 1.0 / 3.0) < 1e-12
-
-
-def test_text_similarity_bounded():
-    rng = np.random.default_rng(0)
-    words = ["red", "blue", "shoe", "boot", "large", "small"]
-    for _ in range(50):
-        q = " ".join(rng.choice(words, size=rng.integers(1, 4)))
-        t = " ".join(rng.choice(words, size=rng.integers(1, 4)))
-        vec = text_similarity(q, t)
-        assert 0.0 <= vec[0] <= 1.0
-        assert 0.0 <= vec[1] <= 1.0
-
-
-def test_add_text_similarity_features_appends_two_columns(rng):
-    sessions = _random_sessions(rng, 6)
-    out = add_text_similarity_features(sessions)
-    for before, after in zip(sessions, out):
-        assert after.features.shape == (before.features.shape[0], before.features.shape[1] + 2)
-        assert np.array_equal(after.features[:, :-2], before.features)
-        for (q, t), extra in zip(before.texts or (), after.features[:, -2:]):
-            assert np.array_equal(extra, text_similarity(q, t))
-        if before.texts is None:
-            assert not after.features[:, -2:].any()
 
 
 # ---------------------------------------------------------------------------

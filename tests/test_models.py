@@ -1,5 +1,6 @@
 """Model construction, forward semantics, and serialization tests."""
 
+import contextlib
 import json
 import math
 import time
@@ -345,6 +346,69 @@ def test_forward_is_deterministic(rng):
     a = _scores(model, session)
     b = _scores(model, session)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the two routes of forward: Tensor ops under a tape, their kernels without
+
+
+def _member_batches(rng, n_members, lengths, domains):
+    """One batch per member; odd members' sessions are one item longer
+    (unless every session has one item), so a stack has several padded
+    layouts and members 0 and 2 share one."""
+    grow = max(lengths) > 1
+    return [[make_session(rng, n + (m % 2 if grow else 0), feature_dim=5, domain=d,
+                          query_id=f"m{m}q{i}")
+             for i, (n, d) in enumerate(zip(lengths, domains))]
+            for m in range(n_members)]
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("n_members", [1, 3])
+def test_untaped_forward_matches_taped_bit_for_bit(rng, variant, heads, layers, n_members):
+    """Without a tape, forward runs the ops' array kernels; its scores and
+    domain logits have the bits of the taped pass, over equal, ragged and
+    one-item sessions of one domain or of several."""
+    cfg = tiny_config(variant, n_domains=3, heads=heads, transformer_layers=layers)
+    model = (build(cfg, seed=1) if n_members == 1
+             else stack([build(cfg, seed=s) for s in range(n_members)]))
+    for lengths in ((5, 5, 5), (4, 9, 1), (1, 1, 1)):
+        for domains in ((1, 1, 1), (2, 0, 2)):
+            batches = _member_batches(rng, n_members, lengths, domains)
+            batch = [s for b in batches for s in b]
+            members = None if n_members == 1 else [len(b) for b in batches]
+            untaped = forward(model, batch, members=members)
+            with Tape() as tape:
+                taped = forward(model, batch, members=members)
+            assert tape.nodes and untaped.scores.values.dtype == np.float64
+            assert untaped.scores.values.tobytes() == taped.scores.values.tobytes()
+            if cfg.variant.has_classifier:
+                assert (untaped.domain_logits.values.tobytes()
+                        == taped.domain_logits.values.tobytes())
+            else:
+                assert untaped.domain_logits is taped.domain_logits is None
+            assert untaped.rows == taped.rows and untaped.members == taped.members
+            assert untaped.lengths.tolist() == taped.lengths.tolist()
+
+
+@pytest.mark.parametrize("n_members", [1, 2])
+@pytest.mark.parametrize("name", ["trunk.0.b", "transformer.0.norm1.gain", "transformer.0.wk",
+                                  "final.0.w"])
+@pytest.mark.parametrize("taped", [False, True])
+def test_forward_rejects_a_parameter_of_the_wrong_shape(rng, n_members, name, taped):
+    """A parameter rebound to a shape its config does not give, which numpy
+    would broadcast, raises ShapeError on either route."""
+    cfg = tiny_config("domain_specialist")
+    model = (build(cfg, seed=1) if n_members == 1
+             else stack([build(cfg, seed=s) for s in range(n_members)]))
+    param = model.parameters[name]
+    param.values = param.values[..., :1].copy()
+    batch = [make_session(rng, 4, feature_dim=5) for _ in range(n_members)]
+    members = None if n_members == 1 else [1] * n_members
+    with pytest.raises(ShapeError), Tape() if taped else contextlib.nullcontext():
+        forward(model, batch, members=members)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,32 @@ def test_protocol_parallel_workers_match_serial():
     assert serial.csv_rows() == parallel.csv_rows()
 
 
+def test_protocol_pool_spawns_its_workers(monkeypatch):
+    """The workers start from a fresh interpreter: a forked child may
+    inherit a lock that a BLAS thread of the parent held."""
+    import concurrent.futures
+
+    contexts = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None, mp_context=None):
+            contexts.append(mp_context)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    report = _tiny_protocol(workers=2)
+    assert len(report.runs) == 3 * 2
+    assert [getattr(c, "get_start_method", lambda: None)() for c in contexts] == ["spawn"]
+
+
 @pytest.mark.parametrize("seed", [21, 22])
 def test_one_seed_protocol_reports_that_seed_of_a_stacked_run(seed):
     """A seed trained alone reports bit for bit the test NDCG it reports as
