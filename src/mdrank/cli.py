@@ -38,6 +38,7 @@ from .training import (
     TrainConfig,
     TrainingDiverged,
     VariantSpec,
+    _has_positive_label,
     baseline_names,
     gain_pct,
     run_protocol,
@@ -265,11 +266,15 @@ def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
 
 
 def _training_data(config: ExperimentConfig, splits: DataSplits, name: str) -> DataSplits:
-    """The splits ``models.<name>`` trains on, which must hold a training session."""
+    """The splits ``models.<name>`` trains on, which must hold a training
+    session and a validation session with a positive label."""
     domain = config.models[name].train_domain
     data = splits.restrict(domain)
+    where = "any domain" if domain is None else f"domain {domain}"
     if not data.train:
-        raise DataError(f"models.{name}: no training sessions in domain {domain}")
+        raise DataError(f"models.{name}: no training sessions in {where}")
+    if not _has_positive_label(data.valid):
+        raise DataError(f"models.{name}: no validation session with a positive label in {where}")
     return data
 
 
@@ -330,10 +335,9 @@ def cmd_train(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     _make_dirs(config, "models", "history")
     splits = _resolve_splits(config, names)
-    for name in names:
-        spec = config.models[name]
-        data = _training_data(config, splits, name)
-        model = build(spec.config, config.train.seed)
+    datas = {name: _training_data(config, splits, name) for name in names}
+    for name, data in datas.items():
+        model = build(config.models[name].config, config.train.seed)
         try:
             best, history = train(model, data.train, data.valid, config.train)
         except TrainingDiverged as exc:

@@ -360,12 +360,17 @@ def _parameter_shapes(config: ModelConfig, n_members: int) -> dict[str, tuple[in
     return {name: (*lead, *shape) for name, _, shape in _parameter_specs(config)}
 
 
-def _parameter_arrays(model: Model) -> dict[str, np.ndarray]:
+def _parameter_arrays(model: Model, member: int | None = None) -> dict[str, np.ndarray]:
     """Every parameter's values by name, once their shapes are checked
     against the config: the array ops broadcast where the Tensor ops would
-    raise."""
+    raise.  With ``member``, member ``member``'s slice of a stack's values
+    (views of its arena), checked as a lone model's."""
     arrays = {name: t.values for name, t in model.parameters.items()}
-    shapes = _parameter_shapes(model.config, len(model.seeds))
+    n_members = len(model.seeds)
+    if member is not None and n_members > 1:
+        arrays = {name: a[member] for name, a in arrays.items()}
+        n_members = 1
+    shapes = _parameter_shapes(model.config, n_members)
     if {name: a.shape for name, a in arrays.items()} != shapes:
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
@@ -377,10 +382,28 @@ def _parameter_arrays(model: Model) -> dict[str, np.ndarray]:
 def _mlp(ops, p: dict, x, prefix: str, n_layers: int, rows):
     out = x
     for i in range(n_layers):
-        out = ops.linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], rows)
-        if i < n_layers - 1:
-            out = ops.relu(out)
+        out = ops.linear(out, p[f"{prefix}.{i}.w"], p[f"{prefix}.{i}.b"], rows,
+                         relu=i < n_layers - 1)
     return out
+
+
+def _session_arrays(cfg: ModelConfig, sessions: Sequence[QuerySession]):
+    """The row count and the domain of every session, once the sessions are
+    checked against ``cfg``."""
+    if not sessions:
+        raise ValueError("forward: no sessions")
+    lengths = np.array([s.features.shape[0] for s in sessions], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError("forward: session has no items")
+    domains = np.array([s.domain for s in sessions], dtype=np.int64)
+    bad = domains[(domains < 0) | (domains >= cfg.n_domains)]
+    if bad.size:
+        raise ValueError(f"forward: session domain {bad[0]} out of range [0, {cfg.n_domains})")
+    widths = {s.features.shape[1] for s in sessions}
+    if widths != {cfg.feature_dim}:
+        raise ShapeError(f"forward: feature widths {sorted(widths)} do not match config "
+                         f"feature_dim {cfg.feature_dim}")
+    return lengths, domains
 
 
 def forward(
@@ -400,19 +423,7 @@ def forward(
     """
     cfg = model.config
     n_members = len(model.seeds)
-    if not sessions:
-        raise ValueError("forward: no sessions")
-    lengths = np.array([s.features.shape[0] for s in sessions], dtype=np.int64)
-    if not lengths.all():
-        raise ValueError("forward: session has no items")
-    domains = np.array([s.domain for s in sessions], dtype=np.int64)
-    bad = domains[(domains < 0) | (domains >= cfg.n_domains)]
-    if bad.size:
-        raise ValueError(f"forward: session domain {bad[0]} out of range [0, {cfg.n_domains})")
-    widths = {s.features.shape[1] for s in sessions}
-    if widths != {cfg.feature_dim}:
-        raise ShapeError(f"forward: feature widths {sorted(widths)} do not match config "
-                         f"feature_dim {cfg.feature_dim}")
+    lengths, domains = _session_arrays(cfg, sessions)
     members = (len(sessions),) if members is None else tuple(int(c) for c in members)
     if len(members) != n_members or min(members) < 1 or sum(members) != len(sessions):
         raise ValueError(f"forward: member batches {list(members)} do not split "
@@ -421,14 +432,39 @@ def forward(
     if n_members > 1:
         ends = np.cumsum(lengths)[np.cumsum(members) - 1].tolist()
         rows = tuple(end - start for start, end in zip([0, *ends], ends))
-    taped = _taping()
-    ops, p = (_TENSOR_OPS, model.parameters) if taped else (_ARRAY_OPS, _parameter_arrays(model))
+    x = np.concatenate([s.features for s in sessions])
+    if _taping():
+        y, logits = _layers(_TENSOR_OPS, model.parameters, cfg, Tensor(x), lengths, domains,
+                            rows, domain_logits)
+    else:
+        y, logits = _layers(_ARRAY_OPS, _parameter_arrays(model), cfg, x, lengths, domains,
+                            rows, domain_logits)
+        y, logits = Tensor(y), None if logits is None else Tensor(logits)
+    return ScoredBatch(scores=y, domain_logits=logits, lengths=lengths, members=members,
+                       rows=rows)
 
-    h = np.concatenate([s.features for s in sessions])
-    if taped:
-        h = Tensor(h)
+
+def _score_members(model: Model, sessions: Sequence[QuerySession]) -> list[ScoredBatch]:
+    """What ``forward(model.member(m), sessions, domain_logits=False)``
+    gives for every member m, bit for bit, without a tape: the sessions
+    are checked once, and each member runs the array kernels on views of
+    its parameters in the stack's arena instead of a copy of them."""
+    cfg = model.config
+    lengths, domains = _session_arrays(cfg, sessions)
+    x = np.concatenate([s.features for s in sessions])
+    layout = lengths, (len(sessions),), None
+    return [ScoredBatch(Tensor(_layers(_ARRAY_OPS, _parameter_arrays(model, m), cfg, x, lengths,
+                                       domains, None, False)[0]), None, *layout)
+            for m in range(len(model.seeds))]
+
+
+def _layers(ops, p: dict, cfg: ModelConfig, h, lengths: np.ndarray, domains: np.ndarray,
+            rows, domain_logits: bool):
+    """The scores and the domain logits (None when not asked for or without
+    a classifier) of the stacked session rows ``h``, through ``ops`` on the
+    parameters ``p``, with ``rows`` as ``forward`` passes it to the ops."""
     for i in range(len(cfg.trunk_hidden)):
-        h = ops.relu(ops.linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"], rows))
+        h = ops.linear(h, p[f"trunk.{i}.w"], p[f"trunk.{i}.b"], rows, relu=True)
     s = ops.linear(h, p["score.0.w"], p["score.0.b"], rows)
 
     t = ops.linear(ops.concat_cols(h, s), p["token.0.w"], p["token.0.b"], rows)
@@ -446,7 +482,7 @@ def forward(
         t = ops.add(t, ops.linear(attended, p[f"{pre}.attn_out.0.w"],
                                   p[f"{pre}.attn_out.0.b"], rows))
         ff = ops.layer_norm(t, p[f"{pre}.norm2.gain"], p[f"{pre}.norm2.bias"], members=rows)
-        ff = ops.linear(ops.relu(ops.linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"], rows)),
+        ff = ops.linear(ops.linear(ff, p[f"{pre}.ffn.0.w"], p[f"{pre}.ffn.0.b"], rows, relu=True),
                         p[f"{pre}.ffn.1.w"], p[f"{pre}.ffn.1.b"], rows)
         t = ops.add(t, ff)
 
@@ -463,25 +499,20 @@ def forward(
         row_sets = [np.flatnonzero(row_domain == d) for d in present]
         head_rows = [None] * len(row_sets)
         if rows is not None:
-            row_member = np.repeat(np.arange(n_members), rows)
-            head_rows = [np.bincount(row_member[r], minlength=n_members).tolist()
+            row_member = np.repeat(np.arange(len(rows)), rows)
+            head_rows = [np.bincount(row_member[r], minlength=len(rows)).tolist()
                          for r in row_sets]
         parts = [_mlp(ops, p, ops.take_rows(final_in, r), f"head.{d}", n_final, hr)
                  for d, r, hr in zip(present, row_sets, head_rows)]
         y = ops.put_rows(parts, row_sets, row_domain.size)
 
-    logits_t = None
+    logits = None
     if domain_logits and cfg.variant.has_classifier:
         clf_in = h
         if cfg.variant is Variant.DOMAIN_ADVERSARIAL:
             clf_in = ops.gradient_reversal(h, cfg.grl_lambda)
-        logits_t = _mlp(ops, p, clf_in, "classifier", len(cfg.classifier_hidden) + 1, rows)
-    if not taped:
-        y = Tensor(y)
-        logits_t = None if logits_t is None else Tensor(logits_t)
-
-    return ScoredBatch(scores=y, domain_logits=logits_t, lengths=lengths, members=members,
-                       rows=rows)
+        logits = _mlp(ops, p, clf_in, "classifier", len(cfg.classifier_hidden) + 1, rows)
+    return y, logits
 
 
 def count_parameters(model: Model, deployed: bool = False) -> int:

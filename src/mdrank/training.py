@@ -141,6 +141,12 @@ class Adam:
             np.subtract(values, update, out=values, where=mask)
 
 
+def _has_positive_label(sessions: Sequence[QuerySession]) -> bool:
+    """Whether a session of ``sessions`` has a positive label, so that
+    validation NDCG can select a checkpoint."""
+    return any((s.labels() > 0.0).any() for s in sessions)
+
+
 def train(
     model: Model,
     train_sessions: Sequence[QuerySession],
@@ -156,10 +162,15 @@ def train(
     best checkpoint (earliest wins on ties).  Returns the history of a
     one-member model, or one history per member of a stack.  Raises
     TrainingDiverged, naming the member's seed and the step, when a loss or
-    a validation score stops being finite.
+    a validation score stops being finite.  Raises ValueError before the
+    first step when there is no training session, or no validation session
+    with a positive label: no checkpoint could be selected, and the model
+    returned would hold its initial parameters.
     """
     if not train_sessions:
         raise ValueError("train: no training sessions")
+    if not _has_positive_label(valid_sessions):
+        raise ValueError("train: no validation session has a positive label")
     seeds = model.seeds
     rngs = [np.random.default_rng(seed) for seed in seeds]
     optimizer = Adam(model, config.learning_rate)

@@ -14,6 +14,7 @@ import pytest
 
 from mdrank.autodiff import (
     ShapeError,
+    _relu_mask,
     Tape,
     Tensor,
     add,
@@ -609,6 +610,107 @@ def test_grad_check_on_small_network():
         return reduce_sum(linear(h, w2, b2))
 
     assert grad_check(fn, [w1, b1, w2, b2]) < FD_TOL
+
+
+# ---------------------------------------------------------------------------
+# linear with relu as one node
+
+# a lone model, and a stack of 3 with an empty block
+FUSED_LAYOUTS = (None, [3, 0, 4])
+
+
+def _linear_params(rng, members, d=4, n=3, away_from_kink=False):
+    """``x``, ``w`` and ``b`` for ``linear``; with ``away_from_kink`` every
+    entry of ``x @ w + b`` lies at least 0.05 from 0, so that finite
+    differences do not cross relu's kink."""
+    lead = () if members is None else (len(members),)
+    while True:
+        x = _param(rng, sum(members or [5]), d)
+        w, b = _param(rng, *lead, d, n), _param(rng, *lead, n)
+        pre = linear(x, w, b, members=members).values
+        if not away_from_kink or np.abs(pre).min() >= 0.05:
+            return x, w, b
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("members", FUSED_LAYOUTS)
+def test_fused_relu_linear_equals_relu_of_linear_bit_for_bit(members):
+    """Values, and the gradients of ``x``, ``w`` and ``b`` under an upstream
+    gradient holding NaN, inf, -inf and -0.0, have the bits of the
+    composite ``relu(linear(...))``."""
+    rng = np.random.default_rng(81)
+    params = _linear_params(rng, members)
+    upstream = rng.normal(size=linear(*params, members=members).shape)
+    upstream.flat[:5] = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    upstream[-1] = -0.0
+    got = {}
+    for fused in (True, False):
+        copies = [Tensor(p.values.copy(), requires_grad=True) for p in params]
+        with Tape() as tape:
+            out = (linear(*copies, members=members, relu=True) if fused
+                   else relu(linear(*copies, members=members)))
+            backward(tape, reduce_sum(mul_const(out, upstream)))
+        assert [node.op for node in tape.nodes][0] == "linear"
+        assert len(tape.nodes) == (3 if fused else 4)
+        got[fused] = [out.values.tobytes(), *(c.grad.tobytes() for c in copies),
+                      *(str(c.grad_members) for c in copies)]
+    assert got[True] == got[False]
+
+
+@pytest.mark.parametrize("members", FUSED_LAYOUTS)
+def test_fused_relu_linear_passes_grad_check(members):
+    for i in range(N_INSTANCES):
+        rng = np.random.default_rng(300 + i)
+        x, w, b = _linear_params(rng, members, away_from_kink=True)
+        c = rng.normal(size=(x.shape[0], 3))
+        fn = lambda: _weighted_sum(linear(x, w, b, members=members, relu=True), c)
+        assert grad_check(fn, [x, w, b]) < FD_TOL
+
+
+@pytest.mark.parametrize("size", [1, 100, 8191, 8192, 8193, 480 * 24, 1200 * 24])
+def test_relu_mask_has_the_bits_of_where(size):
+    """The bit mask equals ``np.where(values > 0.0, g, 0.0)`` byte for byte,
+    below and above the 8,192 elements where ``np.where`` slows down, with
+    NaN, infinities and signed zeros on both sides."""
+    rng = np.random.default_rng(size)
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    values, g = rng.normal(size=size), rng.normal(size=size)
+    values[rng.integers(0, size, size // 7)] = rng.choice(specials, size // 7)
+    g[rng.integers(0, size, size // 5)] = rng.choice(specials, size // 5)
+    for shape in ((size,), (1, size)):
+        want = np.where(values.reshape(shape) > 0.0, g.reshape(shape), 0.0)
+        got = _relu_mask(g.reshape(shape), values.reshape(shape))
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == want.tobytes()
+    strided = rng.normal(size=(size, 2))[:, 0]
+    assert _relu_mask(strided, values).tobytes() == np.where(values > 0.0, strided, 0.0).tobytes()
+
+
+def test_first_gradient_is_written_into_the_grad_buffer():
+    """A parameter's first gradient lands in its ``grad_buffer``, whatever
+    the buffer held, with the bits it has without a buffer; a second use
+    adds to it there."""
+    rng = np.random.default_rng(83)
+    x, w, b = _linear_params(rng, [2, 3])
+    c = rng.normal(size=(5, 3))
+    grads = {}
+    for buffered in (True, False):
+        for p in (w, b):
+            p.zero_grad()
+            p.grad_buffer = np.full_like(p.values, np.nan) if buffered else None
+        with Tape() as tape:
+            backward(tape, _weighted_sum(linear(x, w, b, members=[2, 3], relu=True), c))
+        if buffered:
+            assert w.grad is w.grad_buffer and b.grad is b.grad_buffer
+        grads[buffered] = (w.grad.tobytes(), b.grad.tobytes())
+    assert grads[True] == grads[False]
+    b.zero_grad()
+    b.grad_buffer = np.full_like(b.values, np.nan)
+    with Tape() as tape:
+        y = linear(x, w, b, members=[2, 3])
+        backward(tape, reduce_sum(add(y, linear(x, w, b, members=[2, 3]))))
+    assert b.grad is b.grad_buffer
+    assert b.grad.tobytes() == (np.stack([np.full(3, 4.0), np.full(3, 6.0)])).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,30 @@ def test_domain_without_training_sessions_exits_data_error(tmp_path, capsys):
         assert "no training sessions in domain 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("valid, error", [
+    (0, "models.baseline_d0: no validation session with a positive label in domain 0"),
+    ([3, 0], "models.baseline_d1: no validation session with a positive label in domain 1"),
+], ids=["no validation split", "none in domain 1"])
+@pytest.mark.parametrize("command, work", [("train", "train"), ("protocol", "run_protocol")],
+                         ids=["train", "protocol"])
+def test_a_model_without_a_validation_label_exits_data_error_before_training(
+        tmp_path, capsys, monkeypatch, valid, error, command, work):
+    """Validation could select no checkpoint, so the command would save or
+    score untrained models: it exits 3 naming the model and its domain
+    before any model trains."""
+    config = _write_config(tmp_path)
+    doc = json.loads(config.read_text())
+    doc["dataset"]["synthetic"]["sessions_per_domain"]["valid"] = valid
+    config.write_text(json.dumps(doc), encoding="utf-8")
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, never)
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {error}\n"
+
+
 def _node(doc, path):
     """The value at ``path`` in a JSON document."""
     for key in path:

@@ -17,7 +17,7 @@ from mdrank.evaluation import (
     ranked_indices,
     score_sessions,
 )
-from mdrank.models import build, forward, stack
+from mdrank.models import Model, build, forward, stack
 from tests.conftest import make_session, tiny_config
 
 
@@ -263,6 +263,27 @@ def test_model_with_nan_weights_raises_non_finite(rng):
     model.parameters["final.1.b"].values[:] = np.nan
     with pytest.raises(NonFiniteScoreError):
         evaluate(model, [make_session(rng, 4, 5)], k=4)
+
+
+def test_a_stack_scores_without_copying_its_members(rng, monkeypatch):
+    """``evaluate`` of a stack never builds ``member(m)``, and gives each
+    member the summary of that member evaluated alone."""
+    model = stack([build(tiny_config("multihead"), seed=s) for s in (1, 2, 3)])
+    sessions = [make_session(rng, n, 5, domain=n % 2, query_id=f"q{n}") for n in (2, 7, 3, 11)]
+    alone = [evaluate(model.member(m), sessions, k=5) for m in range(3)]
+    calls = []
+    monkeypatch.setattr(Model, "member", lambda self, m: calls.append(m))
+    assert evaluate(model, sessions, k=5) == alone
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_score_names_its_member(rng):
+    models = [build(tiny_config(), seed=s) for s in (1, 2, 3)]
+    models[1].parameters["final.1.b"].values[:] = np.nan
+    with pytest.raises(NonFiniteScoreError, match="scores must be finite") as caught:
+        evaluate(stack(models), [make_session(rng, 4, 5), make_session(rng, 9, 5)], k=4)
+    assert caught.value.member == 1
 
 
 def test_as_scorer_is_the_batched_scoring_path_on_one_session(rng):

@@ -19,6 +19,7 @@ from mdrank.models import (
     ModelLoadError,
     Variant,
     _parameter_count,
+    _score_members,
     _parameter_specs,
     build,
     count_parameters,
@@ -393,6 +394,43 @@ def test_untaped_forward_matches_taped_bit_for_bit(rng, variant, heads, layers, 
             assert untaped.lengths.tolist() == taped.lengths.tolist()
 
 
+@pytest.mark.parametrize("variant, nodes", [("baseline", 16), ("multihead", 21),
+                                            ("domain_adversarial", 22),
+                                            ("domain_specialist", 21)])
+def test_a_stacked_step_records_relu_inside_its_linear_nodes(rng, variant, nodes):
+    """A mixed-domain batch of a stack records each relu as part of the
+    ``linear`` before it: no ``relu`` node, three or four nodes fewer than
+    a ``relu`` node each would make (19, 25, 26 and 25)."""
+    cfg = tiny_config(variant)
+    model = stack([build(cfg, seed=s) for s in (1, 2)])
+    batches = _member_batches(rng, 2, (3, 5, 4), (0, 1, 0))
+    with Tape() as tape:
+        batch_loss(model, [s for b in batches for s in b], [3, 3])
+    ops = [node.op for node in tape.nodes]
+    assert len(ops) == nodes and "relu" not in ops
+
+
+@pytest.mark.parametrize("variant", [v.value for v in Variant])
+def test_members_score_on_views_as_each_member_alone(rng, variant):
+    """``_score_members`` gives each member of a stack of 3 the bits that
+    ``forward`` gives ``member(m)``, over ragged sessions of mixed domains,
+    and leaves the stack's arena as it was."""
+    cfg = tiny_config(variant, n_domains=3)
+    model = stack([build(cfg, seed=s) for s in (4, 5, 6)])
+    arena = model.values.tobytes()
+    sessions = [make_session(rng, n, feature_dim=5, domain=d, query_id=f"q{i}")
+                for i, (n, d) in enumerate(zip((4, 9, 1, 6), (2, 0, 2, 1)))]
+    scored = _score_members(model, sessions)
+    assert len(scored) == 3
+    for m, got in enumerate(scored):
+        want = forward(model.member(m), sessions, domain_logits=False)
+        assert got.scores.values.tobytes() == want.scores.values.tobytes()
+        assert got.domain_logits is want.domain_logits is None
+        assert (got.lengths.tolist(), got.members, got.rows) == \
+            (want.lengths.tolist(), want.members, want.rows)
+    assert model.values.tobytes() == arena
+
+
 @pytest.mark.parametrize("n_members", [1, 2])
 @pytest.mark.parametrize("name", ["trunk.0.b", "transformer.0.norm1.gain", "transformer.0.wk",
                                   "final.0.w"])
@@ -409,6 +447,9 @@ def test_forward_rejects_a_parameter_of_the_wrong_shape(rng, n_members, name, ta
     members = None if n_members == 1 else [1] * n_members
     with pytest.raises(ShapeError), Tape() if taped else contextlib.nullcontext():
         forward(model, batch, members=members)
+    if n_members > 1 and not taped:
+        with pytest.raises(ShapeError):
+            _score_members(model, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import logging
 import platform
 import subprocess
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -119,6 +119,20 @@ def test_empty_train_split_rejected():
     model = build(tiny_config(), seed=2)
     with pytest.raises(ValueError):
         train(model, [], list(splits.valid), TrainConfig())
+
+
+@pytest.mark.parametrize("valid", ["none", "zero labels"])
+def test_training_without_a_validation_label_is_rejected_before_the_first_step(valid):
+    """Validation would select no checkpoint, and ``train`` would return the
+    initial parameters; it raises instead, before any step."""
+    splits = _splits()
+    sessions = [] if valid == "none" else [replace(s, grades=np.zeros_like(s.grades))
+                                          for s in splits.valid]
+    model = build(tiny_config(), seed=2)
+    initial = model.param_values()
+    with pytest.raises(ValueError, match="no validation session has a positive label"):
+        train(model, list(splits.train), sessions, TrainConfig(epochs=1, batch_size=4, k=4))
+    assert model.param_values().tobytes() == initial.tobytes()
 
 
 def test_train_config_validation():
