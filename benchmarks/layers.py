@@ -28,6 +28,12 @@ the change read lower.  Counts repeat exactly, so a count's ratio is exact.
 Each checkout's children share one fresh bytecode cache
 (``PYTHONPYCACHEPREFIX``) outside both checkouts, as ``pairs.py`` gives
 each side, and one child per side whose result is dropped fills it first.
+
+Spread: on two copies of one tree (2-core VM, ``--rounds 10 --reps 50``)
+the counts were equal, the ratio of every timed metric lay between 0.98
+and 1.03, and the second copy read lower in 3 to 7 of the 10 rounds.  So
+a timed ratio within 0.97-1.04, or lower in fewer than 8 of 10 rounds, is
+no measured change.
 """
 
 from __future__ import annotations
