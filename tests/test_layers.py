@@ -52,7 +52,8 @@ def test_rounds_alternate_with_one_cache_per_side(layers, tmp_path, monkeypatch,
     assert [(name, reps) for name, reps, _ in runs] == [
         ("parent", 1), ("change", 1), ("parent", 7), ("change", 7), ("change", 7),
         ("parent", 7), ("parent", 7), ("change", 7)]
-    caches = {name: {pycache for n, _, pycache in runs if n == name} for name in ("parent", "change")}
+    caches = {name: {pycache for n, _, pycache in runs if n == name}
+              for name in ("parent", "change")}
     assert all(len(paths) == 1 for paths in caches.values())
     assert caches["parent"] != caches["change"]
     for (pycache,) in caches.values():
