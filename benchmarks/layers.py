@@ -16,6 +16,8 @@ imports ``mdrank`` from its checkout's ``src`` and runs this file's
   of the best of N times of its three phases;
 - the best of N times of ``evaluate`` of one 100-130 item session by a
   lone ``multihead`` model of four domains, the serve workload's request;
+- the best of N times of ``score_sessions`` of 32 such sessions by the
+  same model, the scoring path of ``interleave``;
 - the best of N times of ``evaluate`` of a stack of 2 ``domain_specialist``
   members on 32 validation sessions, one validation of the protocol;
 - per stacked step of each variant, the tape nodes and the
@@ -136,7 +138,7 @@ def measure(reps: int) -> dict[str, float]:
     import numpy as np
 
     from mdrank.data import generate_synthetic
-    from mdrank.evaluation import evaluate
+    from mdrank.evaluation import evaluate, score_sessions
     from mdrank.models import build, stack
     from mdrank.training import Adam
 
@@ -166,6 +168,9 @@ def measure(reps: int) -> dict[str, float]:
     scorer = build(_config("multihead", n_domains=4), 11)
     evaluate(scorer, serve[:1], K)
     out["ms.evaluate_one_session.multihead"] = _best(lambda: evaluate(scorer, serve[:1], K), reps)
+    lists = generate_synthetic(_spec(4, {"train": 0, "valid": 0, "test": 8}, [100, 130])).test
+    score_sessions(scorer, lists)
+    out["ms.score_sessions_32.multihead"] = _best(lambda: score_sessions(scorer, lists), reps)
 
     stacked = stack([build(_config("domain_specialist"), seed) for seed in SEEDS])
     evaluate(stacked, ds.valid, K)

@@ -7,13 +7,13 @@ from scratch on every training step, so control flow in the forward pass
 needs no special handling.
 
 Operations called while no tape is active still compute values (useful for
-inference and finite differences) but record nothing.  The active tape is
-per thread (a ``contextvars`` variable), so a thread scoring without a tape
-never records onto another thread's tape.  Each op's forward arithmetic is
-one kernel on plain arrays (``_linear``, ``_layer_norm``, ``_attention``,
-...), which the op calls.  ``_ARRAY_OPS`` holds the kernels under the ops'
-names and signatures, without the ops' checks, tensors or records; an
-untaped ``models.forward`` runs it.
+finite differences) but record nothing.  The active tape is per thread (a
+``contextvars`` variable), so a thread scoring without a tape never records
+onto another thread's tape.  Each op's forward arithmetic is one kernel on
+plain arrays (``_linear``, ``_layer_norm``, ``_attention``, ...), which the
+op calls.  ``_ARRAY_OPS`` holds the kernels under the ops' names and
+signatures, without the ops' checks, tensors or records; untaped scoring
+(``models._score_members``) runs it, and never asks for domain logits.
 
 Member blocks: the ops that hold parameters (``linear``, ``layer_norm``,
 ``attention``) and the loss sums (``cross_entropy``,
@@ -51,7 +51,6 @@ __all__ = [
     "grad_check",
     "add",
     "scale",
-    "relu",
     "cross_entropy",
     "segment_cross_entropy",
     "layer_norm",
@@ -406,7 +405,8 @@ def _linear(xv: np.ndarray, wv: np.ndarray, bv: np.ndarray, blocks, relu: bool) 
 
 def linear(x: Tensor, w: Tensor, b: Tensor, members=None, relu: bool = False) -> Tensor:
     """Dense layer ``x @ w + b`` with a (n,) bias broadcast over the rows,
-    followed by ``relu`` of the result as the same node when ``relu``.
+    followed by a relu (``np.maximum(out, 0.0)``) in the same node when
+    ``relu``.
 
     With ``members``, ``w`` is ``(S, d, n)`` and ``b`` ``(S, n)``, and
     member block m computes ``x[block] @ w[m] + b[m]``.
@@ -450,17 +450,6 @@ def _relu_mask(g: np.ndarray, values: np.ndarray) -> np.ndarray:
     elements against about 1 below; this stays near 1 on both sides."""
     keep = np.negative((values > 0.0).view(np.uint8), dtype=np.int64).view(np.uint64)
     return (g.view(np.uint64) & keep).view(np.float64)
-
-
-def relu(x: Tensor) -> Tensor:
-    # np.maximum (not np.where) so NaN inputs propagate instead of clipping to 0
-    out = Tensor(np.maximum(x.values, 0.0), x.requires_grad)
-
-    def bwd(g: np.ndarray) -> None:
-        _accumulate(x, _relu_mask(g, out.values))
-
-    _record("relu", out, bwd)
-    return out
 
 
 def _check_axis(x: Tensor, axis: int) -> int:
@@ -803,11 +792,6 @@ def attention(
 # op sets
 
 
-def _taping() -> bool:
-    """Whether a tape is active in this thread."""
-    return _active_tape.get() is not None
-
-
 def _array_linear(x, w, b, members=None, relu=False):
     return _linear(x, w, b, _blocks(members, x.shape[0], "linear"), relu)
 
@@ -822,9 +806,10 @@ def _array_attention(tokens, wq, wk, wv, lengths, heads=1, members=None):
 
 
 # The ops a forward pass calls, by name: the Tensor ops, and the same ops on
-# plain arrays.  An array op has its Tensor op's signature and runs its
-# kernel alone: no operand check, Tensor, backward rule or record, so its
-# caller checks the operands.
+# plain arrays for untaped scoring, which skips the domain classifier and so
+# has no gradient_reversal.  An array op has its Tensor op's signature and
+# runs its kernel alone: no operand check, Tensor, backward rule or record,
+# so its caller checks the operands.
 _TENSOR_OPS = SimpleNamespace(
     add=add, linear=linear, concat_cols=concat_cols, layer_norm=layer_norm,
     attention=attention, take_rows=take_rows, put_rows=put_rows,
@@ -833,7 +818,7 @@ _TENSOR_OPS = SimpleNamespace(
 _ARRAY_OPS = SimpleNamespace(
     add=np.add, linear=_array_linear, concat_cols=_concat_cols,
     layer_norm=_array_layer_norm, attention=_array_attention, take_rows=_take_rows,
-    put_rows=_put_rows, gradient_reversal=lambda x, lam=1.0: x,
+    put_rows=_put_rows,
 )
 
 

@@ -4,6 +4,7 @@ the batched scoring path that evaluation and interleaving share."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import QuerySession
-from .models import Model, _score_members, forward
+from .models import Model, _score_members
 
 __all__ = [
     "NonFiniteScoreError",
@@ -118,10 +119,12 @@ def _member_scores(
     """Scores of every session per member (a callable is one member),
     checked as ``score_sessions`` documents.
 
-    The members of a stack score one at a time, each on views of its
-    parameters in the stack's arena (``models._score_members``).  One
-    stacked forward over all members' rows measured no faster than that,
-    and raised the protocol's peak RSS by about 1 MiB.
+    A model scores through ``models._score_members``, chunk by chunk: each
+    member of a stack on views of its parameters in the stack's arena, a
+    lone model as the one-member case.  Each member's scores of a chunk are
+    one array, cut into its sessions.  One stacked forward over all
+    members' rows measured no faster than that, and raised the protocol's
+    peak RSS by about 1 MiB.
     """
     if not isinstance(model_or_fn, Model):
         scorer = as_scorer(model_or_fn)  # checks each session's scores
@@ -131,12 +134,11 @@ def _member_scores(
     finite = [True] * len(model.seeds)
     for chunk in _length_chunks(sessions):
         batch = [sessions[i] for i in chunk]
-        scored = ([forward(model, batch, domain_logits=False)] if len(model.seeds) == 1
-                  else _score_members(model, batch))
-        for m, member in enumerate(scored):
-            finite[m] = finite[m] and bool(np.isfinite(member.scores.values).all())
-            for i, v in zip(chunk, member.session_scores()):
-                scores[m][i] = v
+        ends = list(itertools.accumulate(s.features.shape[0] for s in batch))
+        for m, flat in enumerate(_score_members(model, batch)):
+            finite[m] = finite[m] and bool(np.isfinite(flat).all())
+            for i, start, end in zip(chunk, [0, *ends], ends):
+                scores[m][i] = flat[start:end]
     # A model's scores have its sessions' shapes; a non-finite one is named.
     for m, member_scores in enumerate(scores):
         if not finite[m]:
@@ -150,7 +152,7 @@ def score_sessions(
 ) -> list[np.ndarray]:
     """Scores of every session, in session order.
 
-    A one-member Model scores chunks of sessions in one forward pass each,
+    A one-member Model scores chunks of sessions in one untaped pass each,
     without its domain classifier; a callable is called per session.
     Raises ``NonFiniteScoreError`` on a NaN or infinite score and
     ``ValueError`` on scores that are not one per item.

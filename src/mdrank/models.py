@@ -40,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .autodiff import _ARRAY_OPS, _TENSOR_OPS, ShapeError, Tensor, _taping
+from .autodiff import _ARRAY_OPS, _TENSOR_OPS, ShapeError, Tensor
 from .data import _MAX_FLOATS, ConfigError, QuerySession, _check_types, _is_integer
 
 __all__ = [
@@ -354,23 +354,19 @@ def stack(models: Sequence[Model]) -> Model:
 
 
 @functools.lru_cache(maxsize=32)
-def _parameter_shapes(config: ModelConfig, n_members: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter of a stack of ``n_members``, by name."""
-    lead = () if n_members == 1 else (n_members,)
-    return {name: (*lead, *shape) for name, _, shape in _parameter_specs(config)}
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter of a lone model, by name."""
+    return {name: shape for name, _, shape in _parameter_specs(config)}
 
 
-def _parameter_arrays(model: Model, member: int | None = None) -> dict[str, np.ndarray]:
-    """Every parameter's values by name, once their shapes are checked
-    against the config: the array ops broadcast where the Tensor ops would
-    raise.  With ``member``, member ``member``'s slice of a stack's values
-    (views of its arena), checked as a lone model's."""
+def _parameter_arrays(model: Model, member: int) -> dict[str, np.ndarray]:
+    """Member ``member``'s parameter values by name (views of a stack's
+    arena), once their shapes are checked as a lone model's: the array ops
+    broadcast where the Tensor ops would raise."""
     arrays = {name: t.values for name, t in model.parameters.items()}
-    n_members = len(model.seeds)
-    if member is not None and n_members > 1:
+    if len(model.seeds) > 1:
         arrays = {name: a[member] for name, a in arrays.items()}
-        n_members = 1
-    shapes = _parameter_shapes(model.config, n_members)
+    shapes = _parameter_shapes(model.config)
     if {name: a.shape for name, a in arrays.items()} != shapes:
         for name, shape in shapes.items():
             if arrays[name].shape != shape:
@@ -414,12 +410,11 @@ def forward(
 
     A stack of several members needs ``members``: the sessions are then
     the consecutive batches of its members, ``members[m]`` sessions for
-    member m.  Call inside an active Tape to make the returned tensors
-    differentiable: the pass then runs the Tensor ops, which record on the
-    tape.  Without a tape it runs their array kernels on the parameters'
-    values, whose shapes it checks once, and wraps only the outputs.
-    ``domain_logits=False`` skips the domain classifier, whose logits only
-    feed the training loss.
+    member m.  The pass runs the Tensor ops, which record on the active
+    Tape, if any, so the returned tensors are differentiable inside one.
+    Untaped scoring goes through ``_score_members`` instead, which
+    ``evaluation`` calls.  ``domain_logits=False`` skips the domain
+    classifier, whose logits only feed the training loss.
     """
     cfg = model.config
     n_members = len(model.seeds)
@@ -432,29 +427,24 @@ def forward(
     if n_members > 1:
         ends = np.cumsum(lengths)[np.cumsum(members) - 1].tolist()
         rows = tuple(end - start for start, end in zip([0, *ends], ends))
-    x = np.concatenate([s.features for s in sessions])
-    if _taping():
-        y, logits = _layers(_TENSOR_OPS, model.parameters, cfg, Tensor(x), lengths, domains,
-                            rows, domain_logits)
-    else:
-        y, logits = _layers(_ARRAY_OPS, _parameter_arrays(model), cfg, x, lengths, domains,
-                            rows, domain_logits)
-        y, logits = Tensor(y), None if logits is None else Tensor(logits)
+    x = Tensor(np.concatenate([s.features for s in sessions]))
+    y, logits = _layers(_TENSOR_OPS, model.parameters, cfg, x, lengths, domains, rows,
+                        domain_logits)
     return ScoredBatch(scores=y, domain_logits=logits, lengths=lengths, members=members,
                        rows=rows)
 
 
-def _score_members(model: Model, sessions: Sequence[QuerySession]) -> list[ScoredBatch]:
-    """What ``forward(model.member(m), sessions, domain_logits=False)``
-    gives for every member m, bit for bit, without a tape: the sessions
-    are checked once, and each member runs the array kernels on views of
-    its parameters in the stack's arena instead of a copy of them."""
+def _score_members(model: Model, sessions: Sequence[QuerySession]) -> list[np.ndarray]:
+    """Every member's ``(N,)`` scores of the sessions' stacked rows, with
+    the bits of ``forward(model.member(m), sessions, domain_logits=False)``,
+    without a tape: the sessions are checked once, and each member runs the
+    ops' array kernels on its parameter values (views of a stack's arena).
+    A lone model is the one-member case."""
     cfg = model.config
     lengths, domains = _session_arrays(cfg, sessions)
     x = np.concatenate([s.features for s in sessions])
-    layout = lengths, (len(sessions),), None
-    return [ScoredBatch(Tensor(_layers(_ARRAY_OPS, _parameter_arrays(model, m), cfg, x, lengths,
-                                       domains, None, False)[0]), None, *layout)
+    return [_layers(_ARRAY_OPS, _parameter_arrays(model, m), cfg, x, lengths, domains, None,
+                    False)[0][:, 0]
             for m in range(len(model.seeds))]
 
 

@@ -376,13 +376,11 @@ def _run_variant(args):
     name, spec, splits, train_config, seeds, k = args
     start = time.perf_counter()
     data = splits.restrict(spec.train_domain)
-    if not data.train:
-        raise ValueError(f"protocol: variant {name!r} has no training sessions")
     model = stack([build(spec.config, seed) for seed in seeds])
     try:
         best, histories = train(model, data.train, data.valid, train_config)
-    except TrainingDiverged as exc:
-        raise TrainingDiverged(f"{name}: {exc}") from exc
+    except (TrainingDiverged, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
     summaries = evaluate(best, data.test, k)
     if len(seeds) == 1:
         histories, summaries = [histories], [summaries]

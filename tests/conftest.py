@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mdrank
-from mdrank.autodiff import ShapeError, Tensor, _accumulate, _record
+from mdrank.autodiff import ShapeError, Tensor, _accumulate, _record, _relu_mask
 from mdrank.data import QuerySession
 from mdrank.models import ModelConfig
 
@@ -79,6 +79,19 @@ def reduce_sum(x: Tensor) -> Tensor:
         _accumulate(x, np.full_like(x.values, float(g)))
 
     _record("reduce_sum", out, bwd)
+    return out
+
+
+def relu(x: Tensor) -> Tensor:
+    """``max(x, 0)`` elementwise, as its own node; the models run relu
+    inside ``linear``, and the gradient tests compare the two."""
+    # np.maximum (not np.where) so NaN inputs propagate instead of clipping to 0
+    out = Tensor(np.maximum(x.values, 0.0), x.requires_grad)
+
+    def bwd(g: np.ndarray) -> None:
+        _accumulate(x, _relu_mask(g, out.values))
+
+    _record("relu", out, bwd)
     return out
 
 

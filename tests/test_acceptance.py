@@ -25,7 +25,6 @@ from mdrank.autodiff import (
     layer_norm,
     linear,
     put_rows,
-    relu,
     segment_cross_entropy,
     take_rows,
 )
@@ -47,7 +46,7 @@ from mdrank.training import (
     VariantSpec,
     run_protocol,
 )
-from tests.conftest import make_session, mul_const, reduce_sum, tiny_config
+from tests.conftest import make_session, mul_const, reduce_sum, relu, tiny_config
 
 FD_TOL = 1e-4
 EXACT = 1e-12

@@ -27,13 +27,12 @@ from mdrank.autodiff import (
     layer_norm,
     linear,
     put_rows,
-    relu,
     scale,
     segment_cross_entropy,
     take_rows,
 )
 from mdrank.models import build, forward
-from tests.conftest import make_session, mul_const, reduce_sum, tiny_config
+from tests.conftest import make_session, mul_const, reduce_sum, relu, tiny_config
 
 N_INSTANCES = 25  # random instances per primitive for the FD oracle
 FD_TOL = 1e-4

@@ -229,13 +229,13 @@ def test_long_sessions_are_scored_in_chunks_within_the_cell_cap(rng, monkeypatch
     sessions = [make_session(rng, int(n), 5, domain=i % 2, query_id=f"q{i}")
                 for i, n in enumerate(lengths)]
     chunks = []
-    real = evaluation.forward
+    real = evaluation._score_members
 
-    def spy(model, batch, **kwargs):
+    def spy(model, batch):
         chunks.append([s.grades.size for s in batch])
-        return real(model, batch, **kwargs)
+        return real(model, batch)
 
-    monkeypatch.setattr(evaluation, "forward", spy)
+    monkeypatch.setattr(evaluation, "_score_members", spy)
     scores = score_sessions(model, sessions)
     monkeypatch.undo()
     assert sorted(n for chunk in chunks for n in chunk) == sorted(lengths)
@@ -245,6 +245,24 @@ def test_long_sessions_are_scored_in_chunks_within_the_cell_cap(rng, monkeypatch
     for session, got in zip(sessions, scores):
         want = forward(model, [session]).session_scores()[0]
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_a_lone_model_scores_without_building_a_scored_batch(rng, monkeypatch):
+    """``evaluate`` and ``score_sessions`` of a lone model score through
+    ``models._score_members``, whose scores are plain arrays: no
+    ``ScoredBatch`` is built on the way."""
+    model = build(tiny_config("multihead"), seed=2)
+    sessions = [make_session(rng, n, 5, domain=n % 2, query_id=f"q{n}") for n in (2, 7, 3, 11)]
+    summary = evaluate(model, sessions, k=5)
+    scores = score_sessions(model, sessions)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ScoredBatch was built")
+
+    monkeypatch.setattr("mdrank.models.ScoredBatch", refuse)
+    assert evaluate(model, sessions, k=5) == summary
+    got = score_sessions(model, sessions)
+    assert [g.tobytes() for g in got] == [s.tobytes() for s in scores]
 
 
 def test_model_and_scorer_give_the_same_summary(rng):

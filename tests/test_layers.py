@@ -73,7 +73,7 @@ def test_measure_reads_every_metric_of_this_checkout(layers):
     step of each variant records the tape nodes of its fused ops."""
     metrics = layers.measure(reps=1)
     times = {name: value for name, value in metrics.items() if name.startswith("ms.")}
-    assert len(times) == 4 * 3 + 3 and all(value > 0 for value in times.values())
+    assert len(times) == 4 * 3 + 4 and all(value > 0 for value in times.values())
     nodes = {v: metrics[f"count.tape_nodes.{v}"] for v in layers.VARIANTS}
     assert nodes == {"baseline": 16, "multihead": 21, "domain_adversarial": 22,
                      "domain_specialist": 21}

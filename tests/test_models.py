@@ -350,7 +350,8 @@ def test_forward_is_deterministic(rng):
 
 
 # ---------------------------------------------------------------------------
-# the two routes of forward: Tensor ops under a tape, their kernels without
+# the two routes of scoring: forward's Tensor ops under a tape, and
+# _score_members' kernels without
 
 
 def _member_batches(rng, n_members, lengths, domains):
@@ -369,29 +370,25 @@ def _member_batches(rng, n_members, lengths, domains):
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("n_members", [1, 3])
 def test_untaped_forward_matches_taped_bit_for_bit(rng, variant, heads, layers, n_members):
-    """Without a tape, forward runs the ops' array kernels; its scores and
-    domain logits have the bits of the taped pass, over equal, ragged and
-    one-item sessions of one domain or of several."""
+    """Untaped scoring runs the ops' array kernels: ``_score_members`` of
+    member m's batch gives member m the bits of its rows of the taped pass
+    over every member's batch, over equal, ragged and one-item sessions of
+    one domain or of several."""
     cfg = tiny_config(variant, n_domains=3, heads=heads, transformer_layers=layers)
     model = (build(cfg, seed=1) if n_members == 1
              else stack([build(cfg, seed=s) for s in range(n_members)]))
     for lengths in ((5, 5, 5), (4, 9, 1), (1, 1, 1)):
         for domains in ((1, 1, 1), (2, 0, 2)):
             batches = _member_batches(rng, n_members, lengths, domains)
-            batch = [s for b in batches for s in b]
             members = None if n_members == 1 else [len(b) for b in batches]
-            untaped = forward(model, batch, members=members)
             with Tape() as tape:
-                taped = forward(model, batch, members=members)
-            assert tape.nodes and untaped.scores.values.dtype == np.float64
-            assert untaped.scores.values.tobytes() == taped.scores.values.tobytes()
-            if cfg.variant.has_classifier:
-                assert (untaped.domain_logits.values.tobytes()
-                        == taped.domain_logits.values.tobytes())
-            else:
-                assert untaped.domain_logits is taped.domain_logits is None
-            assert untaped.rows == taped.rows and untaped.members == taped.members
-            assert untaped.lengths.tolist() == taped.lengths.tolist()
+                taped = forward(model, [s for b in batches for s in b], members=members)
+            assert tape.nodes
+            ends = np.cumsum(taped.rows or [taped.lengths.sum()]).tolist()
+            for m, (batch, start, end) in enumerate(zip(batches, [0, *ends], ends)):
+                got = _score_members(model, batch)[m]
+                assert got.dtype == np.float64 and got.shape == (end - start,)
+                assert got.tobytes() == taped.scores.values[start:end, 0].tobytes()
 
 
 @pytest.mark.parametrize("variant, nodes", [("baseline", 16), ("multihead", 21),
@@ -412,9 +409,10 @@ def test_a_stacked_step_records_relu_inside_its_linear_nodes(rng, variant, nodes
 
 @pytest.mark.parametrize("variant", [v.value for v in Variant])
 def test_members_score_on_views_as_each_member_alone(rng, variant):
-    """``_score_members`` gives each member of a stack of 3 the bits that
-    ``forward`` gives ``member(m)``, over ragged sessions of mixed domains,
-    and leaves the stack's arena as it was."""
+    """``_score_members`` gives each member of a stack of 3 the bits of the
+    scores ``forward`` gives ``member(m)``, and ``member(m)`` alone the
+    same, over ragged sessions of mixed domains; the stack's arena stays as
+    it was."""
     cfg = tiny_config(variant, n_domains=3)
     model = stack([build(cfg, seed=s) for s in (4, 5, 6)])
     arena = model.values.tobytes()
@@ -423,11 +421,12 @@ def test_members_score_on_views_as_each_member_alone(rng, variant):
     scored = _score_members(model, sessions)
     assert len(scored) == 3
     for m, got in enumerate(scored):
-        want = forward(model.member(m), sessions, domain_logits=False)
-        assert got.scores.values.tobytes() == want.scores.values.tobytes()
-        assert got.domain_logits is want.domain_logits is None
-        assert (got.lengths.tolist(), got.members, got.rows) == \
-            (want.lengths.tolist(), want.members, want.rows)
+        alone = model.member(m)
+        want = forward(alone, sessions, domain_logits=False).scores.values[:, 0]
+        assert got.shape == want.shape == (20,)
+        assert got.tobytes() == want.tobytes()
+        [lone] = _score_members(alone, sessions)
+        assert lone.tobytes() == want.tobytes()
     assert model.values.tobytes() == arena
 
 
@@ -437,7 +436,8 @@ def test_members_score_on_views_as_each_member_alone(rng, variant):
 @pytest.mark.parametrize("taped", [False, True])
 def test_forward_rejects_a_parameter_of_the_wrong_shape(rng, n_members, name, taped):
     """A parameter rebound to a shape its config does not give, which numpy
-    would broadcast, raises ShapeError on either route."""
+    would broadcast, raises ShapeError in ``forward`` with or without a
+    tape, and in ``_score_members`` of a lone model or a stack."""
     cfg = tiny_config("domain_specialist")
     model = (build(cfg, seed=1) if n_members == 1
              else stack([build(cfg, seed=s) for s in range(n_members)]))
@@ -447,7 +447,7 @@ def test_forward_rejects_a_parameter_of_the_wrong_shape(rng, n_members, name, ta
     members = None if n_members == 1 else [1] * n_members
     with pytest.raises(ShapeError), Tape() if taped else contextlib.nullcontext():
         forward(model, batch, members=members)
-    if n_members > 1 and not taped:
+    if not taped:
         with pytest.raises(ShapeError):
             _score_members(model, batch)
 

@@ -440,6 +440,22 @@ def test_protocol_rejects_duplicate_seeds():
         run_protocol(_protocol_variants(), splits, seeds=(7, 7), train_config=cfg, k=4)
 
 
+@pytest.mark.parametrize("split, message", [("train", "train: no training sessions"),
+                                            ("valid", "train: no validation session has a "
+                                                      "positive label")])
+def test_protocol_names_the_variant_that_train_rejects(split, message):
+    """A variant whose domain has no training session, or no validation
+    session, raises train's ValueError with the variant's name on it."""
+    splits = _splits(train=10, valid=4, test=4)
+    kept = {name: [s for s in getattr(splits, name) if name != split or s.domain != 1]
+            for name in ("train", "valid", "test")}
+    cfg = TrainConfig(epochs=1, batch_size=4, learning_rate=0.01, eval_every=5, k=4)
+    with pytest.raises(ValueError, match=f"^baseline_d1: {message}$") as caught:
+        run_protocol(_protocol_variants(), DataSplits(**kept), seeds=(7, 8), train_config=cfg,
+                     k=4)
+    assert type(caught.value) is ValueError
+
+
 def test_report_renderings_have_expected_columns():
     report = _tiny_protocol()
     table = report.table_text()
