@@ -10,10 +10,18 @@ exit code, stdout and stderr, with the output directory masked, and every
 file the commands wrote, byte for byte.  It exits 1 naming the first
 difference, or prints what it compared and exits 0.
 
+Without ``--config`` it runs the default config, and then, when that pass
+shows no difference, a second pass: the same config reading the files the
+parent's ``generate`` wrote (``dataset.paths``) with ``normalize`` on, through
+``train``, ``evaluate``, ``interleave`` and ``protocol``.  That is the route
+on which ``train`` records the feature statistics that ``evaluate`` and
+``interleave`` apply.
+
 The default config is criterion 6 of the acceptance tests at a smaller
 size: five models (two per-domain baselines, multihead, adversarial and
 specialist), 3 stacked seeds, batches that mix both domains, 2 transformer
-layers of 2 heads, and 2 interleave pairs.  It takes a few seconds a side.
+layers of 2 heads, and 2 interleave pairs.  Each pass takes a few seconds a
+side.
 """
 
 from __future__ import annotations
@@ -57,15 +65,23 @@ DEFAULT_CONFIG = {
 }
 
 
-def outputs(checkout: Path, config: Path, out_dir: Path) -> dict[str, bytes]:
-    """What the commands show and write in ``checkout``: each command's
+def paths_config(config: dict, data_dir: Path) -> dict:
+    """``config`` reading the split files in ``data_dir`` instead of its
+    dataset section, with ``normalize`` on."""
+    paths = {split: str(data_dir / f"{split}.jsonl") for split in ("train", "valid", "test")}
+    return {**config, "dataset": {"paths": paths}, "normalize": True}
+
+
+def outputs(checkout: Path, config: Path, out_dir: Path,
+            commands=COMMANDS) -> dict[str, bytes]:
+    """What ``commands`` show and write in ``checkout``: each command's
     exit code, stdout and stderr in run order (``out_dir`` masked as
     ``<out>``), then every file under ``out_dir`` in path order."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src"), *filter(None, [env.get("PYTHONPATH")])])
     shown: dict[str, bytes] = {}
-    for command in COMMANDS:
+    for command in commands:
         proc = subprocess.run(
             [sys.executable, "-m", "mdrank.cli", command, "--config", str(config),
              "--out", str(out_dir)],
@@ -110,18 +126,27 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "mdrank" / "cli.py").is_file():
             parser.error(f"{side} checkout {checkout} has no src/mdrank/cli.py")
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        config = args.config.resolve() if args.config else Path(tmp) / "config.json"
-        if args.config is None:
-            config.write_text(json.dumps(DEFAULT_CONFIG, indent=2), encoding="utf-8")
-        shown = {side: outputs(checkout, config, Path(tmp) / side)
-                 for side, checkout in checkouts.items()}
-    difference = first_difference(shown["parent"], shown["change"])
-    if difference is not None:
-        print(f"same_outputs: {difference}")
-        return 1
-    n_files = len(shown["parent"]) - 3 * len(COMMANDS)
-    print(f"same_outputs: identical exit codes, stdout and stderr of {', '.join(COMMANDS)}, "
-          f"and {n_files} files")
+        tmp = Path(tmp)
+        if args.config is not None:
+            passes = [("", args.config.resolve(), COMMANDS)]
+        else:  # the second pass reads the data the parent's first pass generated
+            default, second = tmp / "config.json", tmp / "paths_config.json"
+            default.write_text(json.dumps(DEFAULT_CONFIG, indent=2), encoding="utf-8")
+            second.write_text(json.dumps(paths_config(DEFAULT_CONFIG, tmp / "parent" / "data"),
+                                         indent=2), encoding="utf-8")
+            passes = [("", default, COMMANDS), ("-paths", second, COMMANDS[1:])]
+        compared = []
+        for suffix, config, commands in passes:
+            shown = {side: outputs(checkout, config, tmp / f"{side}{suffix}", commands)
+                     for side, checkout in checkouts.items()}
+            difference = first_difference(shown["parent"], shown["change"])
+            if difference is not None:
+                print(f"same_outputs: {difference}")
+                return 1
+            n_files = len(shown["parent"]) - 3 * len(commands)
+            compared.append(f"identical exit codes, stdout and stderr of {', '.join(commands)}, "
+                            f"and {n_files} files")
+    print("same_outputs: " + "; with dataset.paths and normalize: ".join(compared))
     return 0
 
 

@@ -21,8 +21,10 @@ import numpy as np
 from .data import (
     MAX_LIST_LENGTH,
     DatasetFormatError,
+    FeatureStats,
     QuerySession,
     SyntheticSpec,
+    _apply_stats,
     _check_types,
     _is_integer,
     generate_synthetic,
@@ -223,27 +225,36 @@ def load_experiment_config(path) -> ExperimentConfig:
 # shared plumbing
 
 
-def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
+def _resolve_splits(config: ExperimentConfig, names,
+                    test_only: bool = False) -> tuple[DataSplits, FeatureStats | None]:
     """Generate or load the splits and check that every session fits every
     model in ``names`` before normalizing: a domain below its ``n_domains``
-    and one feature width, equal to its ``feature_dim``."""
+    and one feature width, equal to its ``feature_dim``.  Returns the
+    splits with the statistics they were normalized with (None when the
+    config does not normalize).
+
+    With ``test_only`` only the test split is loaded, checked and returned
+    (the others come back empty), and normalizing applies the statistics
+    that ``train`` recorded; otherwise normalizing computes them from the
+    training split."""
+    wanted = ("test",) if test_only else ("train", "valid", "test")
     if config.dataset_synthetic is not None:
         ds = generate_synthetic(config.dataset_synthetic)
-        train_s, valid_s, test_s = ds.train, ds.valid, ds.test
+        loaded = {split: getattr(ds, split) for split in wanted}
     else:
         assert config.dataset_paths is not None
         loaded = {}
-        for split, p in config.dataset_paths.items():
+        for split in wanted:
+            p = config.dataset_paths[split]
             if not p.exists():
                 raise DataError(f"dataset file not found: {p}")
             loaded[split] = load_dataset(p)
-        train_s, valid_s, test_s = loaded["train"], loaded["valid"], loaded["test"]
-    if not train_s:
+    if not test_only and not loaded["train"]:
         raise DataError("training split is empty")
     narrowest = min(names, key=lambda name: config.models[name].config.n_domains)
     n_domains = config.models[narrowest].config.n_domains
     widths: dict[int, str] = {}
-    for split, sessions in (("train", train_s), ("valid", valid_s), ("test", test_s)):
+    for split, sessions in loaded.items():
         for session in sessions:
             where = f"{split} session {session.query_id!r}"
             if session.domain >= n_domains:
@@ -253,16 +264,42 @@ def _resolve_splits(config: ExperimentConfig, names) -> DataSplits:
     if len(widths) > 1:
         raise DataError("feature widths differ across sessions: "
                         + ", ".join(f"{w} in {where}" for w, where in widths.items()))
-    (width,) = widths
+    # no width only when the test split is all a command loads, and it is empty
+    (width,) = widths or (config.models[names[0]].config.feature_dim,)
     for name in names:
         expected = config.models[name].config.feature_dim
         if expected != width:
             raise ConfigError(
                 f"models.{name}: feature_dim {expected} does not match dataset width {width}"
             )
-    if config.normalize:
-        (train_s, valid_s, test_s), _ = normalize_features(train_s, valid_s, test_s)
-    return DataSplits(train_s, valid_s, test_s)
+    train_s, valid_s, test_s = (loaded.get(split, []) for split in ("train", "valid", "test"))
+    if not config.normalize:
+        return DataSplits(train_s, valid_s, test_s), None
+    if test_only:
+        stats = _recorded_stats(config, width)
+        return DataSplits(train_s, valid_s, _apply_stats(test_s, stats)), stats
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        normalized, stats = normalize_features(train_s, valid_s, test_s)
+    if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+        raise DataError("cannot normalize: a feature's mean or std over the training split "
+                        "leaves the float range")
+    return DataSplits(*normalized), stats
+
+
+def _stats_path(config: ExperimentConfig) -> Path:
+    return config.out_dir / "models" / "feature_stats.json"
+
+
+def _recorded_stats(config: ExperimentConfig, width: int) -> FeatureStats:
+    """The feature statistics ``train`` normalized with, for ``width``
+    features."""
+    path = _stats_path(config)
+    if not path.exists():
+        raise DataError(f"feature statistics not found: {path} (run the train command first)")
+    try:
+        return FeatureStats.from_json(path.read_bytes(), width)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _training_data(config: ExperimentConfig, splits: DataSplits, name: str) -> DataSplits:
@@ -334,8 +371,10 @@ def cmd_generate(config: ExperimentConfig, args) -> int:
 def cmd_train(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     _make_dirs(config, "models", "history")
-    splits = _resolve_splits(config, names)
+    splits, stats = _resolve_splits(config, names)
     datas = {name: _training_data(config, splits, name) for name in names}
+    if stats is not None:
+        _stats_path(config).write_bytes(stats.to_json())
     for name, data in datas.items():
         model = build(config.models[name].config, config.train.seed)
         try:
@@ -379,7 +418,7 @@ def _load_model_file(config: ExperimentConfig, name: str):
 def cmd_evaluate(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     _make_dirs(config, "reports")
-    splits = _resolve_splits(config, names)
+    splits, _ = _resolve_splits(config, names, test_only=True)
     results: dict[str, dict[int, tuple[float, int]]] = {}
     for name in names:
         spec = config.models[name]
@@ -424,7 +463,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
     settings = config.interleave
     names = list(dict.fromkeys(name for pair in settings.pairs for name in (pair.a, pair.b)))
     _make_dirs(config, "reports")
-    splits = _resolve_splits(config, names)
+    splits, _ = _resolve_splits(config, names, test_only=True)
     k = settings.page_size or config.k
     try:  # a page is never longer than a session
         user = UserModel.position_decay(min(k, MAX_LIST_LENGTH), settings.examination_eta)
@@ -469,7 +508,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
 def cmd_protocol(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     _make_dirs(config, "reports")
-    splits = _resolve_splits(config, names)
+    splits, _ = _resolve_splits(config, names)
     for name in names:
         _training_data(config, splits, name)
     variants = {name: config.models[name] for name in names}

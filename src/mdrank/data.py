@@ -10,7 +10,7 @@ import numbers
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -278,17 +278,61 @@ class FeatureStats:
 
     EPS = 1e-12
 
+    def to_json(self) -> bytes:
+        """One JSON line of ``mean``, ``std`` and ``passthrough``.  Floats
+        are written as their shortest repr, so ``from_json`` gives back the
+        same bits and the same statistics always give the same bytes."""
+        doc = {"mean": self.mean.tolist(), "std": self.std.tolist(),
+               "passthrough": self.passthrough.tolist()}
+        return (json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n").encode("utf-8")
+
+    @classmethod
+    def from_json(cls, raw: bytes, width: int) -> FeatureStats:
+        """The statistics of ``width`` features that ``to_json`` wrote.
+        Raises ValueError unless ``raw`` is a JSON object of exactly
+        ``mean``, ``std`` and ``passthrough``, each a list of ``width``
+        values: finite numbers, ``std`` at least ``EPS``, and bools."""
+        try:
+            doc = json.loads(raw)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ValueError(f"invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict) or set(doc) != {"mean", "std", "passthrough"}:
+            raise ValueError("need an object of exactly mean, std and passthrough")
+        arrays = {}
+        for key in ("mean", "std"):
+            values = doc[key]
+            if (type(values) is not list or len(values) != width
+                    or not {*map(type, values)} <= _NUMBER_TYPES):
+                raise ValueError(f"{key} must be a list of {width} numbers")
+            try:
+                arrays[key] = np.fromiter(values, np.float64, width)
+            except OverflowError:  # a JSON integer beyond the float64 range
+                raise ValueError(f"{key} must be finite") from None
+            if not np.isfinite(arrays[key]).all():
+                raise ValueError(f"{key} must be finite")
+        if not (arrays["std"] >= cls.EPS).all():
+            raise ValueError(f"std must be at least {cls.EPS}")
+        flags = doc["passthrough"]
+        if type(flags) is not list or len(flags) != width or not {*map(type, flags)} <= {bool}:
+            raise ValueError(f"passthrough must be a list of {width} bools")
+        return cls(arrays["mean"], arrays["std"], np.array(flags, dtype=bool))
+
 
 def _apply_stats(sessions: Sequence[QuerySession], stats: FeatureStats) -> list[QuerySession]:
-    out = []
-    for s in sessions:
-        if s.features.shape[1] != stats.mean.size:
-            raise ValueError(
-                f"normalize_features: feature width {s.features.shape[1]} != {stats.mean.size}"
-            )
-        scaled = (s.features - stats.mean) / stats.std
-        out.append(replace(s, features=np.where(stats.passthrough, s.features, scaled)))
-    return out
+    """``sessions`` standardized by ``stats`` in one pass over their stacked
+    rows.  The ops are elementwise, so every row gets the bits that the
+    same ops on its session alone give it."""
+    d = stats.mean.size
+    bad = next((s.features.shape[1] for s in sessions if s.features.shape[1] != d), None)
+    if bad is not None:
+        raise ValueError(f"normalize_features: feature width {bad} != {d}")
+    if not sessions:
+        return []
+    mat = np.concatenate([s.features for s in sessions])
+    out = np.where(stats.passthrough, mat, (mat - stats.mean) / stats.std)
+    ends = np.cumsum([s.grades.size for s in sessions]).tolist()
+    return [QuerySession(s.query_id, s.domain, s.timestamp, out[start:end], s.grades, s.texts)
+            for s, start, end in zip(sessions, [0, *ends], ends)]
 
 
 def normalize_features(

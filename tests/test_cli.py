@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdrank import cli
+from mdrank.data import load_dataset, normalize_features
 from mdrank.models import _WIDTH_FIELDS
 from tests.conftest import source_env
 
@@ -363,6 +364,70 @@ def test_dataset_paths_mode_round_trip(tmp_path, capsys):
     assert code == cli.EXIT_OK
 
 
+TEST_ONLY_COMMANDS = ("evaluate", "interleave")  # they read only the test split
+
+
+def _normalized_paths_config(tmp_path):
+    """Generate the tiny dataset and return a config that reads its files
+    with ``normalize`` on."""
+    cli.main(["generate", "--config", str(_write_config(tmp_path, name="generate.json"))])
+    data = tmp_path / "out" / "data"
+    return _write_config(
+        tmp_path,
+        dataset={"paths": {s: str(data / f"{s}.jsonl") for s in ("train", "valid", "test")}},
+        normalize=True,
+    )
+
+
+def test_evaluate_and_interleave_read_only_the_test_split(tmp_path, capsys):
+    """With the training and validation files gone, both commands apply the
+    statistics ``train`` recorded and write the same reports."""
+    config = _normalized_paths_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    reports = tmp_path / "out" / "reports"
+    names = ("evaluate.txt", "evaluate.csv", "interleave.txt", "interleave.csv")
+    for command in TEST_ONLY_COMMANDS:
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_OK
+    first = {n: (reports / n).read_bytes() for n in names}
+    for split in ("train", "valid"):
+        (tmp_path / "out" / "data" / f"{split}.jsonl").unlink()
+    for command in TEST_ONLY_COMMANDS:
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_OK
+    assert {n: (reports / n).read_bytes() for n in names} == first
+
+
+@pytest.mark.parametrize("command", TEST_ONLY_COMMANDS)
+def test_normalizing_without_recorded_statistics_exits_data_error(tmp_path, capsys, command):
+    config = _normalized_paths_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    stats = tmp_path / "out" / "models" / "feature_stats.json"
+    stats.unlink(missing_ok=True)  # the file a train that records none leaves
+    capsys.readouterr()
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (f"data error: feature statistics not found: {stats} "
+                                       "(run the train command first)\n")
+
+
+def test_train_records_the_statistics_it_normalized_with(tmp_path, capsys):
+    config = _normalized_paths_config(tmp_path)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    path = tmp_path / "out" / "models" / "feature_stats.json"
+    first = path.read_bytes()
+    assert cli.main(["train", "--config", str(config), "--variant", "multihead"]) == cli.EXIT_OK
+    assert path.read_bytes() == first
+    data = tmp_path / "out" / "data"
+    _, want = normalize_features(*(load_dataset(data / f"{s}.jsonl")
+                                   for s in ("train", "valid", "test")))
+    got = json.loads(first)
+    for key in ("mean", "std", "passthrough"):
+        assert np.array(got[key]).tobytes() == getattr(want, key).tobytes()
+
+
+def test_train_without_normalize_records_no_statistics(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(_write_config(tmp_path))]) == cli.EXIT_OK
+    assert not (tmp_path / "out" / "models" / "feature_stats.json").exists()
+
+
 def test_missing_dataset_file_exits_data_error(tmp_path, capsys):
     config = _write_config(
         tmp_path,
@@ -604,28 +669,46 @@ def test_session_domain_beyond_models_exits_data_error(tmp_path, capsys, command
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
 def test_mixed_feature_widths_exit_data_error(tmp_path, capsys, command):
+    bad = "test" if command in TEST_ONLY_COMMANDS else "valid"
+
     def edit(split, sessions):
-        if split == "valid":
-            for session in sessions:
+        if split == bad:
+            for session in sessions[1:]:
                 for item in session["items"]:
                     item["features"] = item["features"][:4]
 
     config = _edited_dataset_config(tmp_path, edit)
     assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "feature widths differ" in err and "4 in valid" in err
+    assert err.startswith("data error:") and "feature widths differ" in err and f"4 in {bad}" in err
 
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
 def test_integer_beyond_the_float_range_exits_data_error(tmp_path, capsys, command):
+    bad = "test" if command in TEST_ONLY_COMMANDS else "train"
+
     def edit(split, sessions):
-        if split == "train":
+        if split == bad:
             sessions[0]["items"][0]["label"] = 10**400
 
     config = _edited_dataset_config(tmp_path, edit)
     assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "label must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["train", "protocol"])
+def test_feature_statistics_beyond_the_float_range_exit_data_error(tmp_path, capsys, command):
+    def edit(split, sessions):
+        if split == "train":
+            sessions[0]["items"][0]["features"][0] = 1e300  # its square is inf
+
+    config = _edited_dataset_config(tmp_path, edit)
+    config.write_text(json.dumps({**json.loads(config.read_text()), "normalize": True}),
+                      encoding="utf-8")
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == ("data error: cannot normalize: a feature's mean or std "
+                                       "over the training split leaves the float range\n")
 
 
 @pytest.mark.parametrize("command", SPLIT_COMMANDS)
@@ -932,6 +1015,74 @@ def test_mutated_model_file_never_ends_in_a_traceback(trained_models, data):
             if must_fail and command == "evaluate":
                 assert code == cli.EXIT_DATA
             assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+            assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def normalized_run(tmp_path_factory):
+    """A ``normalize`` config over generated files, after ``train``: the
+    config's JSON, and the text of each file ``train`` wrote to models/."""
+    root = tmp_path_factory.mktemp("normalized")
+    with contextlib.redirect_stdout(io.StringIO()):
+        config = _normalized_paths_config(root)
+        assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    return json.loads(config.read_text()), {
+        p.name: p.read_text() for p in (root / "out" / "models").glob("*.json")}
+
+
+def _mutated_stats(data, text):
+    """Feature statistics with a value of another JSON type, a list one
+    entry short or long, a NaN, a zero std, a flag that is not a bool, a
+    key dropped, or cut short.  Returns the text and whether it must fail."""
+    kind = data.draw(st.sampled_from(
+        ["retype", "length", "nan", "zero std", "flag", "drop", "truncate"]), label="mutation")
+    if kind == "truncate":  # at least the closing brace goes
+        return text[: data.draw(st.integers(0, len(text) - 2), label="cut")], True
+    doc = json.loads(text)
+    key = "std" if kind == "zero std" else "passthrough" if kind == "flag" else data.draw(
+        st.sampled_from(sorted(doc)), label="key")
+    index = data.draw(st.integers(0, len(doc[key]) - 1), label="index")
+    if kind == "retype":
+        value = data.draw(st.sampled_from(["text", None, {}, [], True, 7, 10**400]), label="value")
+        if data.draw(st.booleans(), label="whole list"):
+            doc[key] = value
+            return json.dumps(doc), True
+        doc[key][index] = value
+        accepted = value is True if key == "passthrough" else value == 7  # a flag; a number
+        return json.dumps(doc), not accepted
+    if kind == "drop":
+        del doc[key]
+    elif kind == "length":
+        short = data.draw(st.booleans(), label="short")
+        doc[key] = doc[key][:-1] if short else [*doc[key], doc[key][0]]
+    elif kind == "flag":
+        doc[key][index] = data.draw(st.sampled_from([0, 1, 1.0, "true", None]), label="flag")
+    else:
+        doc[key][index] = float("nan") if kind == "nan" else 0.0
+    return json.dumps(doc), True
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_feature_statistics_never_end_in_a_traceback(normalized_run, data):
+    doc, files = normalized_run
+    text, must_fail = _mutated_stats(data, files["feature_stats.json"])
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        models = root / "out" / "models"
+        models.mkdir(parents=True)
+        for name, body in files.items():
+            (models / name).write_text(text if name == "feature_stats.json" else body,
+                                       encoding="utf-8")
+        config = root / "experiment.json"
+        config.write_text(json.dumps({**doc, "out_dir": str(root / "out")}), encoding="utf-8")
+        for command in TEST_ONLY_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([command, "--config", str(config)])
+            assert code in ((cli.EXIT_DATA,) if must_fail else (cli.EXIT_OK, cli.EXIT_DATA))
+            if code == cli.EXIT_DATA:
+                assert err.getvalue().startswith(f"data error: {models / 'feature_stats.json'}: ")
             assert "Traceback" not in err.getvalue()
 
 

@@ -17,6 +17,7 @@ from mdrank.data import (
     MAX_LIST_LENGTH,
     ConfigError,
     DatasetFormatError,
+    FeatureStats,
     QuerySession,
     SyntheticSpec,
     _session_to_obj,
@@ -465,6 +466,64 @@ def test_normalize_passes_constant_features_through(rng):
     assert stats.passthrough.tolist() == [False, True, False]
     for s in normed:
         assert np.all(s.feature_matrix()[:, 1] == 7.0)
+
+
+def test_normalize_is_the_per_session_formula_bit_for_bit(rng):
+    """One pass over the stacked rows of a split gives each session the bits
+    of the per-session formula, a constant column and an empty split too."""
+    train = _random_sessions(rng, 25)
+    for i, s in enumerate(train):
+        features = s.features.copy()
+        features[:, 2] = -1.5
+        train[i] = replace(s, features=features)
+    test = _random_sessions(rng, 12)
+    (norm_train, norm_valid, norm_test), stats = normalize_features(train, [], test)
+    assert norm_valid == []
+    assert stats.passthrough.tolist() == [False, False, True, False]
+    for before, after in zip(train + test, norm_train + norm_test):
+        want = np.where(stats.passthrough, before.features,
+                        (before.features - stats.mean) / stats.std)
+        assert after.features.tobytes() == want.tobytes()
+        assert after.grades.tobytes() == before.grades.tobytes()
+        assert (after.query_id, after.domain, after.timestamp, after.texts) == (
+            before.query_id, before.domain, before.timestamp, before.texts)
+
+
+def test_normalize_rejects_a_split_of_another_width(rng):
+    with pytest.raises(ValueError, match="feature width 3 != 4"):
+        normalize_features(_random_sessions(rng, 5), _random_sessions(rng, 2, feature_dim=3))
+
+
+def test_feature_stats_round_trip_their_bits(rng):
+    train = _random_sessions(rng, 20)
+    train[0] = replace(train[0], features=train[0].features * 1e150)
+    train[1] = replace(train[1], features=train[1].features * 1e-300)
+    _, stats = normalize_features(train)
+    raw = stats.to_json()
+    back = FeatureStats.from_json(raw, 4)
+    for key in ("mean", "std", "passthrough"):
+        assert getattr(back, key).tobytes() == getattr(stats, key).tobytes()
+    assert back.to_json() == raw
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "need an object"),
+    ({"mean": [0.0] * 4, "std": [1.0] * 4}, "need an object"),
+    ({"mean": [0.0] * 3, "std": [1.0] * 4, "passthrough": [False] * 4}, "mean must be a list"),
+    ({"mean": [0.0, 0.0, True, 0.0], "std": [1.0] * 4, "passthrough": [False] * 4},
+     "mean must be a list"),
+    ({"mean": [0.0] * 4, "std": [1.0, 10**400, 1.0, 1.0], "passthrough": [False] * 4},
+     "std must be finite"),
+    ({"mean": [0.0] * 4, "std": [1.0, 0.0, 1.0, 1.0], "passthrough": [False] * 4},
+     "std must be at least"),
+    ({"mean": [0.0] * 4, "std": [1.0] * 4, "passthrough": [False, 0, False, False]},
+     "passthrough must be a list of 4 bools"),
+])
+def test_feature_stats_reject_a_malformed_document(doc, message):
+    with pytest.raises(ValueError, match=message):
+        FeatureStats.from_json(json.dumps(doc).encode(), 4)
+    with pytest.raises(ValueError, match="invalid JSON"):
+        FeatureStats.from_json(b'{"mean": [NaN', 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The comparison of benchmarks/same_outputs.py on made-up output trees."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from mdrank.cli import load_experiment_config
 
 _PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "same_outputs.py"
 
@@ -57,3 +60,24 @@ def test_command_outputs_are_compared_before_files(same_outputs):
     change = {"train: stdout": b"trained!\n", "models/m.json": b"2"}
     assert same_outputs.first_difference(parent, change) == (
         "train: stdout: differs from byte 7 (parent 8, change 9 bytes)")
+
+
+def test_second_config_reads_the_first_ones_generated_files(same_outputs, tmp_path):
+    """The second pass is the default config with its generated splits as
+    ``dataset.paths`` and ``normalize`` on, and nothing else changed."""
+    default = json.loads(json.dumps(same_outputs.DEFAULT_CONFIG))
+    second = same_outputs.paths_config(same_outputs.DEFAULT_CONFIG, tmp_path / "data")
+    assert same_outputs.DEFAULT_CONFIG == default
+    assert "normalize" not in default
+    assert {key: value for key, value in second.items()
+            if key not in ("dataset", "normalize")} == {
+        key: value for key, value in default.items() if key != "dataset"}
+    assert second["normalize"] is True
+    assert second["dataset"] == {"paths": {
+        split: str(tmp_path / "data" / f"{split}.jsonl") for split in ("train", "valid", "test")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(second), encoding="utf-8")
+    config = load_experiment_config(path)
+    assert config.normalize and config.dataset_synthetic is None
+    assert config.dataset_paths == {
+        split: tmp_path / "data" / f"{split}.jsonl" for split in ("train", "valid", "test")}
