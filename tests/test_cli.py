@@ -398,10 +398,13 @@ def test_evaluate_and_interleave_read_only_the_test_split(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", TEST_ONLY_COMMANDS)
 def test_normalizing_without_recorded_statistics_exits_data_error(tmp_path, capsys, command):
+    """Models trained without ``normalize`` leave no statistics to apply."""
     config = _normalized_paths_config(tmp_path)
-    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    unnormalized = tmp_path / "unnormalized.json"
+    unnormalized.write_text(json.dumps({**json.loads(config.read_text()), "normalize": False}),
+                            encoding="utf-8")
+    assert cli.main(["train", "--config", str(unnormalized)]) == cli.EXIT_OK
     stats = tmp_path / "out" / "models" / "feature_stats.json"
-    stats.unlink(missing_ok=True)  # the file a train that records none leaves
     capsys.readouterr()
     assert cli.main([command, "--config", str(config)]) == cli.EXIT_DATA
     assert capsys.readouterr().err == (f"data error: feature statistics not found: {stats} "
