@@ -10,12 +10,15 @@ exit code, stdout and stderr, with the output directory masked, and every
 file the commands wrote, byte for byte.  It exits 1 naming the first
 difference, or prints what it compared and exits 0.
 
-Without ``--config`` it runs the default config, and then, when that pass
-shows no difference, a second pass: the same config reading the files the
-parent's ``generate`` wrote (``dataset.paths``) with ``normalize`` on, through
-``train``, ``evaluate``, ``interleave`` and ``protocol``.  That is the route
-on which ``train`` records the feature statistics that ``evaluate`` and
-``interleave`` apply.
+Without ``--config`` it runs the default config, ending with two commands
+that reach the edge cases of the baseline gains (``ANCHOR_CASES``):
+``evaluate`` of models of which none is a baseline, and ``protocol`` of a
+baseline of domain 0 and a model of both domains, so domain 1 has no
+baseline.  When that pass shows no difference, it runs a second pass: the
+same config reading the files the parent's ``generate`` wrote
+(``dataset.paths``) with ``normalize`` on, through ``train``, ``evaluate``,
+``interleave`` and ``protocol``.  That is the route on which ``train``
+records the feature statistics that ``evaluate`` and ``interleave`` apply.
 
 The default config is criterion 6 of the acceptance tests at a smaller
 size: five models (two per-domain baselines, multihead, adversarial and
@@ -35,6 +38,8 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("generate", "train", "evaluate", "interleave", "protocol")
+ANCHOR_CASES = ("evaluate --variant multihead specialist",
+                "protocol --variant baseline_d0 multihead")
 
 _DIMS = {"feature_dim": 8, "n_domains": 2, "trunk_hidden": [24], "token_dim": 8,
          "transformer_layers": 2, "heads": 2, "final_hidden": [16]}
@@ -76,14 +81,15 @@ def outputs(checkout: Path, config: Path, out_dir: Path,
             commands=COMMANDS) -> dict[str, bytes]:
     """What ``commands`` show and write in ``checkout``: each command's
     exit code, stdout and stderr in run order (``out_dir`` masked as
-    ``<out>``), then every file under ``out_dir`` in path order."""
+    ``<out>``), then every file under ``out_dir`` in path order.  A command
+    is its arguments, the first one the subcommand, split on spaces."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(checkout / "src"), *filter(None, [env.get("PYTHONPATH")])])
     shown: dict[str, bytes] = {}
     for command in commands:
         proc = subprocess.run(
-            [sys.executable, "-m", "mdrank.cli", command, "--config", str(config),
+            [sys.executable, "-m", "mdrank.cli", *command.split(), "--config", str(config),
              "--out", str(out_dir)],
             cwd=checkout, env=env, capture_output=True,
         )
@@ -134,7 +140,8 @@ def main(argv=None) -> int:
             default.write_text(json.dumps(DEFAULT_CONFIG, indent=2), encoding="utf-8")
             second.write_text(json.dumps(paths_config(DEFAULT_CONFIG, tmp / "parent" / "data"),
                                          indent=2), encoding="utf-8")
-            passes = [("", default, COMMANDS), ("-paths", second, COMMANDS[1:])]
+            passes = [("", default, COMMANDS + ANCHOR_CASES),
+                      ("-paths", second, COMMANDS[1:])]
         compared = []
         for suffix, config, commands in passes:
             shown = {side: outputs(checkout, config, tmp / f"{side}{suffix}", commands)

@@ -41,8 +41,7 @@ from .training import (
     TrainingDiverged,
     VariantSpec,
     _has_positive_label,
-    baseline_names,
-    gain_pct,
+    gains,
     run_protocol,
     train,
 )
@@ -340,6 +339,14 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _write_report(config: ExperimentConfig, name: str, text: str, csv_rows) -> None:
+    """Write ``reports/<name>.txt`` and ``reports/<name>.csv``, then print
+    the text."""
+    _write_text(config.out_dir / "reports" / f"{name}.txt", text)
+    _write_text(config.out_dir / "reports" / f"{name}.csv", "\n".join(csv_rows) + "\n")
+    print(text, end="")
+
+
 def _domain_counts(sessions) -> dict[int, int]:
     counts: dict[int, int] = {}
     for s in sessions:
@@ -419,40 +426,29 @@ def cmd_evaluate(config: ExperimentConfig, args) -> int:
     names = _selected_models(config, args.variant)
     _make_dirs(config, "reports")
     splits, _ = _resolve_splits(config, names, test_only=True)
-    results: dict[str, dict[int, tuple[float, int]]] = {}
+    results: dict[tuple[str, int], tuple[float, int]] = {}
     for name in names:
         spec = config.models[name]
         model = _load_model_file(config, name)
         data = splits.restrict(spec.train_domain)
         summary = evaluate(model, data.test, config.k)
-        results[name] = {
-            d: (summary.per_domain[d], summary.per_domain_sessions[d])
-            for d in summary.per_domain
-        }
-
-    baseline_value = {
-        domain: results[name][domain][0]
-        for domain, name in baseline_names({n: config.models[n] for n in names}).items()
-        if domain in results[name]
-    }
+        for d in sorted(summary.per_domain):
+            results[name, d] = (summary.per_domain[d], summary.per_domain_sessions[d])
+    gain_of = gains({key: value for key, (value, _) in results.items()},
+                    {name: config.models[name] for name in names})
 
     header = f"{'model':<24}{'domain':<8}{'sessions':>10}{'NDCG@' + str(config.k):>12}{'gain':>10}"
     lines = [header]
     csv_rows = ["model,domain,sessions,ndcg,gain_pct"]
-    for name in names:
-        for domain in sorted(results[name]):
-            value, count = results[name][domain]
-            gain = gain_pct(value, baseline_value.get(domain))
-            if gain is None:
-                gain_text, gain_csv = "-", ""
-            else:
-                gain_text, gain_csv = f"{gain:+.2f}%", f"{gain:.6f}"
-            lines.append(f"{name:<24}{domain:<8}{count:>10}{value:>12.4f}{gain_text:>10}")
-            csv_rows.append(f"{name},{domain},{count},{value:.10f},{gain_csv}")
-    text = "\n".join(lines) + "\n"
-    _write_text(config.out_dir / "reports" / "evaluate.txt", text)
-    _write_text(config.out_dir / "reports" / "evaluate.csv", "\n".join(csv_rows) + "\n")
-    print(text, end="")
+    for (name, domain), (value, count) in results.items():
+        gain = gain_of[name, domain]
+        if gain is None:
+            gain_text, gain_csv = "-", ""
+        else:
+            gain_text, gain_csv = f"{gain:+.2f}%", f"{gain:.6f}"
+        lines.append(f"{name:<24}{domain:<8}{count:>10}{value:>12.4f}{gain_text:>10}")
+        csv_rows.append(f"{name},{domain},{count},{value:.10f},{gain_csv}")
+    _write_report(config, "evaluate", "\n".join(lines) + "\n", csv_rows)
     print(f"wrote {config.out_dir / 'reports' / 'evaluate.txt'}")
     return EXIT_OK
 
@@ -497,10 +493,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
             f"{pair.a},{pair.b},{domain_text},{report.credit_a:.0f},{report.credit_b:.0f},"
             f"{gain_csv},{report.p_value:.10f},{report.queries_used}"
         )
-    text = "\n".join(lines) + "\n"
-    _write_text(config.out_dir / "reports" / "interleave.txt", text)
-    _write_text(config.out_dir / "reports" / "interleave.csv", "\n".join(csv_rows) + "\n")
-    print(text, end="")
+    _write_report(config, "interleave", "\n".join(lines) + "\n", csv_rows)
     print(f"wrote {config.out_dir / 'reports' / 'interleave.txt'}")
     return EXIT_OK
 
@@ -513,20 +506,36 @@ def cmd_protocol(config: ExperimentConfig, args) -> int:
         _training_data(config, splits, name)
     variants = {name: config.models[name] for name in names}
     report = run_protocol(variants, splits, config.seeds, config.train, k=config.k)
-    _write_text(config.out_dir / "reports" / "protocol.txt", report.table_text())
-    _write_text(
-        config.out_dir / "reports" / "protocol.csv", "\n".join(report.csv_rows()) + "\n"
-    )
     _write_text(
         config.out_dir / "reports" / "boxplot.csv", "\n".join(report.boxplot_rows()) + "\n"
     )
-    print(report.table_text(), end="")
+    _write_report(config, "protocol", report.table_text(), report.csv_rows())
     print(f"wrote {config.out_dir / 'reports'}/{{protocol.txt,protocol.csv,boxplot.csv}}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument surface
+
+
+# Per command: its handler, its help and the flags it takes besides --config
+# and --out.  A flag a command does not take exits 2 through argparse.
+_COMMANDS = {
+    "generate": (cmd_generate, "write synthetic train/valid/test session files", ()),
+    "train": (cmd_train, "train configured model variants and save checkpoints",
+              ("--seed", "--variant", "--k")),
+    "evaluate": (cmd_evaluate, "score saved models on the test split", ("--variant", "--k")),
+    "interleave": (cmd_interleave, "simulate interleaving experiments between saved models",
+                   ("--k",)),
+    "protocol": (cmd_protocol, "train every variant across seeds and summarize",
+                 ("--seed", "--variant", "--k")),
+}
+_FLAGS = {
+    "--seed": {"type": int, "nargs": "+",
+               "help": "override seeds (train uses the first, protocol uses all)"},
+    "--variant": {"nargs": "+", "help": "restrict to these model names"},
+    "--k": {"type": int, "help": "override the NDCG cutoff"},
+}
 
 
 @functools.cache
@@ -537,41 +546,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-domain learning-to-rank experiments on session data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "write synthetic train/valid/test session files"),
-        ("train", "train configured model variants and save checkpoints"),
-        ("evaluate", "score saved models on the test split"),
-        ("interleave", "simulate interleaving experiments between saved models"),
-        ("protocol", "train every variant across seeds and summarize"),
-    ):
+    for name, (_, help_text, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the experiment JSON")
-        cmd.add_argument("--out", default=None, help="override the output directory")
-        cmd.add_argument(
-            "--seed", type=int, nargs="+", default=None,
-            help="override seeds (train uses the first, protocol uses all)",
-        )
-        cmd.add_argument(
-            "--variant", nargs="+", default=None, help="restrict to these model names"
-        )
-        cmd.add_argument("--k", type=int, default=None, help="override the NDCG cutoff")
+        cmd.add_argument("--out", help="override the output directory")
+        for flag in flags:
+            cmd.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
 def _apply_flags(config: ExperimentConfig, args) -> ExperimentConfig:
     """``config`` with the values of the flags given, which pass the checks
     config values pass; ``--seed`` sets ``seeds`` and ``train.seed`` (its
-    first value)."""
-    for flag, value, fields in (
-        ("--out", args.out, lambda c, v: {"out_dir": v}),
-        ("--k", args.k, lambda c, v: {"k": v}),
-        ("--seed", args.seed, lambda c, v: {"seeds": v, "train": replace(c.train, seed=v[0])}),
+    first value).  ``args`` holds only the flags its command takes."""
+    given = vars(args)
+    for flag, fields in (
+        ("out", lambda c, v: {"out_dir": v}),
+        ("k", lambda c, v: {"k": v}),
+        ("seed", lambda c, v: {"seeds": v, "train": replace(c.train, seed=v[0])}),
     ):
-        if value is not None:
+        if given.get(flag) is not None:
             try:
-                config = replace(config, **fields(config, value))
+                config = replace(config, **fields(config, given[flag]))
             except ConfigError as exc:
-                raise ConfigError(f"{flag}: {exc}") from exc
+                raise ConfigError(f"--{flag}: {exc}") from exc
     return config
 
 
@@ -579,14 +577,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _apply_flags(load_experiment_config(args.config), args)
-        handler = {
-            "generate": cmd_generate,
-            "train": cmd_train,
-            "evaluate": cmd_evaluate,
-            "interleave": cmd_interleave,
-            "protocol": cmd_protocol,
-        }[args.command]
-        return handler(config, args)
+        return _COMMANDS[args.command][0](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -129,14 +129,15 @@ def _session_to_obj(session: QuerySession) -> dict:
 
 
 def write_dataset(sessions: Iterable[QuerySession], path) -> int:
-    """Write one session per line; returns the number of lines written."""
-    n = 0
+    """Write one session per line; returns the number of lines written.
+    Every line is serialized before the file opens, so a session holding a
+    non-finite number, which ``load_dataset`` would reject, raises
+    ValueError and leaves ``path`` as it was."""
+    lines = [json.dumps(_session_to_obj(session), separators=(",", ":"), allow_nan=False)
+             + "\n" for session in sessions]
     with open(path, "w", encoding="utf-8") as fh:
-        for session in sessions:
-            fh.write(json.dumps(_session_to_obj(session), separators=(",", ":")))
-            fh.write("\n")
-            n += 1
-    return n
+        fh.writelines(lines)
+    return len(lines)
 
 
 def _parse_session(obj: dict, where: str) -> QuerySession:

@@ -167,7 +167,7 @@ class ScoredBatch:
     """Model outputs for a batch of sessions, rows stacked in session order.
 
     ``scores`` is ``(N, 1)`` and ``domain_logits`` ``(N, n_domains)`` (None
-    without a classifier, or when not asked for); ``lengths[b]`` rows belong
+    without a classifier); ``lengths[b]`` rows belong
     to session b, and ``members[m]`` consecutive sessions to member m of the
     model.  ``rows[m]`` counts member m's rows, as every op of the forward
     pass was given them (None for a lone model, whose ops run on one
@@ -403,8 +403,7 @@ def _session_arrays(cfg: ModelConfig, sessions: Sequence[QuerySession]):
 
 
 def forward(
-    model: Model, sessions: Sequence[QuerySession], domain_logits: bool = True,
-    members: Sequence[int] | None = None,
+    model: Model, sessions: Sequence[QuerySession], members: Sequence[int] | None = None,
 ) -> ScoredBatch:
     """Score every item of a batch of sessions in one pass.
 
@@ -413,8 +412,7 @@ def forward(
     member m.  The pass runs the Tensor ops, which record on the active
     Tape, if any, so the returned tensors are differentiable inside one.
     Untaped scoring goes through ``_score_members`` instead, which
-    ``evaluation`` calls.  ``domain_logits=False`` skips the domain
-    classifier, whose logits only feed the training loss.
+    ``evaluation`` calls.
     """
     cfg = model.config
     n_members = len(model.seeds)
@@ -428,15 +426,14 @@ def forward(
         ends = np.cumsum(lengths)[np.cumsum(members) - 1].tolist()
         rows = tuple(end - start for start, end in zip([0, *ends], ends))
     x = Tensor(np.concatenate([s.features for s in sessions]))
-    y, logits = _layers(_TENSOR_OPS, model.parameters, cfg, x, lengths, domains, rows,
-                        domain_logits)
+    y, logits = _layers(_TENSOR_OPS, model.parameters, cfg, x, lengths, domains, rows, True)
     return ScoredBatch(scores=y, domain_logits=logits, lengths=lengths, members=members,
                        rows=rows)
 
 
 def _score_members(model: Model, sessions: Sequence[QuerySession]) -> list[np.ndarray]:
     """Every member's ``(N,)`` scores of the sessions' stacked rows, with
-    the bits of ``forward(model.member(m), sessions, domain_logits=False)``,
+    the bits of the scores of ``forward(model.member(m), sessions)``,
     without a tape: the sessions are checked once, and each member runs the
     ops' array kernels on its parameter values (views of a stack's arena).
     A lone model is the one-member case."""

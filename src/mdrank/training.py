@@ -16,7 +16,7 @@ import math
 import os
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,7 @@ __all__ = [
     "RunRecord",
     "VariantDomainStats",
     "EvalReport",
-    "baseline_names",
-    "gain_pct",
+    "gains",
     "run_protocol",
 ]
 
@@ -281,22 +280,24 @@ class DataSplits:
         )
 
 
-def baseline_names(variants: Mapping[str, VariantSpec]) -> dict[int, str]:
-    """Per domain, the name of the first ``baseline`` spec trained on it;
-    that model anchors the gains of every model in the domain."""
-    names: dict[int, str] = {}
+def gains(values: Mapping[tuple, float],
+          variants: Mapping[str, VariantSpec]) -> dict[tuple, float | None]:
+    """The percentage gain of each value over its domain's baseline.
+
+    A key of ``values`` is ``(model, domain)``, optionally followed by a
+    seed.  A domain's anchor is the first ``baseline`` spec of ``variants``,
+    in their order, trained on it; its value is read at the same key with
+    the model swapped.  A gain is None when the domain has no anchor or the
+    anchor's value is missing or zero."""
+    anchors: dict[int, str] = {}
     for name, spec in variants.items():
         if spec.config.variant is Variant.BASELINE and spec.train_domain is not None:
-            names.setdefault(spec.train_domain, name)
-    return names
-
-
-def gain_pct(value: float, base: float | None) -> float | None:
-    """Percentage gain of ``value`` over ``base``; None when ``base`` is
-    missing or zero."""
-    if not base:
-        return None
-    return 100.0 * (value - base) / base
+            anchors.setdefault(spec.train_domain, name)
+    out: dict[tuple, float | None] = {}
+    for key, value in values.items():
+        base = values.get((anchors.get(key[1]), *key[1:]))
+        out[key] = 100.0 * (value - base) / base if base else None
+    return out
 
 
 @dataclass
@@ -325,13 +326,15 @@ class VariantDomainStats:
 
 @dataclass
 class EvalReport:
-    """Everything the protocol measured, with deterministic renderings."""
+    """Everything the protocol measured, with deterministic renderings.
+    ``seed_gains`` maps each ``(variant, domain, seed)`` to the gain of that
+    run over the same seed's run of the domain's baseline."""
 
     k: int
     seeds: tuple[int, ...]
     runs: list[RunRecord]
     stats: list[VariantDomainStats]
-    baseline_of_domain: dict[int, str] = field(default_factory=dict)
+    seed_gains: dict[tuple[str, int, int], float | None]
 
     def table_text(self) -> str:
         lines = [
@@ -348,11 +351,9 @@ class EvalReport:
 
     def csv_rows(self) -> list[str]:
         rows = ["variant,domain,seed,ndcg,gain_pct"]
-        by_run = {(run.variant, run.seed): run.per_domain for run in self.runs}
         for run in self.runs:
             for domain in sorted(run.per_domain):
-                base_key = (self.baseline_of_domain.get(domain), run.seed)
-                gain = gain_pct(run.per_domain[domain], by_run.get(base_key, {}).get(domain))
+                gain = self.seed_gains[run.variant, domain, run.seed]
                 gain_cell = "" if gain is None else f"{gain:.6f}"
                 rows.append(
                     f"{run.variant},{domain},{run.seed},{run.per_domain[domain]:.10f},{gain_cell}"
@@ -424,7 +425,8 @@ def run_protocol(
     """Train every (variant, seed) pair and summarize test NDCG@k.
 
     Per-domain baselines (variant=baseline with a train_domain) anchor the
-    percentage gains of the consolidated models in the same domain.  All
+    percentage gains (``gains``) of the consolidated models in the same
+    domain, of the medians and of each seed's run.  All
     seeds of a variant train as one stacked model; variants are
     independent, so they may fan out across ``workers`` processes
     (default: the ``MDRANK_WORKERS`` environment variable, else 1; fewer
@@ -474,12 +476,14 @@ def run_protocol(
                      for seed, (per_domain, overall) in zip(seeds, tests)]
 
     cells: dict[tuple[str, int], list[float]] = {}
+    by_seed: dict[tuple[str, int, int], float] = {}
     for run in runs:
         for domain, value in run.per_domain.items():
             cells.setdefault((run.variant, domain), []).append(value)
+            by_seed[run.variant, domain, run.seed] = value
     ordered = {key: sorted(values) for key, values in cells.items()}
     medians = {key: _median(values) for key, values in ordered.items()}
-    baseline_of_domain = baseline_names(variants)
+    median_gains = gains(medians, variants)
     order = {name: i for i, name in enumerate(variants)}
 
     stats: list[VariantDomainStats] = []
@@ -496,13 +500,8 @@ def run_protocol(
                 q3=_quantile(values, 0.75),
                 minimum=float(values[0]),
                 maximum=float(values[-1]),
-                gain_pct=gain_pct(median, medians.get((baseline_of_domain.get(domain), domain))),
+                gain_pct=median_gains[name, domain],
             )
         )
-    return EvalReport(
-        k=k,
-        seeds=tuple(seeds),
-        runs=runs,
-        stats=stats,
-        baseline_of_domain=baseline_of_domain,
-    )
+    return EvalReport(k=k, seeds=tuple(seeds), runs=runs, stats=stats,
+                      seed_gains=gains(by_seed, variants))

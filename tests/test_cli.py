@@ -167,6 +167,35 @@ def test_evaluate_without_a_baseline_reports_no_gain(tmp_path, capsys):
     assert all(row.endswith(",") for row in csv[1:])
 
 
+
+@pytest.mark.parametrize("first", ["baseline_d0", "wide_d0"])
+def test_first_baseline_of_a_domain_anchors_every_report(tmp_path, capsys, first):
+    """With two baselines on domain 0, the first in config order anchors the
+    gains of evaluate.csv, protocol.csv and protocol.txt; the other one is
+    an ordinary model of the domain."""
+    models = {"baseline_d0": _model(train_domain=0),
+              "wide_d0": _model(train_domain=0, trunk_hidden=[9]),
+              "multihead": _model(variant="multihead")}
+    other = "wide_d0" if first == "baseline_d0" else "baseline_d0"
+    config = _write_config(tmp_path, seeds=[21],
+                           models={name: models[name] for name in (first, other, "multihead")})
+    for command in ("train", "evaluate", "protocol"):
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_OK
+    reports = tmp_path / "out" / "reports"
+    for name in ("evaluate.csv", "protocol.csv"):  # ndcg and gain_pct are columns 3 and 4
+        rows = [row.split(",") for row in (reports / name).read_text().splitlines()[1:]]
+        ndcg = {row[0]: float(row[3]) for row in rows if row[1] == "0"}
+        gain = {row[0]: row[4] for row in rows if row[1] == "0"}
+        assert ndcg[other] != ndcg[first]
+        assert gain[first] == "0.000000"
+        for model in (other, "multihead"):
+            want = 100.0 * (ndcg[model] - ndcg[first]) / ndcg[first]
+            assert float(gain[model]) == pytest.approx(want, abs=1e-5), (name, model)
+    # one seed: each median is that seed's value, so the table shows protocol.csv's gains
+    table = [row.split() for row in (reports / "protocol.txt").read_text().splitlines()[2:]]
+    shown = {model: text for domain, model, *_, text in table if domain == "0"}
+    assert shown == {model: f"{float(cell):+.2f}%" for model, cell in gain.items()}
+
 def test_evaluate_without_models_exits_data_error(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert cli.main(["evaluate", "--config", str(config)]) == cli.EXIT_DATA
@@ -731,6 +760,23 @@ def test_k_flag_must_be_positive(tmp_path, capsys):
     assert cli.main(["evaluate", "--config", str(config), "--k", "0"]) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --k: ")
 
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("generate", ["--seed", "5"]), ("generate", ["--k", "3"]),
+    ("generate", ["--variant", "multihead"]), ("evaluate", ["--seed", "5"]),
+    ("interleave", ["--seed", "5"]), ("interleave", ["--variant", "multihead"]),
+])
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    """A flag the command would ignore exits 2 through argparse, before any
+    output directory exists."""
+    config = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        cli.main([command, "--config", str(config), *flag])
+    assert caught.value.code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(
+        f"mdrank: error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not (tmp_path / "out").exists()
 
 @pytest.mark.parametrize("seeds", [["-3"], ["4", "4"]])
 def test_bad_seed_flag_exits_config_error(tmp_path, capsys, seeds):

@@ -114,6 +114,26 @@ def test_round_trip_is_bit_exact_and_rewrites_the_same_bytes(sessions):
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_refuses_a_non_finite_number_and_leaves_the_file(tmp_path, rng, bad):
+    """A session that ``load_dataset`` would reject for a non-finite number
+    raises before the file opens: the file keeps its old bytes, not a
+    shorter dataset of the sessions before the bad one."""
+    sessions = _random_sessions(rng, 3)
+    path = tmp_path / "sessions.jsonl"
+    write_dataset(sessions, path)
+    before = path.read_bytes()
+    features = sessions[1].features.copy()
+    features[0, -1] = bad
+    broken = [*sessions, replace(sessions[1], features=features)]
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_dataset(broken, path)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError):
+        write_dataset(broken, tmp_path / "new.jsonl")
+    assert not (tmp_path / "new.jsonl").exists()
+
+
 def test_session_holds_read_only_copies_of_matching_shapes():
     features, grades = np.ones((3, 2)), np.array([1.0, 0.0, 0.0])
     session = QuerySession("q", 0, 0, features, grades)

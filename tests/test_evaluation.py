@@ -311,7 +311,7 @@ def test_as_scorer_is_the_batched_scoring_path_on_one_session(rng):
     for session in sessions:
         got = scorer(session)
         assert got.tobytes() == score_sessions(model, [session])[0].tobytes()
-        want = forward(model, [session], domain_logits=False).session_scores()[0]
+        want = forward(model, [session]).session_scores()[0]
         assert got.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="a stack of 2 members"):
         as_scorer(stack([model, build(tiny_config("domain_specialist"), seed=5)]))

@@ -221,7 +221,6 @@ def test_forward_shapes_and_finiteness(rng):
         assert np.all(np.isfinite(scored.scores.values))
         if variant in ("domain_adversarial", "domain_specialist"):
             assert scored.domain_logits.shape == (10, 2)
-            assert forward(model, batch, domain_logits=False).domain_logits is None
         else:
             assert scored.domain_logits is None
 
@@ -422,7 +421,7 @@ def test_members_score_on_views_as_each_member_alone(rng, variant):
     assert len(scored) == 3
     for m, got in enumerate(scored):
         alone = model.member(m)
-        want = forward(alone, sessions, domain_logits=False).scores.values[:, 0]
+        want = forward(alone, sessions).scores.values[:, 0]
         assert got.shape == want.shape == (20,)
         assert got.tobytes() == want.tobytes()
         [lone] = _score_members(alone, sessions)

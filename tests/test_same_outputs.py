@@ -81,3 +81,18 @@ def test_second_config_reads_the_first_ones_generated_files(same_outputs, tmp_pa
     assert config.normalize and config.dataset_synthetic is None
     assert config.dataset_paths == {
         split: tmp_path / "data" / f"{split}.jsonl" for split in ("train", "valid", "test")}
+
+
+def test_anchor_cases_reach_each_route_through_the_gains(same_outputs):
+    """The extra commands of the default pass select models of the default
+    config: evaluate's cover no domain with a baseline, and protocol's
+    cover domain 0 and not domain 1."""
+    models = same_outputs.DEFAULT_CONFIG["models"]
+    anchored = []
+    for case in same_outputs.ANCHOR_CASES:
+        command, flag, *names = case.split()
+        assert command in same_outputs.COMMANDS and flag == "--variant"
+        assert set(names) <= set(models)
+        anchored.append({models[name].get("train_domain") for name in names
+                         if models[name]["variant"] == "baseline"})
+    assert anchored == [set(), {0}]

@@ -23,7 +23,7 @@ from mdrank.training import (
     TrainConfig,
     TrainingDiverged,
     VariantSpec,
-    gain_pct,
+    gains,
     run_protocol,
     train,
 )
@@ -354,7 +354,11 @@ def test_protocol_bookkeeping():
             assert set(run.per_domain) == {1}
         else:
             assert set(run.per_domain) == {0, 1}
-    assert report.baseline_of_domain == {0: "baseline_d0", 1: "baseline_d1"}
+    # each baseline anchors its domain, seed by seed
+    for (variant, domain, seed), gain in report.seed_gains.items():
+        assert (gain == 0.0) == variant.startswith("baseline_"), (variant, domain, seed)
+    assert set(report.seed_gains) == {(run.variant, domain, run.seed)
+                                      for run in report.runs for domain in run.per_domain}
 
 
 def test_protocol_baseline_gain_is_zero():
@@ -428,9 +432,21 @@ def test_one_seed_protocol_reports_that_seed_of_a_stacked_run(seed):
 
 
 def test_gain_needs_a_nonzero_base():
-    assert gain_pct(0.6, 0.5) == pytest.approx(20.0, abs=1e-12)
-    assert gain_pct(0.5, 0.0) is None
-    assert gain_pct(0.5, None) is None
+    """A gain is None when the domain's baseline has no value at the key, a
+    zero value, or the domain has no baseline."""
+    variants = {name: _protocol_variants()[name] for name in ("baseline_d0", "multihead")}
+    got = gains({("baseline_d0", 0): 0.5, ("multihead", 0): 0.6, ("multihead", 1): 0.4},
+                variants)
+    assert got[("multihead", 0)] == pytest.approx(20.0, abs=1e-12)
+    assert got[("baseline_d0", 0)] == 0.0
+    assert got[("multihead", 1)] is None  # domain 1 has no baseline
+    assert gains({("multihead", 0): 0.6}, variants) == {("multihead", 0): None}
+    zero = gains({("baseline_d0", 0): 0.0, ("multihead", 0): 0.6}, variants)
+    assert zero == {("baseline_d0", 0): None, ("multihead", 0): None}
+    seeded = gains({("baseline_d0", 0, 7): 0.5, ("multihead", 0, 7): 0.6,
+                    ("multihead", 0, 8): 0.6}, variants)
+    assert seeded[("multihead", 0, 7)] == pytest.approx(20.0, abs=1e-12)
+    assert seeded[("multihead", 0, 8)] is None  # seed 8 has no baseline run
 
 
 def test_protocol_rejects_duplicate_seeds():
