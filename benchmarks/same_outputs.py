@@ -10,14 +10,16 @@ exit code, stdout and stderr, with the output directory masked, and every
 file the commands wrote, byte for byte.  It exits 1 naming the first
 difference, or prints what it compared and exits 0.
 
-Without ``--config`` it runs the default config, ending with two commands
-that reach the edge cases of the baseline gains (``ANCHOR_CASES``):
-``evaluate`` of models of which none is a baseline, and ``protocol`` of a
-baseline of domain 0 and a model of both domains, so domain 1 has no
-baseline.  When that pass shows no difference, it runs a second pass: the
-same config reading the files the parent's ``generate`` wrote
-(``dataset.paths``) with ``normalize`` on, through ``train``, ``evaluate``,
-``interleave`` and ``protocol``.  That is the route on which ``train``
+Without ``--config`` it runs the default config, and then, in the same
+output directory, two commands that reach the edge cases of the baseline
+gains (``ANCHOR_CASES``): ``evaluate`` of models of which none is a
+baseline, and ``protocol`` of a baseline of domain 0 and a model of both
+domains, so domain 1 has no baseline.  They rewrite the reports of the
+commands before them, so the files are compared both before and after
+them.  When neither shows a difference, a last pass runs the same config
+reading the files the parent's ``generate`` wrote (``dataset.paths``) with
+``normalize`` on, through ``train``, ``evaluate``, ``interleave`` and
+``protocol``.  That is the route on which ``train``
 records the feature statistics that ``evaluate`` and ``interleave`` apply.
 
 The default config is criterion 6 of the acceptance tests at a smaller
@@ -134,16 +136,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         tmp = Path(tmp)
         if args.config is not None:
-            passes = [("", args.config.resolve(), COMMANDS)]
-        else:  # the second pass reads the data the parent's first pass generated
+            passes = [("", "", args.config.resolve(), COMMANDS)]
+        else:  # the anchor cases overwrite the reports of the commands before them,
+            # so the files are compared in between; the last pass reads the data
+            # the parent's first pass generated
             default, second = tmp / "config.json", tmp / "paths_config.json"
             default.write_text(json.dumps(DEFAULT_CONFIG, indent=2), encoding="utf-8")
             second.write_text(json.dumps(paths_config(DEFAULT_CONFIG, tmp / "parent" / "data"),
                                          indent=2), encoding="utf-8")
-            passes = [("", default, COMMANDS + ANCHOR_CASES),
-                      ("-paths", second, COMMANDS[1:])]
+            passes = [("", "", default, COMMANDS), ("then ", "", default, ANCHOR_CASES),
+                      ("with dataset.paths and normalize: ", "-paths", second, COMMANDS[1:])]
         compared = []
-        for suffix, config, commands in passes:
+        for label, suffix, config, commands in passes:
             shown = {side: outputs(checkout, config, tmp / f"{side}{suffix}", commands)
                      for side, checkout in checkouts.items()}
             difference = first_difference(shown["parent"], shown["change"])
@@ -151,9 +155,9 @@ def main(argv=None) -> int:
                 print(f"same_outputs: {difference}")
                 return 1
             n_files = len(shown["parent"]) - 3 * len(commands)
-            compared.append(f"identical exit codes, stdout and stderr of {', '.join(commands)}, "
-                            f"and {n_files} files")
-    print("same_outputs: " + "; with dataset.paths and normalize: ".join(compared))
+            compared.append(f"{label}identical exit codes, stdout and stderr of "
+                            f"{', '.join(commands)}, and {n_files} files")
+    print("same_outputs: " + "; ".join(compared))
     return 0
 
 

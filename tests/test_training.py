@@ -356,7 +356,10 @@ def test_protocol_bookkeeping():
             assert set(run.per_domain) == {0, 1}
     # each baseline anchors its domain, seed by seed
     for (variant, domain, seed), gain in report.seed_gains.items():
-        assert (gain == 0.0) == variant.startswith("baseline_"), (variant, domain, seed)
+        if variant.startswith("baseline_"):
+            assert gain == 0.0, (variant, domain, seed)
+        else:
+            assert gain is not None, (variant, domain, seed)
     assert set(report.seed_gains) == {(run.variant, domain, run.seed)
                                       for run in report.runs for domain in run.per_domain}
 
