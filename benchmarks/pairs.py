@@ -10,7 +10,8 @@ the machine's drift first.  Each run prints one line as it ends.  Then,
 for every end-to-end metric of ``BENCHMARK.json``, the summary gives each
 side's median and quartiles (inclusive method), the change of the median,
 and in how many pairs the change was better than the parent in the
-metric's own direction.  A run that exits with an error stops the tool.
+metric's own direction.  A run that exits with an error, or whose result
+object reads ``correct: false`` or a failed job, stops the tool.
 
 Each checkout's runs share one fresh bytecode cache (``PYTHONPYCACHEPREFIX``)
 in a temporary directory outside both checkouts, so neither side reads the
@@ -58,10 +59,19 @@ def cache_env(pycache: Path) -> dict[str, str]:
     return env
 
 
-def run_once(command: list[str], checkout: Path, workload: str, seed: int,
+def checked(tool: str, result: dict, side: str, workload: str, seed: int) -> dict:
+    """``result``, unless it reads ``correct: false`` or a failed job: then
+    ``tool`` exits naming the side, the workload and the seed."""
+    if result.get("correct") is not True or result.get("failed", 0) > 0:
+        sys.exit(f"{tool}: {side} {workload} seed {seed}: correct {result.get('correct')}, "
+                 f"{result.get('failed')} of {result.get('attempted')} jobs failed")
+    return result
+
+
+def run_once(command: list[str], checkout: Path, side: str, workload: str, seed: int,
              seconds: float, pycache: Path) -> dict:
-    """The result object of one ``--trace 0`` run in ``checkout``, with its
-    bytecode cache in ``pycache``."""
+    """The result object of one ``--trace 0`` run in ``checkout``, the
+    ``side`` checkout, with its bytecode cache in ``pycache``."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -70,7 +80,7 @@ def run_once(command: list[str], checkout: Path, workload: str, seed: int,
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit(f"pairs: {workload} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return checked("pairs", json.loads(lines[-1]), side, workload, seed)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -122,13 +132,13 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as tmp:
         pycache = cache_prefixes(checkouts, Path(tmp))
         for side in SIDES:
-            run_once(command, checkouts[side], args.workload, args.seed, WARM_UP_SECONDS,
-                     pycache[side])
+            run_once(command, checkouts[side], side, args.workload, args.seed,
+                     WARM_UP_SECONDS, pycache[side])
         for i in range(args.pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = run_once(command, checkouts[side], args.workload, seed,
+                result = run_once(command, checkouts[side], side, args.workload, seed,
                                   bench["run_seconds"], pycache[side])
                 results[side].append(result)
                 values = ", ".join(f"{n} {result['metrics'][n]['value']:.4f}" for n in names)

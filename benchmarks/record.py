@@ -14,6 +14,9 @@ temporary directory outside the checkout, as ``pairs.py`` gives each side,
 so the ``__pycache__`` the tree holds does not enter the figures.  A short
 run of each workload, whose output is dropped, fills the cache first.
 
+A run that exits with an error, or whose result object reads ``correct:
+false`` or a failed job, stops the tool before it writes the file.
+
 A speed claim compares two such files written on the same machine, one
 for the parent commit and one for the change.
 """
@@ -27,7 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from pairs import WARM_UP_SECONDS, cache_env, cache_prefixes
+from pairs import WARM_UP_SECONDS, cache_env, cache_prefixes, checked
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -41,9 +44,10 @@ def short_commit() -> str:
     return proc.stdout.strip()
 
 
-def run_workload(command: list[str], workload: str, seconds: float, pycache: Path) -> dict:
-    """The context and result of one ``--trace 0`` run of ``workload``, with
-    its bytecode cache in ``pycache``."""
+def run_workload(command: list[str], tag: str, workload: str, seconds: float,
+                 pycache: Path) -> dict:
+    """The context and result of one ``--trace 0`` run of ``workload`` for
+    the file ``tag``, with its bytecode cache in ``pycache``."""
     proc = subprocess.run(
         [*command, "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
@@ -55,7 +59,7 @@ def run_workload(command: list[str], workload: str, seconds: float, pycache: Pat
         sys.exit(f"record: {workload} exited {proc.returncode}:\n{proc.stderr}")
     return {
         "context": json.loads(contexts[0][len("context: "):]),
-        "result": json.loads(lines[-1]),
+        "result": checked("record", json.loads(lines[-1]), tag, workload, SEED),
     }
 
 
@@ -70,8 +74,8 @@ def main(argv=None) -> int:
         pycache = cache_prefixes({"checkout": ROOT}, Path(tmp))["checkout"]
         record = {"tag": tag, "workloads": {}}
         for w in bench["workloads"]:
-            run_workload(command, w["name"], WARM_UP_SECONDS, pycache)
-            record["workloads"][w["name"]] = run_workload(command, w["name"],
+            run_workload(command, tag, w["name"], WARM_UP_SECONDS, pycache)
+            record["workloads"][w["name"]] = run_workload(command, tag, w["name"],
                                                           bench["run_seconds"], pycache)
     out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -465,6 +465,7 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
         user = UserModel.position_decay(min(k, MAX_LIST_LENGTH), settings.examination_eta)
     except OverflowError as exc:  # rank ** eta leaves the float range
         raise ConfigError(f"interleave: examination_eta over {k} positions: {exc}") from exc
+    models = {name: _load_model_file(config, name) for name in names}
     lines = [
         f"{'A':<24}{'B':<24}{'domain':<8}{'credit A':>10}{'credit B':>10}"
         f"{'gain':>10}{'p':>12}"
@@ -476,10 +477,8 @@ def cmd_interleave(config: ExperimentConfig, args) -> int:
         ]
         if not sessions:
             raise DataError(f"interleave: no test sessions in domain {pair.domain}")
-        model_a = _load_model_file(config, pair.a)
-        model_b = _load_model_file(config, pair.b)
         report = run_interleaving(
-            model_a, model_b, sessions, user,
+            models[pair.a], models[pair.b], sessions, user,
             n_impressions=settings.n_impressions, seed=settings.seed, k=k,
         )
         domain_text = "all" if pair.domain is None else str(pair.domain)

@@ -4,6 +4,9 @@ exact binomial sign test over per-query winners."""
 from __future__ import annotations
 
 import operator
+import os
+import sys
+import types
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -67,6 +70,42 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def _private_binom_cdf():
+    """``scipy.special._ufuncs._binom_cdf``, the ufunc ``binom.cdf`` calls,
+    read from its module on every call.
+
+    A plain import of it runs ``scipy/special/__init__.py`` first, which
+    loads about 300 modules and 26 MiB that the sign test never calls
+    (``scipy.stats`` would load about 730 and 80 MiB); the ufunc module
+    alone loads 28 modules and 4 MiB.  So while
+    ``scipy.special`` is not imported, the ufunc module loads under a
+    placeholder package that has only its ``__path__``, which is taken out
+    of ``sys.modules`` and ``scipy``'s namespace again afterwards, also when
+    the import fails.  The extension modules loaded with it stay in
+    ``sys.modules``, where a later ``import scipy.special`` finds them, so
+    the real package holds the same ufunc.  While the placeholder is
+    installed, another thread's first ``import scipy.special`` would get
+    it; the CLI and the benchmark workloads are single-threaded."""
+    placeholder = None
+    if "scipy.special" not in sys.modules and "scipy.special._ufuncs" not in sys.modules:
+        import scipy
+
+        placeholder = types.ModuleType("scipy.special")
+        placeholder.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+        sys.modules["scipy.special"] = placeholder
+    try:
+        from scipy.special._ufuncs import _binom_cdf
+    finally:
+        if placeholder is not None:
+            if sys.modules.get("scipy.special") is placeholder:
+                del sys.modules["scipy.special"]
+            # scipy's module __getattr__ would import the real package, so
+            # only its namespace is read.
+            if vars(scipy).get("special") is placeholder:
+                del vars(scipy)["special"]
+    return _binom_cdf
+
+
 def sign_test_p(wins_a: int, wins_b: int) -> float:
     """Two-sided exact binomial sign test against a fair coin:
     ``min(1, 2 * binom.cdf(min(wins_a, wins_b), wins_a + wins_b, 0.5))`` bit
@@ -83,11 +122,10 @@ def sign_test_p(wins_a: int, wins_b: int) -> float:
         return 1.0
     k = min(wins_a, wins_b)
     # binom.cdf(k, n, p) computes np.clip(_binom_cdf(floor(k), n, p), 0, 1),
-    # and k < n skips its edge cases.  The ufunc alone loads 66 scipy modules
-    # and about 22 MiB; scipy.stats loads 490 and about 70 MiB.  A scipy that
-    # does not have the private name takes the public route.
+    # and k < n skips its edge cases.  A scipy that does not have the private
+    # name takes the public route.
     try:
-        from scipy.special._ufuncs import _binom_cdf
+        _binom_cdf = _private_binom_cdf()
     except ImportError:
         from scipy.stats import binom
 

@@ -306,15 +306,15 @@ def test_interleave_end_to_end(tmp_path, capsys):
 
 
 def test_no_command_loads_scipy_stats_and_only_interleave_loads_the_ufuncs(tmp_path):
-    """The sign test's binomial ufunc (about 22 MiB with its package) loads
-    for a p-value only: not with the package, and not for the commands that
-    compute none.  No command loads scipy.stats (about 70 MiB).  At one
-    worker no command loads the process pool (multiprocessing and
-    concurrent.futures), and only the ufunc's package loads numpy.ma, which
-    np.unique, np.median and np.percentile would load."""
+    """The sign test's binomial ufunc loads for a p-value only, and not for
+    the commands that compute none.  No command loads scipy.special's
+    package (about 26 MiB with the ufunc) or scipy.stats (about 70 MiB).  At
+    one worker no command loads the process pool (multiprocessing and
+    concurrent.futures), and none loads numpy.ma, which np.unique, np.median
+    and np.percentile would load."""
     config = _write_config(tmp_path)
-    modules = ("scipy.special._ufuncs", "scipy.stats", "numpy.ma", "multiprocessing",
-               "concurrent.futures")
+    modules = ("scipy.special._ufuncs", "scipy.special", "scipy.stats", "numpy.ma",
+               "multiprocessing", "concurrent.futures")
     script = (
         "import json, sys\n"
         "import mdrank, mdrank.cli as cli\n"
@@ -334,8 +334,7 @@ def test_no_command_loads_scipy_stats_and_only_interleave_loads_the_ufuncs(tmp_p
     none = [False] * len(modules)
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "import": none, "generate": none, "train": none, "evaluate": none, "protocol": none,
-        # scipy.special loads numpy.ma and concurrent.futures itself
-        "interleave": [True, False, True, False, True],
+        "interleave": [True] + none[1:],
     }
 
 
@@ -360,6 +359,44 @@ def test_interleave_without_pairs_exits_config_error(tmp_path, capsys):
     config = _write_config(tmp_path, interleave={})
     cli.main(["train", "--config", str(config)])
     assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_CONFIG
+
+
+_TWO_PAIRS = {"pairs": [{"a": "baseline_d0", "b": "multihead", "domain": 0},
+                        {"a": "baseline_d1", "b": "multihead", "domain": 1}],
+              "n_impressions": 40, "seed": 2, "page_size": 4}
+
+
+def test_interleave_loads_a_model_of_two_pairs_once(tmp_path, monkeypatch, capsys):
+    config = _write_config(tmp_path, interleave=_TWO_PAIRS)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    loaded, load = [], cli.load
+
+    def spy(raw):
+        loaded.append(raw)
+        return load(raw)
+
+    monkeypatch.setattr(cli, "load", spy)
+    assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_OK
+    models = tmp_path / "out" / "models"
+    assert loaded == [(models / f"{name}.model.json").read_bytes()
+                      for name in ("baseline_d0", "multihead", "baseline_d1")]
+    csv = (tmp_path / "out" / "reports" / "interleave.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in csv[1:]] == [
+        ["baseline_d0", "multihead", "0"], ["baseline_d1", "multihead", "1"]]
+
+
+def test_interleave_checks_every_model_before_the_first_pair(tmp_path, monkeypatch, capsys):
+    """A missing model of the second pair exits 3 before the first pair is
+    simulated."""
+    config = _write_config(tmp_path, interleave=_TWO_PAIRS)
+    assert cli.main(["train", "--config", str(config)]) == cli.EXIT_OK
+    (tmp_path / "out" / "models" / "baseline_d1.model.json").unlink()
+    simulated = []
+    monkeypatch.setattr(cli, "run_interleaving", lambda *args, **kw: simulated.append(args))
+    capsys.readouterr()
+    assert cli.main(["interleave", "--config", str(config)]) == cli.EXIT_DATA
+    assert simulated == []
+    assert "baseline_d1.model.json" in capsys.readouterr().err
 
 
 def test_protocol_writes_stable_reports(tmp_path, capsys):

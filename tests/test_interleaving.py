@@ -1,6 +1,8 @@
 """Team-draft interleaving, user simulation, and the sign test."""
 
+import json
 import math
+import subprocess
 import sys
 
 import numpy as np
@@ -19,7 +21,7 @@ from mdrank.interleaving import (
     sign_test_p,
 )
 from mdrank.models import build
-from tests.conftest import tiny_config
+from tests.conftest import source_env, tiny_config
 
 
 def _sessions(rng, n, n_items=6, feature_dim=3):
@@ -314,6 +316,89 @@ def test_sign_test_never_returns_a_p_value_from_a_nan_cdf(monkeypatch, public):
     monkeypatch.setattr(ufuncs, "_binom_cdf", lambda *args: np.float64(np.nan))
     with pytest.raises(FloatingPointError):
         sign_test_p(3, 7)
+
+
+def _fresh_process(script: str) -> dict:
+    """The JSON object the last line of ``script`` prints, run in a new
+    process: this one already holds scipy.special, so the loader takes its
+    plain route here."""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADER_RUN = """
+import json, sys
+import numpy as np
+from mdrank.interleaving import _private_binom_cdf, sign_test_p
+splits = [(a, n - a) for n in range(300) for a in range(n + 1)]
+p_values = [sign_test_p(a, b) for a, b in splits]
+k, n = np.array([(k, n) for n in range(300) for k in range(n)], dtype=float).T
+ufunc = _private_binom_cdf()
+cdf = np.clip(ufunc(k, n, 0.5), 0.0, 1.0)
+import scipy
+seen = {"package": "scipy.special" in sys.modules, "attribute": "special" in vars(scipy)}
+import scipy.special, scipy.stats
+a, b = np.array(splits).T
+print(json.dumps({
+    **seen,
+    "real": scipy.special.__file__ is not None,
+    "same_ufunc": scipy.special._ufuncs._binom_cdf is ufunc,
+    "cdf": cdf.tolist() == scipy.stats.binom.cdf(k, n, 0.5).tolist(),
+    "p_values": p_values == np.minimum(
+        1.0, 2.0 * scipy.stats.binom.cdf(np.minimum(a, b), a + b, 0.5)).tolist(),
+}))
+"""
+
+
+def test_ufunc_loads_without_scipy_special_and_is_the_real_packages():
+    """In a new process the sign test loads its ufunc without running
+    scipy.special's package: the ufunc gives the bits of ``binom.cdf`` on
+    every 0 <= k < n < 300, the p-values of up to 299 queries are unchanged,
+    no placeholder is left behind, and a later import of scipy.special and
+    scipy.stats gets the real package and the same ufunc."""
+    assert _fresh_process(LOADER_RUN) == {
+        "package": False, "attribute": False, "real": True, "same_ufunc": True,
+        "cdf": True, "p_values": True,
+    }
+
+
+FAILED_LOAD_RUN = """
+import json, sys
+from mdrank.interleaving import _private_binom_cdf, sign_test_p
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs":
+            raise RuntimeError("refused")
+
+sys.meta_path.insert(0, Refuse())
+try:
+    _private_binom_cdf()
+except RuntimeError as exc:
+    raised = str(exc)
+import scipy
+left = {"raised": raised, "package": "scipy.special" in sys.modules,
+        "attribute": "special" in vars(scipy)}
+del sys.meta_path[0]
+p_value = sign_test_p(3, 7)
+left["package_after"] = "scipy.special" in sys.modules
+import scipy.special, scipy.stats
+left["real"] = scipy.special.__file__ is not None
+left["p_value"] = p_value == float(min(1.0, 2.0 * scipy.stats.binom.cdf(3, 10, 0.5)))
+print(json.dumps(left))
+"""
+
+
+def test_a_failed_ufunc_load_leaves_no_placeholder():
+    """An import that raises while the placeholder package is installed
+    leaves neither ``sys.modules["scipy.special"]`` nor ``scipy.special``
+    behind, and the next call loads the ufunc."""
+    assert _fresh_process(FAILED_LOAD_RUN) == {
+        "raised": "refused", "package": False, "attribute": False,
+        "package_after": False, "real": True, "p_value": True,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,25 @@
-"""The summary of benchmarks/pairs.py on made-up results."""
+"""benchmarks/pairs.py and benchmarks/record.py on made-up results."""
 
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "pairs.py"
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def pairs():
-    spec = importlib.util.spec_from_file_location("pairs", _PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("pairs")
 
 
 def _results(**values):
@@ -82,3 +88,55 @@ def test_a_cache_inside_a_checkout_is_refused(pairs, tmp_path):
     checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
     with pytest.raises(SystemExit, match="lies inside the checkout"):
         pairs.cache_prefixes(checkouts, tmp_path / "change" / "tmp")
+
+
+WRONG_RUN = """
+import json, os, sys
+from pathlib import Path
+names = [m["name"] for m in json.loads(Path(os.environ["FAKE_BENCHMARK"]).read_text())["end_to_end"]]
+wrong = sys.argv[sys.argv.index("--seed") + 1] == os.environ["FAKE_WRONG_SEED"]
+how = os.environ["FAKE_WRONG"]
+print("context: {}")
+print(json.dumps({"correct": not (wrong and how == "correct"),
+                  "failed": int(wrong and how == "failed"), "attempted": 3,
+                  "metrics": {name: {"value": 1.0} for name in names}}))
+"""
+
+_WRONG = {"correct": "correct False, 0 of 3 jobs failed",
+          "failed": "correct True, 1 of 3 jobs failed"}
+
+
+@pytest.mark.parametrize("how", sorted(_WRONG))
+def test_pairs_stops_on_a_run_with_wrong_outputs_or_a_failed_job(pairs, tmp_path, monkeypatch,
+                                                                 capsys, how):
+    """The change's run of the second pair reads ``correct: false`` or a
+    failed job although it exits 0: the tool stops there and names it."""
+    checkouts = [tmp_path / "parent", tmp_path / "change"]
+    for checkout, run in zip(checkouts, (FAKE_RUN, WRONG_RUN)):
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(run, encoding="utf-8")
+    monkeypatch.setenv("FAKE_BENCHMARK", str(pairs.ROOT / "BENCHMARK.json"))
+    monkeypatch.setenv("FAKE_WRONG_SEED", "8")
+    monkeypatch.setenv("FAKE_WRONG", how)
+    with pytest.raises(SystemExit, match=f"^pairs: change serve seed 8: {_WRONG[how]}$"):
+        pairs.main([*map(str, checkouts), "--workload", "serve", "--pairs", "3", "--seed", "7"])
+    assert "pair 1 seed 7 change" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("how", sorted(_WRONG))
+def test_record_stops_on_a_run_with_wrong_outputs_or_a_failed_job(pairs, tmp_path, monkeypatch,
+                                                                  how):
+    """A run that exits 0 with ``correct: false`` or a failed job stops the
+    tool, naming it, before it writes the file."""
+    monkeypatch.setitem(sys.modules, "pairs", pairs)
+    record = _load("record")
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(WRONG_RUN, encoding="utf-8")
+    shutil.copy(record.ROOT / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    monkeypatch.setenv("FAKE_BENCHMARK", str(tmp_path / "BENCHMARK.json"))
+    monkeypatch.setenv("FAKE_WRONG_SEED", str(record.SEED))
+    monkeypatch.setenv("FAKE_WRONG", how)
+    with pytest.raises(SystemExit, match=f"^record: t protocol seed 1: {_WRONG[how]}$"):
+        record.main(["--tag", "t"])
+    assert not (tmp_path / "BENCH_t.json").exists()
