@@ -320,8 +320,8 @@ def test_sign_test_never_returns_a_p_value_from_a_nan_cdf(monkeypatch, public):
 
 def _fresh_process(script: str) -> dict:
     """The JSON object the last line of ``script`` prints, run in a new
-    process: this one already holds scipy.special, so the loader takes its
-    plain route here."""
+    process, which has not imported scipy.special: the test process
+    usually has, and then the loader takes its plain route."""
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120, env=source_env())
     assert proc.returncode == 0, proc.stderr
@@ -352,7 +352,7 @@ print(json.dumps({
 """
 
 
-def test_ufunc_loads_without_scipy_special_and_is_the_real_packages():
+def test_ufunc_loads_without_scipy_special_and_is_the_real_packages_ufunc():
     """In a new process the sign test loads its ufunc without running
     scipy.special's package: the ufunc gives the bits of ``binom.cdf`` on
     every 0 <= k < n < 300, the p-values of up to 299 queries are unchanged,
